@@ -17,6 +17,11 @@ one. A clip of one frame carries no temporal structure, so temporal
 sub-layers are bypassed (the residual passes through untouched) rather than
 attending over a single step.
 
+A batch of clips is a (..., T, N, d) stack: the leading axes fold into the
+batch axes of attention (B*T for spatial, B*N for temporal, B for coupled),
+so clips never attend to each other and every map gains the same leading
+axes. A single-frame image batch is the T = 1 case.
+
 The per-frame output feature is the class token after a final layer norm.
 """
 
@@ -70,29 +75,36 @@ class MsaLayer:
         def split(t):
             return T.transpose(T.reshape(t, (batch, m, h, dh)), (0, 2, 1, 3))
 
-        q, k, v = split(self.wq(z)), split(self.wk(z)), split(self.wv(z))
-        logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                         1.0 / math.sqrt(dh))
-        att = T.softmax(logits, axis=-1)
+        # scaling q rather than the logits keeps one (batch, H, m, m) logit
+        # array alive instead of two
+        q = split(T.scale(self.wq(z), 1.0 / math.sqrt(dh)))
+        k, v = split(self.wk(z)), split(self.wv(z))
+        att = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1)
         out = T.matmul(att, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, m, d))
         return self.wo(out), att.data.copy()
 
     def __call__(self, x: Tensor, mode: str):
-        """x is (T, N, d); returns (y, maps) with y shaped like x and maps
-        (T, H, N, N) for spatial, (N, H, T, T) for temporal, (H, TN, TN)
-        for coupled attention."""
-        if x.ndim != 3 or x.shape[-1] != self.d:
-            raise ShapeError(f"expected (T, N, {self.d}) input, got {x.shape}")
-        frames, tokens, d = x.shape
+        """x is (..., T, N, d); returns (y, maps) with y shaped like x and
+        maps (..., T, H, N, N) for spatial, (..., N, H, T, T) for temporal,
+        (..., H, TN, TN) for coupled attention. The leading axes fold into
+        the batch axis of attention, so every clip attends on its own."""
+        if x.ndim < 3 or x.shape[-1] != self.d:
+            raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
+        lead, (frames, tokens, d) = x.shape[:-3], x.shape[-3:]
+        clips = math.prod(lead)
         if mode == "spatial":
-            return self._attend(x)
+            y, maps = self._attend(T.reshape(x, (clips * frames, tokens, d)))
+            return T.reshape(y, x.shape), maps.reshape(lead + (frames,) + maps.shape[1:])
         if mode == "temporal":
-            y, maps = self._attend(T.transpose(x, (1, 0, 2)))
-            return T.transpose(y, (1, 0, 2)), maps
+            swap = tuple(range(len(lead))) + tuple(len(lead) + a for a in (1, 0, 2))
+            xt = T.transpose(x, swap)
+            y, maps = self._attend(T.reshape(xt, (clips * tokens, frames, d)))
+            return (T.transpose(T.reshape(y, xt.shape), swap),
+                    maps.reshape(lead + (tokens,) + maps.shape[1:]))
         if mode == "coupled":
-            y, maps = self._attend(T.reshape(x, (1, frames * tokens, d)))
-            return T.reshape(y, x.shape), maps[0]
+            y, maps = self._attend(T.reshape(x, (clips, frames * tokens, d)))
+            return T.reshape(y, x.shape), maps.reshape(lead + maps.shape[1:])
         raise ValueError(f"unknown attention mode {mode!r}")
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
@@ -137,28 +149,34 @@ class SteBlock:
         return self.fc2(T.gelu(self.fc1(z)))
 
     def _gated_mix(self, s: Tensor, t: Tensor) -> Tensor:
-        frames, tokens, d = s.shape
+        """s and t are (..., T, N, d); the gates are per frame and channel,
+        stored in last_alpha as (..., T, 1, d) pairs."""
+        gate_shape = s.shape[:-2] + (1, s.shape[-1])
         if self.force_alpha is not None:
             a_s, a_t = self.force_alpha
-            self.last_alpha = (np.full((frames, 1, d), a_s),
-                               np.full((frames, 1, d), a_t))
+            self.last_alpha = (np.full(gate_shape, a_s), np.full(gate_shape, a_t))
             return T.add(T.scale(s, float(a_s)), T.scale(t, float(a_t)))
         # a shared gate scores each branch's class token; softmax over the
         # two branches reduces to a sigmoid of the logit difference, and the
         # complement 1 - alpha_s makes the pair sum to exactly one
-        logit_s = self.gate(T.reshape(T.slice_axis(s, 1, 0, 1), (frames, d)))
-        logit_t = self.gate(T.reshape(T.slice_axis(t, 1, 0, 1), (frames, d)))
-        alpha_s = T.sigmoid(T.sub(logit_s, logit_t))
+        rows = (math.prod(s.shape[:-2]), s.shape[-1])
+
+        def cls(z):
+            return T.reshape(T.slice_axis(z, -2, 0, 1), rows)
+
+        alpha_s = T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t))))
         alpha_t = T.add_scalar(T.neg(alpha_s), 1.0)
-        self.last_alpha = (alpha_s.data.copy().reshape(frames, 1, d),
-                           alpha_t.data.copy().reshape(frames, 1, d))
+        self.last_alpha = (alpha_s.data.reshape(gate_shape).copy(),
+                           alpha_t.data.reshape(gate_shape).copy())
 
         def broad(a):
-            return T.expand(T.reshape(a, (frames, 1, d)), s.shape)
+            return T.expand(T.reshape(a, gate_shape), s.shape)
 
         return T.add(T.mul(broad(alpha_s), s), T.mul(broad(alpha_t), t))
 
     def __call__(self, x: Tensor, bypass_temporal: bool = False):
+        """x is (..., T, N, d); returns y shaped like x and the block's
+        attention maps keyed by mode."""
         maps: dict[str, np.ndarray] = {}
         self.last_alpha = None
         topo = self.topology
@@ -226,36 +244,37 @@ class SteEncoder:
         self.ln_final = LayerNorm(cfg.d)
 
     def encode(self, obs: Tensor, patch_embed: Affine, bypass_temporal=None):
-        """obs is (T, hw, d_in) patch features; returns per-frame features
-        (T, d) and the attention maps of every block.
+        """obs is (..., T, hw, d_in) patch features, one clip per index of
+        the leading axes; returns per-frame features (..., T, d) and the
+        attention maps of every block, which gain the same leading axes.
 
         bypass_temporal defaults to (T == 1): single frames carry no
         temporal axis worth attending over.
         """
         cfg = self.cfg
-        if obs.ndim != 3 or obs.shape[1] != cfg.hw or obs.shape[2] != cfg.d_in:
+        if obs.ndim < 3 or obs.shape[-2:] != (cfg.hw, cfg.d_in):
             raise ShapeError(
-                f"expected observations (T, {cfg.hw}, {cfg.d_in}), got {obs.shape}")
-        frames = obs.shape[0]
+                f"expected observations (..., T, {cfg.hw}, {cfg.d_in}), got {obs.shape}")
+        lead, frames = obs.shape[:-3], obs.shape[-3]
         if frames < 1 or frames > cfg.t_max:
             raise ShapeError(f"clip length {frames} outside 1..{cfg.t_max}")
         if bypass_temporal is None:
             bypass_temporal = frames == 1
 
         x = patch_embed(obs)
-        n = cfg.tokens
-        cls = T.expand(self.cls_token, (frames, 1, cfg.d))
-        x = T.concat([cls, x], axis=1)
-        x = T.add(x, T.expand(self.pos_spatial, (frames, n, cfg.d)))
+        token_shape = lead + (frames, cfg.tokens, cfg.d)
+        cls = T.expand(self.cls_token, lead + (frames, 1, cfg.d))
+        x = T.concat([cls, x], axis=-2)
+        x = T.add(x, T.expand(self.pos_spatial, token_shape))
         pos_t = T.slice_axis(self.pos_temporal, 0, 0, frames)
-        x = T.add(x, T.expand(pos_t, (frames, n, cfg.d)))
+        x = T.add(x, T.expand(pos_t, token_shape))
 
         all_maps = []
         for block in self.blocks:
             x, maps = block(x, bypass_temporal=bypass_temporal)
             all_maps.append(maps)
         x = self.ln_final(x)
-        feats = T.reshape(T.slice_axis(x, 1, 0, 1), (frames, cfg.d))
+        feats = T.reshape(T.slice_axis(x, -2, 0, 1), lead + (frames, cfg.d))
         return feats, all_maps
 
     def named_params(self) -> dict[str, Tensor]:
@@ -266,7 +285,3 @@ class SteEncoder:
         out.update(self.ln_final.named_params("ln_final"))
         return out
 
-
-def encode(obs: Tensor, encoder: SteEncoder, patch_embed: Affine,
-           bypass_temporal=None):
-    return encoder.encode(obs, patch_embed, bypass_temporal=bypass_temporal)

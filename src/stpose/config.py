@@ -8,6 +8,7 @@ that do not parse as the field's type.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .attention import TOPOLOGIES
@@ -64,15 +65,28 @@ class RunConfig:
         for name in ("steps_stage1", "steps_stage2", "log_interval", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        if math.isqrt(self.hw) ** 2 != self.hw:
+            raise ValueError(f"hw must be a perfect square, got {self.hw}")
+        if self.d % self.heads:
+            raise ValueError(f"d must be divisible by heads, got d {self.d} "
+                             f"and heads {self.heads}")
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got "
+                                 f"{getattr(self, f.name)}")
+        for name in ("lr", "noise_std", "w_3d", "w_2d", "w_smpl_pose",
+                     "w_smpl_shape", "w_norm"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got "
+                                 f"{getattr(self, name)}")
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        if not 0.0 <= self.stage2_image_ratio <= 1.0:
-            raise ValueError("stage2_image_ratio must lie in [0, 1], "
-                             f"got {self.stage2_image_ratio}")
+        for name in ("p_2d_only", "stage2_image_ratio"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
     @property
     def total_steps(self) -> int:

@@ -139,14 +139,6 @@ class IterativeDecoder:
         return out
 
 
-def ktd_decode(x: Tensor, w: KtdDecoder) -> SmplParams:
-    return w.decode(x)
-
-
-def iterative_decode(x: Tensor, w: IterativeDecoder) -> SmplParams:
-    return w.decode(x)
-
-
 def smpl_forward(params: SmplParams, tree: KinematicTree):
     """Params to joints: 6D -> rotations -> forward kinematics -> projection.
 

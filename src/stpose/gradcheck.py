@@ -155,29 +155,29 @@ def _nudge_zero_weights(params: dict, rng: np.random.Generator,
 
 
 def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckResult]:
-    """End-to-end observation -> loss gradients for both decoders."""
+    """End-to-end observation -> loss gradients for both decoders, through
+    one training batch of two clips, the second of them 2D-only."""
     from .config import RunConfig
     from .losses import LossWeights
     from .synth import synth_generate
-    from .train import build_model, train_step
+    from .train import batch_step, build_model
 
     results = []
     for decoder in ("ktd", "iterative"):
         cfg = RunConfig(encoder="parallel_v2", decoder=decoder, blocks=1,
-                        d=16, heads=2, hw=4, t_clip=2, seed=seed, clips=1,
+                        d=16, heads=2, hw=4, t_clip=2, seed=seed, clips=2,
                         noise_std=0.01)
         model = build_model(cfg)
         params = model.named_params()
         rng = np.random.default_rng(seed + 3)
         _nudge_zero_weights(params, rng)
-        batch = synth_generate(cfg.seed, 1, cfg.t_clip, hw=cfg.hw,
+        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                                noise_std=cfg.noise_std, tree=model.tree)
+        batch.has_3d[:] = (True, False)
         weights = LossWeights()
 
         def loss():
-            return train_step(model, batch.obs[0], batch.gt_j3d[0],
-                              batch.gt_j2d[0], batch.gt_theta[0],
-                              batch.gt_beta[0], True, weights).total
+            return batch_step(model, batch, range(cfg.clips), weights).total
 
         err = fd_check(loss, list(params.values()),
                        max_coords_per_tensor=max_coords_per_tensor,

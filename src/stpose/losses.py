@@ -4,14 +4,15 @@ The total is
 
     L = w_3d * L_3D + w_2d * L_2D + L_SMPL + w_norm * L_NORM
 
-where L_3D / L_2D are per-frame sums over joints of Euclidean distances
-(averaged over frames), L_SMPL = w_pose * |theta - theta_gt| +
-w_shape * |beta - beta_gt| with theta compared as the 72-dim axis-angle
-vector, and L_NORM = |theta| + |beta|. Because L_SMPL carries two separate
-weights it is reported already weighted, so the report's total is always
-the plain weighted sum of its components.
+where L_3D / L_2D are per-frame sums over joints of Euclidean distances,
+L_SMPL = w_pose * |theta - theta_gt| + w_shape * |beta - beta_gt| with
+theta compared as the 72-dim axis-angle vector, and L_NORM = |theta| +
+|beta|. Every term is averaged over the frames of a clip, then over clips.
+Because L_SMPL carries two separate weights it is reported already
+weighted, so the report's total is always the plain weighted sum of its
+components.
 
-2D-only samples skip the 3D and parameter terms entirely.
+The 3D keypoint and parameter terms of 2D-only clips are masked to zero.
 """
 
 from __future__ import annotations
@@ -51,24 +52,17 @@ class LossReport:
         return float(self.total.data)
 
 
-def _frame_mean_of_joint_sums(pred: Tensor, gt: np.ndarray) -> Tensor:
-    diff = T.sub(pred, Tensor(np.asarray(gt)))
-    return T.reduce_mean(T.reduce_sum(T.vecnorm(diff, axis=-1), axis=-1))
-
-
-def _frame_mean_norm(x: Tensor) -> Tensor:
-    return T.reduce_mean(T.vecnorm(x, axis=-1))
-
-
 def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
                pred_beta: Tensor, gt_j3d: np.ndarray, gt_j2d: np.ndarray,
                gt_theta: np.ndarray, gt_beta: np.ndarray,
-               weights: LossWeights, has_3d: bool = True) -> LossReport:
+               weights: LossWeights, has_3d=True) -> LossReport:
     """Predictions are tensors (graph inputs); ground truth plain arrays.
 
     Shapes: j3d (F, J, 3), j2d (F, J, 2), theta (F, 72) axis-angle,
-    beta (F, 10). has_3d=False marks a 2D-only sample: only the 2D keypoint
-    and norm terms contribute.
+    beta (F, 10), where the F rows are B clips of F / B frames each, clip
+    by clip. has_3d is a (B,) bool array, or one bool for a single clip;
+    False marks a 2D-only clip, whose 3D keypoint and parameter terms are
+    masked out. Every term is the mean over clips of the clip's frame mean.
     """
     if pred_j3d.shape != np.shape(gt_j3d) or pred_j2d.shape != np.shape(gt_j2d):
         raise ShapeError(
@@ -76,18 +70,38 @@ def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
             f"{np.shape(gt_j3d)}, {pred_j2d.shape} vs {np.shape(gt_j2d)}")
     if pred_j3d.shape[:2] != pred_j2d.shape[:2]:
         raise ShapeError("2D and 3D joint counts disagree")
+    has_3d = np.atleast_1d(np.asarray(has_3d, dtype=bool))
+    rows = pred_j3d.shape[0]
+    if has_3d.ndim != 1 or not has_3d.size or rows % has_3d.size:
+        raise ShapeError(f"{rows} frames do not split into {has_3d.size} clips")
+    clips = (has_3d.size, rows // has_3d.size)
 
-    l_2d = _frame_mean_of_joint_sums(pred_j2d, gt_j2d)
-    l_norm = T.add(_frame_mean_norm(pred_theta), _frame_mean_norm(pred_beta))
-    total = T.add(T.scale(l_2d, weights.w_2d), T.scale(l_norm, weights.w_norm))
+    def clip_means(per_frame: Tensor) -> Tensor:
+        return T.reduce_mean(T.reshape(per_frame, clips), axis=-1)
 
-    if has_3d:
-        l_3d = _frame_mean_of_joint_sums(pred_j3d, gt_j3d)
-        pose_term = _frame_mean_norm(T.sub(pred_theta, Tensor(np.asarray(gt_theta))))
-        shape_term = _frame_mean_norm(T.sub(pred_beta, Tensor(np.asarray(gt_beta))))
-        l_smpl = T.add(T.scale(pose_term, weights.w_smpl_pose),
-                       T.scale(shape_term, weights.w_smpl_shape))
-        total = T.add(total, T.add(T.scale(l_3d, weights.w_3d), l_smpl))
-        return LossReport(total, float(l_3d.data), float(l_2d.data),
-                          float(l_smpl.data), float(l_norm.data))
-    return LossReport(total, 0.0, float(l_2d.data), 0.0, float(l_norm.data))
+    def joint_sums(pred: Tensor, gt: np.ndarray) -> Tensor:
+        diff = T.sub(pred, Tensor(np.asarray(gt)))
+        return clip_means(T.reduce_sum(T.vecnorm(diff, axis=-1), axis=-1))
+
+    def norms(x: Tensor) -> Tensor:
+        return clip_means(T.vecnorm(x, axis=-1))
+
+    def masked(per_clip: Tensor) -> Tensor:
+        return T.where(has_3d, per_clip, Tensor(np.zeros(has_3d.size)))
+
+    l_2d = joint_sums(pred_j2d, gt_j2d)
+    l_norm = T.add(norms(pred_theta), norms(pred_beta))
+    l_3d = masked(joint_sums(pred_j3d, gt_j3d))
+    pose_term = norms(T.sub(pred_theta, Tensor(np.asarray(gt_theta))))
+    shape_term = norms(T.sub(pred_beta, Tensor(np.asarray(gt_beta))))
+    l_smpl = masked(T.add(T.scale(pose_term, weights.w_smpl_pose),
+                          T.scale(shape_term, weights.w_smpl_shape)))
+    per_clip = T.add(T.add(T.scale(l_2d, weights.w_2d),
+                           T.scale(l_norm, weights.w_norm)),
+                     T.add(T.scale(l_3d, weights.w_3d), l_smpl))
+
+    def mean(x: Tensor) -> float:
+        return float(x.data.mean())
+
+    return LossReport(T.reduce_mean(per_clip), mean(l_3d), mean(l_2d),
+                      mean(l_smpl), mean(l_norm))

@@ -7,7 +7,7 @@ amplitude at most 0.6 rad, so rotations stay well inside the valid range),
 one body shape per clip, and one weak-perspective camera per clip. Ground
 truth follows the model's own forward path: rotations -> forward
 kinematics -> projection, so generated labels are consistent with the
-decoder targets by construction (asserted at build).
+decoder targets by construction (checked at build).
 
 Observations emulate keypoint heatmaps: the image plane [-1, 1]^2 is cut
 into an sqrt(hw) x sqrt(hw) grid of cells and each joint contributes a
@@ -137,19 +137,15 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
     # generator guarantee: labels reproduce through the decoder-side path
     check = rot6d_to_matrix(Tensor(pose6d.reshape(-1, NUM_JOINTS, 6))).data
     rebuilt = axis_angle_to_matrix_np(theta.reshape(-1, NUM_JOINTS, 3))
-    assert np.abs(check - rebuilt).max() < 1e-9
+    err = np.abs(check - rebuilt).max()
+    if not err < 1e-9:
+        raise RuntimeError(f"6D and axis-angle labels disagree by {err:.3e}")
     c3, c2 = smpl_forward(SmplParams(Tensor(pose6d[0]), Tensor(beta[0]),
                                      Tensor(cam[0])), tree)
-    assert np.array_equal(c3.data, j3d[0]) and np.array_equal(c2.data, j2d[0])
+    if not (np.array_equal(c3.data, j3d[0]) and np.array_equal(c2.data, j2d[0])):
+        raise RuntimeError("joint labels of clip 0 do not reproduce through "
+                           "smpl_forward")
 
     return ClipBatch(obs, pose6d, theta, beta, cam, j3d, j2d, has_3d,
                      is_video=frames > 1)
 
-
-def frame_view(batch: ClipBatch, clip: int, frame: int) -> ClipBatch:
-    """A single frame of one clip as a T=1 image sample."""
-    s = np.s_[clip:clip + 1, frame:frame + 1]
-    return ClipBatch(batch.obs[s], batch.gt_pose6d[s], batch.gt_theta[s],
-                     batch.gt_beta[s], batch.gt_cam[s], batch.gt_j3d[s],
-                     batch.gt_j2d[s], batch.has_3d[clip:clip + 1],
-                     is_video=False)

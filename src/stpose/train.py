@@ -10,6 +10,7 @@ the seed is deterministic, so a config fully reproduces a run.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from . import tensor as T
-from .attention import TOPOLOGIES, SteConfig, SteEncoder, encode
+from .attention import TOPOLOGIES, SteConfig, SteEncoder
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_to_text
 from .decoders import (IterativeDecoder, KtdDecoder, SmplParams, smpl_forward)
@@ -28,7 +29,7 @@ from .layers import Affine
 from .losses import LossReport, LossWeights, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
 from .optim import Adam
-from .synth import ClipBatch, frame_view, synth_generate
+from .synth import ClipBatch, synth_generate
 from .tensor import Tensor
 
 EVAL_COLUMNS = ("mpjpe", "pa_mpjpe", "accel")
@@ -77,24 +78,29 @@ def build_model(cfg: RunConfig) -> Model:
 
 class ForwardOut(NamedTuple):
     params: SmplParams
-    j3d: Tensor     # (T, 24, 3)
-    j2d: Tensor     # (T, 24, 2)
-    theta: Tensor   # (T, 72) axis-angle
+    j3d: Tensor     # (F, 24, 3)
+    j2d: Tensor     # (F, 24, 2)
+    theta: Tensor   # (F, 72) axis-angle
     maps: list
 
 
 def model_forward(model: Model, obs: np.ndarray,
                   bypass_temporal=None) -> ForwardOut:
-    """Full chain: observations -> features -> parameters -> joints."""
-    feats, maps = encode(Tensor(np.asarray(obs, dtype=np.float64)),
-                         model.encoder, model.patch_embed, bypass_temporal)
-    params = model.decoder.decode(feats)
+    """Full chain: observations -> features -> parameters -> joints.
+
+    obs is (..., T, hw, d_in), one clip per index of the leading axes; the
+    outputs run over the F = B*T frames of all clips, clip by clip.
+    """
+    feats, maps = model.encoder.encode(
+        Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed,
+        bypass_temporal)
+    frames = math.prod(feats.shape[:-1])
+    params = model.decoder.decode(T.reshape(feats, (frames, feats.shape[-1])))
     rot = rot6d_to_matrix(params.pose)
     j3d, _ = forward_kinematics(model.tree, rot, params.shape,
                                 want_transforms=False)
     j2d = project(j3d, params.cam)
-    theta = T.reshape(matrix_to_axis_angle(rot),
-                      (feats.shape[0], NUM_JOINTS * 3))
+    theta = T.reshape(matrix_to_axis_angle(rot), (frames, NUM_JOINTS * 3))
     return ForwardOut(params, j3d, j2d, theta, maps)
 
 
@@ -151,36 +157,23 @@ def _loss_weights(cfg: RunConfig) -> LossWeights:
                        cfg.w_smpl_shape, cfg.w_norm)
 
 
-def train_step(model: Model, obs: np.ndarray, gt_j3d, gt_j2d, gt_theta,
-               gt_beta, has_3d: bool, weights: LossWeights) -> LossReport:
-    out = model_forward(model, obs)
-    return total_loss(out.j3d, out.j2d, out.theta, out.params.shape,
-                      gt_j3d, gt_j2d, gt_theta, gt_beta, weights,
-                      has_3d=has_3d)
-
-
 def batch_step(model: Model, batch: ClipBatch, clips, weights: LossWeights,
                frame=None) -> LossReport:
-    """Mean loss over the given clips; ``frame`` picks one frame per clip
-    (image mode), ``None`` feeds whole clips (video mode)."""
-    reports = []
-    for clip in clips:
-        sample = batch if frame is None else frame_view(batch, clip, frame)
-        c = clip if frame is None else 0
-        reports.append(train_step(model, sample.obs[c], sample.gt_j3d[c],
-                                  sample.gt_j2d[c], sample.gt_theta[c],
-                                  sample.gt_beta[c], bool(sample.has_3d[c]),
-                                  weights))
-    n = len(reports)
-    total = reports[0].total
-    for rep in reports[1:]:
-        total = T.add(total, rep.total)
-    total = T.scale(total, 1.0 / n)
-    return LossReport(total,
-                      sum(r.l_3d for r in reports) / n,
-                      sum(r.l_2d for r in reports) / n,
-                      sum(r.l_smpl for r in reports) / n,
-                      sum(r.l_norm for r in reports) / n)
+    """Mean over the given clips of each clip's frame-mean loss, as one
+    graph; ``frame`` picks one frame per clip (image mode, T = 1), ``None``
+    feeds whole clips (video mode)."""
+    pick = (np.asarray(clips),
+            slice(None) if frame is None else slice(frame, frame + 1))
+
+    def frames(a):
+        a = a[pick]
+        return a.reshape((-1,) + a.shape[2:])
+
+    out = model_forward(model, batch.obs[pick])
+    return total_loss(out.j3d, out.j2d, out.theta, out.params.shape,
+                      frames(batch.gt_j3d), frames(batch.gt_j2d),
+                      frames(batch.gt_theta), frames(batch.gt_beta), weights,
+                      has_3d=batch.has_3d[pick[0]])
 
 
 def _blend_reports(video: LossReport, image: LossReport,
@@ -201,6 +194,8 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     with temporal attention bypassed. Stage 2 feeds mixed batches: whole
     clips plus single frames, blended at ``stage2_image_ratio``. Writes
     config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is given.
+    An error in a step's forward or backward pass is re-raised as a
+    RuntimeError that names the step and the stage.
     """
     model = build_model(cfg)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
@@ -216,30 +211,31 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     ratio = cfg.stage2_image_ratio
     for step in range(cfg.total_steps):
         stage = 1 if step < cfg.steps_stage1 else 2
-        if stage == 1:
-            # image stage: one rotating frame per clip, temporal bypass
-            report = batch_step(model, batch, all_clips, weights,
-                                frame=image_step % batch.frames)
-            image_step += 1
-        elif ratio == 0.0:
-            report = batch_step(model, batch, all_clips, weights)
-        elif ratio == 1.0:
-            report = batch_step(model, batch, all_clips, weights,
-                                frame=image_step % batch.frames)
-            image_step += 1
-        else:
-            # mixed batch: whole clips and single frames in the same step,
-            # weighted by the configured ratio, so the objective is the
-            # same from step to step
-            video = batch_step(model, batch, all_clips, weights)
-            image = batch_step(model, batch, all_clips, weights,
-                               frame=image_step % batch.frames)
-            image_step += 1
-            report = _blend_reports(video, image, ratio)
+        frame = image_step % batch.frames
+        try:
+            if stage == 1 or ratio == 1.0:
+                # image steps: one rotating frame per clip, temporal bypass
+                report = batch_step(model, batch, all_clips, weights,
+                                    frame=frame)
+                image_step += 1
+            elif ratio == 0.0:
+                report = batch_step(model, batch, all_clips, weights)
+            else:
+                # mixed batch: whole clips and single frames in the same
+                # step, weighted by the configured ratio, so the objective
+                # is the same from step to step
+                video = batch_step(model, batch, all_clips, weights)
+                image = batch_step(model, batch, all_clips, weights,
+                                   frame=frame)
+                image_step += 1
+                report = _blend_reports(video, image, ratio)
+            opt.zero_grad()
+            report.total.backward()
+        except Exception as exc:
+            raise RuntimeError(f"training failed at step {step} (stage "
+                               f"{stage}): {exc}") from exc
         _check_finite(report, step)
         opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
-        opt.zero_grad()
-        report.total.backward()
         opt.step()
         history.append(StepRecord(step, stage, opt.lr, report.value(),
                                   report.l_3d, report.l_2d, report.l_smpl,
@@ -273,8 +269,8 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None,
     """
     rows = []
     for clip in range(batch.clips):
-        feats, _ = encode(Tensor(batch.obs[clip]), model.encoder,
-                          model.patch_embed)
+        feats, _ = model.encoder.encode(Tensor(batch.obs[clip]),
+                                        model.patch_embed)
         if decode_fn is not None:
             params = decode_fn(feats, clip)
         else:

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import erf
 
 from stpose import tensor as T
-from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteConfig, SteEncoder, encode
+from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteConfig, SteEncoder
 from stpose.gradcheck import fd_check
 from stpose.layers import Affine
 from stpose.tensor import ShapeError, Tensor
@@ -123,6 +123,19 @@ class TestMsaLayer:
         np.testing.assert_array_equal(y_t.data, y_s.data.transpose(1, 0, 2))
         np.testing.assert_array_equal(m_t, m_s)
 
+    def test_leading_axes_fold_into_attention_batches(self):
+        rng = np.random.default_rng(106)
+        x = rng.standard_normal((2, 3, 5, 8))
+        want = {"spatial": (2, 3, 2, 5, 5), "temporal": (2, 5, 2, 3, 3),
+                "coupled": (2, 2, 15, 15)}
+        for mode, shape in want.items():
+            y, maps = self.msa(Tensor(x), mode)
+            assert y.shape == x.shape and maps.shape == shape
+            for c in range(2):
+                y_c, maps_c = self.msa(Tensor(x[c]), mode)
+                np.testing.assert_allclose(y.data[c], y_c.data, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(maps[c], maps_c, rtol=0, atol=1e-12)
+
     def test_width_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             MsaLayer(10, 3, np.random.default_rng(0))
@@ -195,6 +208,17 @@ class TestSteBlock:
         want = u + _affine_np(_gelu_np(_affine_np(_ln_np(u, block.ln_mlp), block.fc1)),
                               block.fc2)
         np.testing.assert_allclose(got.data, want, atol=1e-10)
+
+    def test_gates_gain_leading_axes(self):
+        rng = np.random.default_rng(128)
+        block = SteBlock("parallel_v2", 8, 2, rng)
+        x = rng.standard_normal((2, 3, 5, 8))
+        block(Tensor(x))
+        a_s, a_t = block.last_alpha
+        assert a_s.shape == a_t.shape == (2, 3, 1, 8)
+        block(Tensor(x[1]))
+        np.testing.assert_allclose(a_s[1], block.last_alpha[0], rtol=0,
+                                   atol=1e-12)
 
     def test_gates_sum_to_one_exactly(self):
         rng = np.random.default_rng(115)
@@ -318,7 +342,7 @@ class TestSteEncoder:
         cfg = self._cfg()
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
-        feats, maps = encode(self._obs(rng, 3, cfg), enc, embed)
+        feats, maps = enc.encode(self._obs(rng, 3, cfg), embed)
         assert feats.shape == (3, cfg.d)
         assert len(maps) == cfg.blocks
         assert maps[0]["spatial"].shape == (3, cfg.heads, cfg.tokens, cfg.tokens)
@@ -330,11 +354,11 @@ class TestSteEncoder:
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = self._obs(rng, 1, cfg)
-        f_default, maps = encode(obs, enc, embed)
-        f_forced, _ = encode(obs, enc, embed, bypass_temporal=True)
+        f_default, maps = enc.encode(obs, embed)
+        f_forced, _ = enc.encode(obs, embed, bypass_temporal=True)
         assert np.array_equal(f_default.data, f_forced.data)
         assert all("temporal" not in m for m in maps)
-        f_attend, _ = encode(obs, enc, embed, bypass_temporal=False)
+        f_attend, _ = enc.encode(obs, embed, bypass_temporal=False)
         assert not np.array_equal(f_default.data, f_attend.data)
 
     def test_clip_length_limits(self):
@@ -343,9 +367,29 @@ class TestSteEncoder:
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         with pytest.raises(ShapeError, match="clip"):
-            encode(self._obs(rng, 5, cfg), enc, embed)
+            enc.encode(self._obs(rng, 5, cfg), embed)
         with pytest.raises(ShapeError):
-            encode(Tensor(np.zeros((2, 3, cfg.d_in))), enc, embed)
+            enc.encode(Tensor(np.zeros((2, 3, cfg.d_in))), embed)
+
+    @pytest.mark.parametrize("frames", [3, 1])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_clip_stack_matches_per_clip_calls(self, topology, frames):
+        rng = np.random.default_rng(137)
+        cfg = self._cfg(topology=topology)
+        enc = SteEncoder(cfg, rng)
+        embed = Affine(cfg.d_in, cfg.d, rng)
+        obs = rng.standard_normal((2, frames, cfg.hw, cfg.d_in))
+        feats, maps = enc.encode(Tensor(obs), embed)
+        assert feats.shape == (2, frames, cfg.d)
+        for c in range(2):
+            feats_c, maps_c = enc.encode(Tensor(obs[c]), embed)
+            np.testing.assert_allclose(feats.data[c], feats_c.data, rtol=0,
+                                       atol=1e-12)
+            for block, block_c in zip(maps, maps_c):
+                assert set(block) == set(block_c)
+                for mode, m in block.items():
+                    np.testing.assert_allclose(m[c], block_c[mode], rtol=0,
+                                               atol=1e-12)
 
     def test_deterministic_construction(self):
         cfg = self._cfg()
@@ -374,11 +418,11 @@ class TestSteEncoder:
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = rng.standard_normal((3, cfg.hw, cfg.d_in))
-        base, _ = encode(Tensor(obs), enc, embed)
+        base, _ = enc.encode(Tensor(obs), embed)
         perm = np.array([2, 0, 1])
         saved = enc.pos_temporal.data.copy()
         enc.pos_temporal.data[:] = saved[perm]
-        permuted, _ = encode(Tensor(obs[perm]), enc, embed)
+        permuted, _ = enc.encode(Tensor(obs[perm]), embed)
         enc.pos_temporal.data[:] = saved
         np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-12)
 
@@ -388,11 +432,11 @@ class TestSteEncoder:
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = rng.standard_normal((4, cfg.hw, cfg.d_in))
-        base, _ = encode(Tensor(obs), enc, embed)
+        base, _ = enc.encode(Tensor(obs), embed)
         perm = np.array([3, 1, 0, 2])
         saved = enc.pos_temporal.data.copy()
         enc.pos_temporal.data[:] = saved[perm]
-        permuted, _ = encode(Tensor(obs[perm]), enc, embed)
+        permuted, _ = enc.encode(Tensor(obs[perm]), embed)
         enc.pos_temporal.data[:] = saved
         np.testing.assert_allclose(permuted.data, base.data[perm], atol=1e-12)
 
@@ -408,7 +452,7 @@ class TestSteEncoder:
             embed.named_params("e").values())
 
         def loss():
-            feats, _ = encode(obs, enc, embed)
+            feats, _ = enc.encode(obs, embed)
             return T.reduce_sum(T.mul(feats, Tensor(coef)))
 
         err = fd_check(loss, params, max_coords_per_tensor=6,

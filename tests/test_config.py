@@ -88,10 +88,22 @@ class TestValidation:
         assert cfg.total_steps == 0
 
     @pytest.mark.parametrize("field,value", [
-        ("beta1", 1.0), ("beta2", -0.1), ("stage2_image_ratio", 1.5)])
+        ("beta1", 1.0), ("beta2", -0.1), ("stage2_image_ratio", 1.5),
+        ("hw", 15), ("hw", 2), ("heads", 5), ("heads", 3),
+        ("lr", float("nan")), ("lr", float("inf")),
+        ("beta1", float("nan")), ("w_3d", float("inf")),
+        ("noise_std", float("nan")), ("stage2_image_ratio", float("nan")),
+        ("p_2d_only", 2.0), ("p_2d_only", -0.5), ("p_2d_only", float("nan")),
+        ("noise_std", -1.0), ("w_3d", -1.0), ("w_2d", -1.0),
+        ("w_smpl_pose", -1.0), ("w_smpl_shape", -1.0), ("w_norm", -1e-4)])
     def test_range_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
+
+    def test_range_edges_allowed(self):
+        cfg = RunConfig(hw=9, d=48, heads=3, p_2d_only=1.0, noise_std=0.0,
+                        w_3d=0.0, w_norm=0.0)
+        assert (cfg.hw, cfg.heads, cfg.p_2d_only) == (9, 3, 1.0)
 
 
 class TestRoundTrip:
@@ -114,6 +126,7 @@ class TestRoundTrip:
     def test_load_config_invalid_combination(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("heads = 3\n")
-        # d defaults to 64, not divisible by 3: model construction rejects
-        cfg = load_config(path)
-        assert cfg.heads == 3  # config itself is fine; attention checks div
+        # d defaults to 64, not divisible by 3: the config itself rejects it
+        with pytest.raises(ValueError, match="d must be divisible by heads"):
+            load_config(path)
+        assert load_config(path, {"d": 48}).heads == 3

@@ -10,8 +10,7 @@ import pytest
 from stpose import kinematics as K
 from stpose import tensor as T
 from stpose.decoders import (IDENTITY_6D, PARAM_DIM, POSE_DIM, IterativeDecoder,
-                             KtdDecoder, SmplParams, iterative_decode, ktd_decode,
-                             smpl_forward)
+                             KtdDecoder, SmplParams, smpl_forward)
 from stpose.gradcheck import fd_check
 from stpose.geometry import axis_angle_to_matrix_np, matrix_to_rot6d_np, project, rot6d_to_matrix
 from stpose.kinematics import forward_kinematics
@@ -89,7 +88,7 @@ class TestKtdDependencies:
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(11).standard_normal((2, 12)))
         for k in (0, 5, 10, 23):
-            out = ktd_decode(x, dec)
+            out = dec.decode(x)
             target = T.reduce_sum(T.slice_axis(out.pose, 1, k, k + 1))
             target.backward()
             allowed = set(tree.ancestors(k)) | {k}
@@ -105,11 +104,11 @@ class TestKtdDependencies:
         tree = K.smpl_tree()
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(12).standard_normal((1, 12)))
-        base = ktd_decode(x, dec)
+        base = dec.decode(x)
         for j in (0, 2, 16, 22):
             saved = dec.joint_heads[j].b.data.copy()
             dec.joint_heads[j].b.data[:] += 0.25
-            bumped = ktd_decode(x, dec)
+            bumped = dec.decode(x)
             dec.joint_heads[j].b.data[:] = saved
             changed = {k for k in range(24)
                        if not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])}
@@ -122,16 +121,16 @@ class TestKtdDependencies:
         tree = K.smpl_tree()
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(13).standard_normal((1, 12)))
-        base = ktd_decode(x, dec)
+        base = dec.decode(x)
         dec.joint_heads[0].b.data[:] += 0.5
-        bumped = ktd_decode(x, dec)
+        bumped = dec.decode(x)
         for k in range(24):
             assert not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])
 
     def test_shape_cam_heads_isolated_from_pose(self):
         dec = self._decoder()
         x = Tensor(np.random.default_rng(14).standard_normal((2, 12)))
-        out = ktd_decode(x, dec)
+        out = dec.decode(x)
         target = T.add(T.reduce_sum(out.shape), T.reduce_sum(out.cam))
         target.backward()
         assert np.abs(dec.w_shape.w.grad).max() > 0
@@ -144,7 +143,7 @@ class TestKtdDependencies:
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(15).standard_normal((1, 12)))
         k = max(range(24), key=tree.depth)
-        out = ktd_decode(x, dec)
+        out = dec.decode(x)
         T.reduce_sum(T.slice_axis(out.pose, 1, k, k + 1)).backward()
         allowed = set(tree.ancestors(k)) | {k}
         for j, head in enumerate(dec.joint_heads):
@@ -156,7 +155,7 @@ class TestIterativeDecoder:
     def test_zero_residual_returns_learned_init(self):
         dec = IterativeDecoder(16, np.random.default_rng(20))
         x = Tensor(np.random.default_rng(21).standard_normal((3, 16)))
-        out = iterative_decode(x, dec)
+        out = dec.decode(x)
         flat = np.concatenate([out.pose.data.reshape(3, -1), out.shape.data,
                                out.cam.data], axis=-1)
         assert np.array_equal(flat, np.broadcast_to(dec.theta0.data, (3, PARAM_DIM)))
@@ -166,7 +165,7 @@ class TestIterativeDecoder:
                                init="xavier")
         dec.theta0.data[:] = 0.0
         x = np.random.default_rng(23).standard_normal((2, 16))
-        out = iterative_decode(Tensor(x), dec)
+        out = dec.decode(Tensor(x))
         inp = np.concatenate([x, np.zeros((2, PARAM_DIM))], axis=-1)
         want = inp @ dec.f.w.data + dec.f.b.data
         flat = np.concatenate([out.pose.data.reshape(2, -1), out.shape.data,
@@ -177,7 +176,7 @@ class TestIterativeDecoder:
         dec = IterativeDecoder(16, np.random.default_rng(24), init="xavier")
         dec.theta0.data[:] = np.random.default_rng(25).standard_normal(PARAM_DIM) * 0.1
         x = np.random.default_rng(26).standard_normal((2, 16))
-        out = iterative_decode(Tensor(x), dec)
+        out = dec.decode(Tensor(x))
         theta = np.broadcast_to(dec.theta0.data, (2, PARAM_DIM)).copy()
         for _ in range(3):
             theta = theta + np.concatenate([x, theta], axis=-1) @ dec.f.w.data \
@@ -189,7 +188,7 @@ class TestIterativeDecoder:
     def test_every_weight_reaches_every_output(self):
         dec = IterativeDecoder(8, np.random.default_rng(27), init="xavier")
         x = Tensor(np.random.default_rng(28).standard_normal((2, 8)))
-        out = iterative_decode(x, dec)
+        out = dec.decode(x)
         T.reduce_sum(out.pose).backward()
         assert np.count_nonzero(dec.f.w.grad) == dec.f.w.data.size
         assert np.count_nonzero(dec.theta0.grad[:POSE_DIM]) == POSE_DIM
@@ -197,7 +196,7 @@ class TestIterativeDecoder:
     def test_split_layout(self):
         dec = IterativeDecoder(8, np.random.default_rng(29))
         dec.theta0.data[:] = np.arange(PARAM_DIM, dtype=np.float64)
-        out = iterative_decode(Tensor(np.zeros((1, 8))), dec)
+        out = dec.decode(Tensor(np.zeros((1, 8))))
         assert np.array_equal(out.pose.data.ravel(), np.arange(POSE_DIM))
         assert np.array_equal(out.shape.data.ravel(),
                               np.arange(POSE_DIM, POSE_DIM + 10))

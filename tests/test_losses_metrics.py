@@ -129,6 +129,29 @@ class TestTotalLoss:
             total_loss(Tensor(rng.standard_normal((2, 23, 3))), Tensor(gt[1]),
                        Tensor(gt[2]), Tensor(gt[3]), *gt, weights=LossWeights())
 
+    def test_per_clip_mask_is_mean_of_clip_losses(self):
+        rng = np.random.default_rng(208)
+        gt = _gt_like(rng, frames=6)
+        pred = tuple(a + rng.standard_normal(a.shape) * 0.1 for a in gt)
+        has_3d = np.array([True, False, True])
+        rep = _loss_args(pred, gt, LossWeights(), has_3d=has_3d)
+        clips = [_loss_args(tuple(a[2 * c:2 * c + 2] for a in pred),
+                            tuple(a[2 * c:2 * c + 2] for a in gt),
+                            LossWeights(), has_3d=bool(has_3d[c]))
+                 for c in range(3)]
+        assert rep.value() == pytest.approx(
+            np.mean([c.value() for c in clips]), rel=1e-14)
+        for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
+            assert getattr(rep, term) == pytest.approx(
+                np.mean([getattr(c, term) for c in clips]), rel=1e-14)
+        assert clips[1].l_3d == clips[1].l_smpl == 0.0
+
+    def test_frames_must_split_into_clips(self):
+        rng = np.random.default_rng(209)
+        gt = _gt_like(rng, frames=3)
+        with pytest.raises(ShapeError, match="clips"):
+            _loss_args(gt, gt, LossWeights(), has_3d=np.array([True, True]))
+
     @pytest.mark.parametrize("bad", [dict(w_3d=-1.0), dict(w_norm=float("nan")),
                                      dict(w_2d=float("inf"))])
     def test_weight_validation(self, bad):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from stpose import synth
 from stpose.decoders import smpl_forward
 from stpose.kinematics import smpl_tree
 from stpose.metrics import accel_error
-from stpose.synth import (MAX_AMPLITUDE, ClipBatch, frame_view, rasterize,
-                          synth_generate)
+from stpose.synth import MAX_AMPLITUDE, ClipBatch, rasterize, synth_generate
+from stpose.tensor import Tensor
 
 
 def small_batch(**kwargs):
@@ -148,18 +149,30 @@ class TestLabelConsistency:
                       - batch.gt_pose6d).max() < 1e-9
 
 
-class TestFrameView:
-    def test_frame_view_slices_bitwise(self):
-        batch = small_batch()
-        view = frame_view(batch, 2, 3)
-        assert view.obs.shape == (1, 1, 16, 24)
-        assert np.array_equal(view.obs[0, 0], batch.obs[2, 3])
-        assert np.array_equal(view.gt_j3d[0, 0], batch.gt_j3d[2, 3])
-        assert np.array_equal(view.gt_theta[0, 0], batch.gt_theta[2, 3])
-        assert view.has_3d[0] == batch.has_3d[2]
-        assert not view.is_video
-        assert view.clips == 1 and view.frames == 1
+    def test_rotation_label_mismatch_raises(self, monkeypatch):
+        real = synth.rot6d_to_matrix
+        monkeypatch.setattr(synth, "rot6d_to_matrix",
+                            lambda r: Tensor(real(r).data + 1e-6))
+        with pytest.raises(RuntimeError, match="6D and axis-angle"):
+            small_batch()
 
+    def test_joint_label_mismatch_raises(self, monkeypatch):
+        real = synth.smpl_forward
+        calls = {"n": 0}
+
+        def drifting(params, tree):
+            calls["n"] += 1
+            j3d, j2d = real(params, tree)
+            if calls["n"] > 3:     # the re-check after three generated clips
+                j3d = Tensor(j3d.data * (1.0 + 1e-12))
+            return j3d, j2d
+
+        monkeypatch.setattr(synth, "smpl_forward", drifting)
+        with pytest.raises(RuntimeError, match="clip 0"):
+            small_batch()
+
+
+class TestVideoFlag:
     def test_video_flag(self):
         assert small_batch().is_video
         assert not small_batch(frames=1).is_video

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stpose.train
-from stpose.attention import encode
+from stpose.attention import SteEncoder
 from stpose.checkpoint import load_checkpoint, restore_params
 from stpose.config import RunConfig
 from stpose.losses import LossReport
@@ -13,9 +13,9 @@ from stpose.tensor import Tensor
 from stpose.train import (ABLATION_NOTE, EVAL_COLUMNS, ablate,
                           ablation_configs, batch_step, build_model,
                           build_tree, evaluate, lr_factor, model_forward,
-                          train, train_step, write_loss_log, _blend_reports,
+                          train, write_loss_log, _blend_reports,
                           _check_finite, _loss_weights)
-from stpose.synth import frame_view, synth_generate
+from stpose.synth import synth_generate
 
 
 def tiny_cfg(**kwargs):
@@ -59,6 +59,19 @@ class TestModelAssembly:
         assert out.params.pose.shape == (4, 24, 6)
         assert len(out.maps) == cfg.blocks
 
+    def test_clip_stack_flattens_frames_clip_by_clip(self):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(0, 2, cfg.t_clip, hw=cfg.hw)
+        out = model_forward(model, batch.obs)
+        assert out.j3d.shape == (8, 24, 3)
+        assert out.theta.shape == (8, 72)
+        assert out.maps[0]["spatial"].shape == (2, 4, cfg.heads, 5, 5)
+        for c in range(2):
+            one = model_forward(model, batch.obs[c])
+            np.testing.assert_allclose(out.j3d.data[4 * c:4 * c + 4],
+                                       one.j3d.data, rtol=0, atol=1e-12)
+
 
 class TestSchedule:
     def test_lr_factor_boundaries(self):
@@ -84,6 +97,33 @@ class TestSchedule:
         result = train(tiny_cfg())
         assert [r.stage for r in result.history] == [1, 1, 2, 2, 2, 2]
         assert [r.step for r in result.history] == list(range(6))
+
+
+class TestStepErrors:
+    def test_error_names_step_and_stage(self, monkeypatch):
+        real = stpose.train.project
+        calls = {"n": 0}
+
+        def failing(*args):
+            calls["n"] += 1
+            if calls["n"] == 5:    # steps 0 and 1 make one call, then two
+                raise ValueError("camera scale must be positive")
+            return real(*args)
+
+        monkeypatch.setattr(stpose.train, "project", failing)
+        with pytest.raises(RuntimeError, match=r"step 3 \(stage 2\)") as info:
+            train(tiny_cfg())
+        assert isinstance(info.value.__cause__, ValueError)
+        assert "camera scale" in str(info.value)
+
+    def test_backward_error_names_step(self, monkeypatch):
+        def failing(self):
+            raise FloatingPointError("overflow in backward")
+
+        monkeypatch.setattr(stpose.train.Tensor, "backward", failing)
+        with pytest.raises(RuntimeError, match=r"step 0 \(stage 1\)") as info:
+            train(tiny_cfg())
+        assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 class TestFiniteGuard:
@@ -133,24 +173,23 @@ class TestTemporalBypass:
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = synth_generate(1, 1, cfg.t_clip, hw=cfg.hw)
-        frame = frame_view(batch, 0, 2)
-        auto, _ = encode(Tensor(frame.obs[0]), model.encoder,
-                         model.patch_embed)
-        forced, _ = encode(Tensor(frame.obs[0]), model.encoder,
-                           model.patch_embed, bypass_temporal=True)
+        frame = batch.obs[0, 2:3]
+        auto, _ = model.encoder.encode(Tensor(frame), model.patch_embed)
+        forced, _ = model.encoder.encode(Tensor(frame), model.patch_embed,
+                                         bypass_temporal=True)
         assert np.array_equal(auto.data, forced.data)
-        out_auto = model_forward(model, frame.obs[0])
-        out_forced = model_forward(model, frame.obs[0], bypass_temporal=True)
+        out_auto = model_forward(model, frame)
+        out_forced = model_forward(model, frame, bypass_temporal=True)
         assert np.array_equal(out_auto.j3d.data, out_forced.j3d.data)
 
     def test_bypass_changes_multi_frame_features(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = synth_generate(1, 1, cfg.t_clip, hw=cfg.hw)
-        full, _ = encode(Tensor(batch.obs[0]), model.encoder,
-                         model.patch_embed)
-        bypassed, _ = encode(Tensor(batch.obs[0]), model.encoder,
-                             model.patch_embed, bypass_temporal=True)
+        full, _ = model.encoder.encode(Tensor(batch.obs[0]), model.patch_embed)
+        bypassed, _ = model.encoder.encode(Tensor(batch.obs[0]),
+                                           model.patch_embed,
+                                           bypass_temporal=True)
         assert not np.array_equal(full.data, bypassed.data)
 
 
@@ -158,17 +197,44 @@ class TestBatchStep:
     def test_mean_over_clips(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
-        batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
-                               tree=model.tree)
         weights = _loss_weights(cfg)
-        singles = [train_step(model, batch.obs[c], batch.gt_j3d[c],
-                              batch.gt_j2d[c], batch.gt_theta[c],
-                              batch.gt_beta[c], True, weights)
-                   for c in range(2)]
-        combined = batch_step(model, batch, range(2), weights)
-        assert combined.value() == pytest.approx(
-            0.5 * (singles[0].value() + singles[1].value()), rel=1e-15)
-        assert combined.l_3d == (singles[0].l_3d + singles[1].l_3d) / 2
+        for has_3d in ((True, True), (True, False)):
+            batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
+                                   tree=model.tree)
+            batch.has_3d[:] = has_3d
+            for frame in (None, 1):
+                singles = [batch_step(model, batch, [c], weights, frame=frame)
+                           for c in range(2)]
+                combined = batch_step(model, batch, range(2), weights,
+                                      frame=frame)
+                assert combined.value() == pytest.approx(
+                    0.5 * (singles[0].value() + singles[1].value()), rel=1e-12)
+                for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
+                    assert getattr(combined, term) == pytest.approx(
+                        0.5 * (getattr(singles[0], term)
+                               + getattr(singles[1], term)), rel=1e-12)
+                if not has_3d[1]:
+                    assert singles[1].l_3d == singles[1].l_smpl == 0.0
+                    assert combined.l_3d == pytest.approx(0.5 * singles[0].l_3d,
+                                                          rel=1e-12)
+
+    def test_one_encoder_pass_per_step(self, monkeypatch):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 3, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        real = SteEncoder.encode
+        shapes = []
+
+        def counting(self, obs, *args, **kwargs):
+            shapes.append(obs.shape)
+            return real(self, obs, *args, **kwargs)
+
+        monkeypatch.setattr(SteEncoder, "encode", counting)
+        batch_step(model, batch, range(3), _loss_weights(cfg))
+        batch_step(model, batch, range(3), _loss_weights(cfg), frame=2)
+        assert shapes == [(3, cfg.t_clip, cfg.hw, cfg.d_in),
+                          (3, 1, cfg.hw, cfg.d_in)]
 
     def test_image_mode_uses_one_frame(self):
         cfg = tiny_cfg()
