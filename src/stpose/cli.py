@@ -17,6 +17,7 @@ from .checkpoint import load_checkpoint, restore_params
 from .config import RunConfig, load_config
 from .gradcheck import full_suite
 from .synth import synth_generate
+from .tensor import no_grad
 from .train import (Model, ablate, build_model, evaluate, model_forward,
                     train)
 
@@ -144,7 +145,8 @@ def _cmd_attn_dump(args) -> int:
         _restore(model, args.checkpoint)
     batch = synth_generate(cfg.seed, 1, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std, tree=model.tree)
-    result = model_forward(model, batch.obs[0])
+    with no_grad():
+        result = model_forward(model, batch.obs[0])
     csv_path = os.path.join(out, "attention.csv")
     n_images = 0
     with open(csv_path, "w", encoding="utf-8") as fh:

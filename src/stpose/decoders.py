@@ -145,5 +145,5 @@ def smpl_forward(params: SmplParams, tree: KinematicTree):
     Returns (J3d, J2d) shaped (T, 24, 3) and (T, 24, 2).
     """
     rot = rot6d_to_matrix(params.pose)
-    joints, _ = forward_kinematics(tree, rot, params.shape, want_transforms=False)
+    joints = forward_kinematics(tree, rot, params.shape)
     return joints, project(joints, params.cam)

@@ -103,7 +103,6 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("concat", lambda: T.concat([a, b], axis=1), [a, b]),
         ("slice_axis", lambda: T.slice_axis(a, 2, 1, 3), [a]),
         ("expand", lambda: T.expand(T.reshape(m2, (1, 5, 4)), (3, 5, 4)), [m2]),
-        ("stack_last", lambda: T.stack_last([m2, m2]), [m2]),
         ("add", lambda: T.add(a, b), [a, b]),
         ("sub", lambda: T.sub(a, b), [a, b]),
         ("mul", lambda: T.mul(a, b), [a, b]),

@@ -270,12 +270,10 @@ def rest_joints(tree: KinematicTree, beta: Tensor) -> Tensor:
     raise ShapeError(f"beta must be ({SHAPE_DIM},) or (T, {SHAPE_DIM}), got {beta.shape}")
 
 
-def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor,
-                       want_transforms: bool = True):
+def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor:
     """Pose the body: rot is (T, 24, 3, 3) local rotations, beta (T, 10).
 
-    Returns (joints, transforms): joints (T, 24, 3) and the stacked world
-    transforms (T, 24, 4, 4), or None when want_transforms is False.
+    Returns the posed joints, (T, 24, 3).
     """
     if rot.ndim != 4 or rot.shape[1:] != (NUM_JOINTS, 3, 3):
         raise ShapeError(f"rotations must be (T, {NUM_JOINTS}, 3, 3), got {rot.shape}")
@@ -303,15 +301,5 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor,
             dev[k] = T.add(dev[p], T.matmul(T.sub(world[p], eye), bone))
         pos[k] = T.add(j[k], dev[k])
 
-    joints = T.concat([T.reshape(pos[k], (frames, 1, 3)) for k in range(NUM_JOINTS)],
-                      axis=1)
-    if not want_transforms:
-        return joints, None
-
-    bottom = T.expand(Tensor(np.array([[[0.0, 0.0, 0.0, 1.0]]])), (frames, 1, 4))
-    mats = []
-    for k in range(NUM_JOINTS):
-        top = T.concat([world[k], pos[k]], axis=-1)
-        g = T.concat([top, bottom], axis=-2)
-        mats.append(T.reshape(g, (frames, 1, 4, 4)))
-    return joints, T.concat(mats, axis=1)
+    return T.concat([T.reshape(pos[k], (frames, 1, 3)) for k in range(NUM_JOINTS)],
+                    axis=1)

@@ -43,7 +43,6 @@ class ClipBatch:
     gt_j3d: np.ndarray      # (B, T, 24, 3)
     gt_j2d: np.ndarray      # (B, T, 24, 2)
     has_3d: np.ndarray      # (B,) bool, False marks 2D-only samples
-    is_video: bool
 
     @property
     def clips(self) -> int:
@@ -146,6 +145,5 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
         raise RuntimeError("joint labels of clip 0 do not reproduce through "
                            "smpl_forward")
 
-    return ClipBatch(obs, pose6d, theta, beta, cam, j3d, j2d, has_3d,
-                     is_video=frames > 1)
+    return ClipBatch(obs, pose6d, theta, beta, cam, j3d, j2d, has_3d)
 

@@ -3,8 +3,9 @@
 Every operation eagerly computes its value with numpy and, when any input
 requires gradients, records a vector-Jacobian closure. ``Tensor.backward``
 walks the recorded graph in reverse topological order and accumulates
-gradients into the leaves. Tensors are treated as immutable once created;
-only ``grad`` buffers mutate.
+gradients into the leaves; inside ``no_grad()`` nothing is recorded.
+Tensors are treated as immutable once created; only ``grad`` buffers
+mutate.
 
 Shape discipline: elementwise operations require exactly matching shapes
 (use ``expand`` for explicit broadcasting); only ``matmul`` broadcasts its
@@ -14,6 +15,7 @@ leading batch axes.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,10 +63,6 @@ class Tensor:
             raise ShapeError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant view of the same values, cut off from the graph."""
-        return Tensor(self.data)
-
     def clear_grad(self) -> None:
         self.grad = None
 
@@ -95,57 +93,26 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar -------------------------------------------------
 
-    def __add__(self, other):
-        return add_scalar(self, other) if isinstance(other, (int, float)) else add(self, other)
+_grad_enabled = True
 
-    __radd__ = __add__
 
-    def __sub__(self, other):
-        return add_scalar(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if isinstance(other, (int, float)) else div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    # -- method mirrors ---------------------------------------------------
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, perm):
-        return transpose(self, perm)
-
-    def slice(self, axis, start, stop):
-        return slice_axis(self, axis, start, stop)
-
-    def expand(self, shape):
-        return expand(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis, keepdims)
+@contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a graph: their results do not
+    require gradients and keep no parents or VJP. Restores the previous
+    setting on exit, so blocks nest."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -186,10 +153,6 @@ def build(shape: Sequence[int], values: Iterable[float], requires_grad: bool = F
     if flat.size != n:
         raise ShapeError(f"{flat.size} values cannot fill shape {tuple(shape)}")
     return Tensor(flat.reshape(shape), requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 # -- relayout ------------------------------------------------------------
@@ -478,8 +441,3 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return add(mul(xhat, expand(reshape(gain, pshape), x.shape)),
                expand(reshape(bias, pshape), x.shape))
 
-
-def stack_last(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape tensors along a new trailing axis."""
-    shape = parts[0].shape + (1,)
-    return concat([reshape(p, shape) for p in parts], axis=-1)

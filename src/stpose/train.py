@@ -13,7 +13,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import tensor as T
 from .attention import TOPOLOGIES, SteConfig, SteEncoder
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_to_text
-from .decoders import (IterativeDecoder, KtdDecoder, SmplParams, smpl_forward)
+from .decoders import IterativeDecoder, KtdDecoder, SmplParams
 from .geometry import matrix_to_axis_angle, project, rot6d_to_matrix
 from .kinematics import (NUM_JOINTS, KinematicTree, forward_kinematics,
                          random_tree, reverse_tree, smpl_tree)
@@ -80,7 +80,7 @@ class ForwardOut(NamedTuple):
     params: SmplParams
     j3d: Tensor     # (F, 24, 3)
     j2d: Tensor     # (F, 24, 2)
-    theta: Tensor   # (F, 72) axis-angle
+    rot: Tensor     # (F, 24, 3, 3) local joint rotations
     maps: list
 
 
@@ -97,11 +97,8 @@ def model_forward(model: Model, obs: np.ndarray,
     frames = math.prod(feats.shape[:-1])
     params = model.decoder.decode(T.reshape(feats, (frames, feats.shape[-1])))
     rot = rot6d_to_matrix(params.pose)
-    j3d, _ = forward_kinematics(model.tree, rot, params.shape,
-                                want_transforms=False)
-    j2d = project(j3d, params.cam)
-    theta = T.reshape(matrix_to_axis_angle(rot), (frames, NUM_JOINTS * 3))
-    return ForwardOut(params, j3d, j2d, theta, maps)
+    j3d = forward_kinematics(model.tree, rot, params.shape)
+    return ForwardOut(params, j3d, project(j3d, params.cam), rot, maps)
 
 
 @dataclass
@@ -152,6 +149,13 @@ def _check_finite(report: LossReport, step: int):
                 f"non-finite loss at step {step}: {name} term is {value}")
 
 
+def _check_grads(params: dict, step: int):
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise RuntimeError(
+                f"non-finite gradient at step {step}: {name}")
+
+
 def _loss_weights(cfg: RunConfig) -> LossWeights:
     return LossWeights(cfg.w_3d, cfg.w_2d, cfg.w_smpl_pose,
                        cfg.w_smpl_shape, cfg.w_norm)
@@ -170,7 +174,9 @@ def batch_step(model: Model, batch: ClipBatch, clips, weights: LossWeights,
         return a.reshape((-1,) + a.shape[2:])
 
     out = model_forward(model, batch.obs[pick])
-    return total_loss(out.j3d, out.j2d, out.theta, out.params.shape,
+    theta = T.reshape(matrix_to_axis_angle(out.rot),
+                      (out.rot.shape[0], NUM_JOINTS * 3))
+    return total_loss(out.j3d, out.j2d, theta, out.params.shape,
                       frames(batch.gt_j3d), frames(batch.gt_j2d),
                       frames(batch.gt_theta), frames(batch.gt_beta), weights,
                       has_3d=batch.has_3d[pick[0]])
@@ -235,6 +241,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
             raise RuntimeError(f"training failed at step {step} (stage "
                                f"{stage}): {exc}") from exc
         _check_finite(report, step)
+        _check_grads(params, step)
         opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
         opt.step()
         history.append(StepRecord(step, stage, opt.lr, report.value(),
@@ -260,28 +267,22 @@ def write_loss_log(path, history):
             fh.write(",".join(repr(getattr(rec, f)) for f in fields) + "\n")
 
 
-def evaluate(model: Model, batch: ClipBatch, csv_path=None,
-             decode_fn: Callable = None):
+def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     """Per-clip mpjpe / pa_mpjpe / accel (mm) plus their means.
 
-    ``decode_fn(feats, clip) -> SmplParams`` overrides the model decoder
-    (used to inject oracle parameters). Returns (rows, mean).
+    All clips go through one ``model_forward`` pass that records no graph.
+    Returns (rows, mean).
     """
+    with T.no_grad():
+        j3d = model_forward(model, batch.obs).j3d.data
+    j3d = j3d.reshape(batch.gt_j3d.shape)
     rows = []
     for clip in range(batch.clips):
-        feats, _ = model.encoder.encode(Tensor(batch.obs[clip]),
-                                        model.patch_embed)
-        if decode_fn is not None:
-            params = decode_fn(feats, clip)
-        else:
-            params = model.decoder.decode(feats)
-        j3d, _ = smpl_forward(params, model.tree)
-        pred, gt = j3d.data, batch.gt_j3d[clip]
-        row = {"clip_id": clip, "mpjpe": mpjpe(pred, gt),
-               "pa_mpjpe": pa_mpjpe(pred, gt),
-               "accel": accel_error(pred, gt) if batch.frames >= 3
-               else float("nan")}
-        rows.append(row)
+        pred, gt = j3d[clip], batch.gt_j3d[clip]
+        rows.append({"clip_id": clip, "mpjpe": mpjpe(pred, gt),
+                     "pa_mpjpe": pa_mpjpe(pred, gt),
+                     "accel": accel_error(pred, gt) if batch.frames >= 3
+                     else float("nan")})
     mean = {k: float(np.mean([r[k] for r in rows])) for k in EVAL_COLUMNS}
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8") as fh:

@@ -116,8 +116,7 @@ def test_criterion_3_kinematics_oracle():
     rest = tree.template + (beta @ tree.shape_basis).reshape(frames,
                                                              NUM_JOINTS, 3)
 
-    joints, _ = forward_kinematics(tree, Tensor(rot), Tensor(beta),
-                                   want_transforms=False)
+    joints = forward_kinematics(tree, Tensor(rot), Tensor(beta))
     worst = 0.0
     for f in range(frames):
         a = _fk_ancestor_product_np(tree, rot[f], rest[f])
@@ -127,8 +126,7 @@ def test_criterion_3_kinematics_oracle():
 
     eye = np.broadcast_to(np.eye(3), (4, NUM_JOINTS, 3, 3)).copy()
     beta0 = rng.normal(0.0, 0.5, size=(4, 10))
-    posed, _ = forward_kinematics(tree, Tensor(eye), Tensor(beta0),
-                                  want_transforms=False)
+    posed = forward_kinematics(tree, Tensor(eye), Tensor(beta0))
     rest_exact = np.array_equal(posed.data,
                                 rest_joints(tree, Tensor(beta0)).data)
 

@@ -242,7 +242,7 @@ class TestSmplForward:
         params = SmplParams(Tensor(pose), Tensor(shape), Tensor(cam))
         j3d, j2d = smpl_forward(params, tree)
         rot = rot6d_to_matrix(Tensor(pose))
-        joints, _ = forward_kinematics(tree, rot, Tensor(shape), want_transforms=False)
+        joints = forward_kinematics(tree, rot, Tensor(shape))
         proj = project(joints, Tensor(cam))
         assert np.array_equal(j3d.data, joints.data)
         assert np.array_equal(j2d.data, proj.data)

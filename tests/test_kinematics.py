@@ -154,11 +154,10 @@ class TestForwardKinematics:
         frames = 3
         rot = _random_pose(rng, frames)
         beta = rng.standard_normal((frames, K.SHAPE_DIM)) * 0.5
-        joints, transforms = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
+        joints = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
         rest = K.rest_joints(tree, Tensor(beta)).data
         for t in range(frames):
             world = _fk_recursive_np(tree, rot[t], rest[t])
-            assert np.abs(transforms.data[t] - world).max() <= 1e-10
             assert np.abs(joints.data[t] - world[:, :3, 3]).max() <= 1e-10
 
     def test_matches_ancestor_product_oracle(self):
@@ -166,11 +165,11 @@ class TestForwardKinematics:
         rng = np.random.default_rng(72)
         rot = _random_pose(rng, 2)
         beta = rng.standard_normal((2, K.SHAPE_DIM)) * 0.5
-        joints, transforms = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
+        joints = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
         rest = K.rest_joints(tree, Tensor(beta)).data
         for t in range(2):
             world = _fk_ancestor_product_np(tree, rot[t], rest[t])
-            assert np.abs(transforms.data[t] - world).max() <= 1e-10
+            assert np.abs(joints.data[t] - world[:, :3, 3]).max() <= 1e-10
 
     def test_identity_pose_is_rest_pose_bitwise(self):
         tree = K.smpl_tree()
@@ -178,32 +177,20 @@ class TestForwardKinematics:
         frames = 4
         rot = np.broadcast_to(np.eye(3), (frames, K.NUM_JOINTS, 3, 3)).copy()
         beta = rng.standard_normal((frames, K.SHAPE_DIM))
-        joints, transforms = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
+        joints = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
         rest = K.rest_joints(tree, Tensor(beta)).data
         assert np.array_equal(joints.data, rest)
-        assert np.array_equal(transforms.data[..., :3, :3],
-                              np.broadcast_to(np.eye(3), (frames, 24, 3, 3)))
-
-    def test_joint_positions_are_transform_translations(self):
-        tree = K.smpl_tree()
-        rng = np.random.default_rng(74)
-        rot = _random_pose(rng, 2)
-        beta = rng.standard_normal((2, K.SHAPE_DIM))
-        joints, transforms = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
-        assert np.array_equal(joints.data, transforms.data[..., :3, 3])
 
     def test_rotating_a_joint_only_moves_its_subtree(self):
         tree = K.smpl_tree()
         rng = np.random.default_rng(75)
         beta = np.zeros((1, K.SHAPE_DIM))
         rot = np.broadcast_to(np.eye(3), (1, 24, 3, 3)).copy()
-        base, _ = K.forward_kinematics(tree, Tensor(rot), Tensor(beta),
-                                       want_transforms=False)
+        base = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
         k = 16   # left shoulder
         rot2 = rot.copy()
         rot2[0, k] = G.axis_angle_to_matrix_np(rng.standard_normal(3))
-        moved, _ = K.forward_kinematics(tree, Tensor(rot2), Tensor(beta),
-                                        want_transforms=False)
+        moved = K.forward_kinematics(tree, Tensor(rot2), Tensor(beta))
         descendants = {j for j in range(24) if k in tree.ancestors(j)}
         for j in range(24):
             if j in descendants:
@@ -218,8 +205,7 @@ class TestForwardKinematics:
         rot = np.broadcast_to(np.eye(3), (1, 24, 3, 3)).copy()
         rot[0, 0] = r0
         beta = rng.standard_normal((1, K.SHAPE_DIM))
-        joints, _ = K.forward_kinematics(tree, Tensor(rot), Tensor(beta),
-                                         want_transforms=False)
+        joints = K.forward_kinematics(tree, Tensor(rot), Tensor(beta))
         rest = K.rest_joints(tree, Tensor(beta)).data[0]
         want = rest[0] + (rest - rest[0]) @ r0.T
         np.testing.assert_allclose(joints.data[0], want, atol=1e-12)
@@ -233,8 +219,8 @@ class TestForwardKinematics:
 
         def loss():
             rot = G.axis_angle_to_matrix(T.reshape(aa, (24, 3)))
-            joints, _ = K.forward_kinematics(tree, T.reshape(rot, (1, 24, 3, 3)),
-                                             beta, want_transforms=False)
+            joints = K.forward_kinematics(tree, T.reshape(rot, (1, 24, 3, 3)),
+                                          beta)
             return T.reduce_sum(T.mul(joints, Tensor(coef)))
 
         assert fd_check(loss, [aa, beta], max_coords_per_tensor=40,

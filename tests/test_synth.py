@@ -25,8 +25,7 @@ def batches_equal(a: ClipBatch, b: ClipBatch) -> bool:
             and np.array_equal(a.gt_cam, b.gt_cam)
             and np.array_equal(a.gt_j3d, b.gt_j3d)
             and np.array_equal(a.gt_j2d, b.gt_j2d)
-            and np.array_equal(a.has_3d, b.has_3d)
-            and a.is_video == b.is_video)
+            and np.array_equal(a.has_3d, b.has_3d))
 
 
 class TestDeterminism:
@@ -170,12 +169,6 @@ class TestLabelConsistency:
         monkeypatch.setattr(synth, "smpl_forward", drifting)
         with pytest.raises(RuntimeError, match="clip 0"):
             small_batch()
-
-
-class TestVideoFlag:
-    def test_video_flag(self):
-        assert small_batch().is_video
-        assert not small_batch(frames=1).is_video
 
 
 class TestValidation:

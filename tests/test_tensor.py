@@ -203,7 +203,7 @@ OPS = {
     "mul": lambda a, b: T.mul(a, b),
     "div": lambda a, b: T.div(a, T.add_scalar(T.mul(b, b), 0.5)),
     "atan2": lambda a, b: T.atan2(a, b),
-    "matmul2": lambda a, b: T.matmul(a, b.transpose((1, 0))),
+    "matmul2": lambda a, b: T.matmul(a, T.transpose(b, (1, 0))),
 }
 
 
@@ -277,6 +277,50 @@ def test_backward_determinism():
     x.clear_grad(), w.clear_grad()
     loss.backward()
     np.testing.assert_array_equal(x.grad, g1)
+
+
+# ---------------------------------------------------------------- no_grad
+
+
+def _chain(x, w):
+    return T.layer_norm(T.gelu(T.matmul(x, w)), Tensor(np.ones(3)),
+                        Tensor(np.zeros(3)))
+
+
+def test_no_grad_records_no_parents():
+    rng = np.random.default_rng(14)
+    x, w = rand(rng, 2, 3), rand(rng, 3, 3)
+    with T.no_grad():
+        y = _chain(x, w)
+        z = T.reduce_sum(T.concat([y, T.softmax(y, axis=-1)], axis=0))
+    for out in (y, z):
+        assert not out.requires_grad
+        assert out._parents == () and out._vjp is None
+    assert T.reduce_sum(y)._parents == ()   # constant inputs stay constant
+    assert T.reduce_sum(T.matmul(x, w)).requires_grad   # recording resumes
+
+
+def test_no_grad_values_match_recorded_bitwise():
+    rng = np.random.default_rng(15)
+    x, w = rand(rng, 4, 3), rand(rng, 3, 3)
+    recorded = _chain(x, w)
+    with T.no_grad():
+        plain = _chain(x, w)
+    assert recorded.requires_grad
+    np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_no_grad_nests_and_restores_after_errors():
+    x = Tensor(np.ones(2), requires_grad=True)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert not T.neg(x).requires_grad   # the inner exit keeps it off
+    assert T.neg(x).requires_grad
+    with pytest.raises(ShapeError):
+        with T.no_grad():
+            T.add(x, Tensor(np.ones(3)))
+    assert T.neg(x).requires_grad
 
 
 # ---------------------------------------------------------------- adam

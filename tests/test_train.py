@@ -8,7 +8,9 @@ import stpose.train
 from stpose.attention import SteEncoder
 from stpose.checkpoint import load_checkpoint, restore_params
 from stpose.config import RunConfig
+from stpose.decoders import SmplParams
 from stpose.losses import LossReport
+from stpose.metrics import accel_error, mpjpe, pa_mpjpe
 from stpose.tensor import Tensor
 from stpose.train import (ABLATION_NOTE, EVAL_COLUMNS, ablate,
                           ablation_configs, batch_step, build_model,
@@ -55,7 +57,7 @@ class TestModelAssembly:
         out = model_forward(model, batch.obs[0])
         assert out.j3d.shape == (4, 24, 3)
         assert out.j2d.shape == (4, 24, 2)
-        assert out.theta.shape == (4, 72)
+        assert out.rot.shape == (4, 24, 3, 3)
         assert out.params.pose.shape == (4, 24, 6)
         assert len(out.maps) == cfg.blocks
 
@@ -65,7 +67,7 @@ class TestModelAssembly:
         batch = synth_generate(0, 2, cfg.t_clip, hw=cfg.hw)
         out = model_forward(model, batch.obs)
         assert out.j3d.shape == (8, 24, 3)
-        assert out.theta.shape == (8, 72)
+        assert out.rot.shape == (8, 24, 3, 3)
         assert out.maps[0]["spatial"].shape == (2, 4, cfg.heads, 5, 5)
         for c in range(2):
             one = model_forward(model, batch.obs[c])
@@ -143,6 +145,29 @@ class TestFiniteGuard:
         monkeypatch.setattr(stpose.train, "batch_step", bad_step)
         with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
             train(tiny_cfg())
+
+    def test_non_finite_gradient_names_step_and_parameter(self, monkeypatch):
+        built, snapshots = [], []
+        real_build, real_backward = stpose.train.build_model, Tensor.backward
+
+        def recording_build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        def poisoning_backward(loss):
+            real_backward(loss)
+            params = built[0].named_params()
+            snapshots.append({n: p.data.copy() for n, p in params.items()})
+            if len(snapshots) == 3:     # the backward of step 2
+                params["decoder.cam.b"].grad[1] = np.inf
+
+        monkeypatch.setattr(stpose.train, "build_model", recording_build)
+        monkeypatch.setattr(Tensor, "backward", poisoning_backward)
+        with pytest.raises(RuntimeError, match="non-finite gradient at step 2: "
+                           "decoder.cam.b$"):
+            train(tiny_cfg())
+        for name, p in built[0].named_params().items():   # no update applied
+            assert np.array_equal(p.data, snapshots[2][name]), name
 
 
 class TestDeterminism:
@@ -269,13 +294,57 @@ class TestEvaluate:
         model = build_model(cfg)
         batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                                tree=model.tree)
-        rows, mean = evaluate(model, batch,
-                              decode_fn=lambda feats, clip: batch.gt_params(clip))
+
+        class Oracle:
+            def decode(self, feats):
+                return SmplParams(*(Tensor(a.reshape((-1,) + a.shape[2:]))
+                                    for a in (batch.gt_pose6d, batch.gt_beta,
+                                              batch.gt_cam)))
+
+        model.decoder = Oracle()
+        rows, mean = evaluate(model, batch)
         for row in rows:
             assert row["mpjpe"] == 0.0
             assert row["accel"] == 0.0
             assert row["pa_mpjpe"] < 1e-9
         assert mean["mpjpe"] == 0.0
+
+    def test_rows_match_per_clip_forward(self):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 3, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        rows, _ = evaluate(model, batch)
+        assert [r["clip_id"] for r in rows] == [0, 1, 2]
+        for clip, row in enumerate(rows):
+            pred = model_forward(model, batch.obs[clip]).j3d.data
+            gt = batch.gt_j3d[clip]
+            for key, want in (("mpjpe", mpjpe(pred, gt)),
+                              ("pa_mpjpe", pa_mpjpe(pred, gt)),
+                              ("accel", accel_error(pred, gt))):
+                assert row[key] == pytest.approx(want, rel=0, abs=1e-12), key
+
+    def test_records_no_graph_and_no_axis_angle(self, monkeypatch):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        real, outs = stpose.train.model_forward, []
+
+        def recording(*args, **kwargs):
+            outs.append(real(*args, **kwargs))
+            return outs[-1]
+
+        def no_axis_angle(*args):
+            raise AssertionError("evaluate computed axis-angle")
+
+        monkeypatch.setattr(stpose.train, "model_forward", recording)
+        monkeypatch.setattr(stpose.train, "matrix_to_axis_angle",
+                            no_axis_angle)
+        evaluate(model, batch)
+        assert len(outs) == 1
+        assert outs[0].j3d.shape == (2 * cfg.t_clip, 24, 3)
+        assert not outs[0].j3d.requires_grad and outs[0].j3d._parents == ()
 
     def test_mean_matches_rows(self):
         cfg = tiny_cfg()
