@@ -79,16 +79,17 @@ class MsaLayer:
         # array alive instead of two
         q = split(T.scale(self.wq(z), 1.0 / math.sqrt(dh)))
         k, v = split(self.wk(z)), split(self.wv(z))
-        att = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1)
-        out = T.matmul(att, v)
+        out, att = T.attention_core(q, k, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, m, d))
-        return self.wo(out), att.data.copy()
+        return self.wo(out), att
 
     def __call__(self, x: Tensor, mode: str):
         """x is (..., T, N, d); returns (y, maps) with y shaped like x and
         maps (..., T, H, N, N) for spatial, (..., N, H, T, T) for temporal,
         (..., H, TN, TN) for coupled attention. The leading axes fold into
-        the batch axis of attention, so every clip attends on its own."""
+        the batch axis of attention, so every clip attends on its own. The
+        maps are read-only views of the probabilities the backward pass
+        reads."""
         if x.ndim < 3 or x.shape[-1] != self.d:
             raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
         lead, (frames, tokens, d) = x.shape[:-3], x.shape[-3:]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -30,19 +30,8 @@ class Affine:
     def fan_in(self) -> int:
         return self.w.shape[0]
 
-    @property
-    def fan_out(self) -> int:
-        return self.w.shape[1]
-
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim < 2:
-            raise ShapeError(f"affine input must have rank >= 2, got {x.shape}")
-        if x.shape[-1] != self.fan_in:
-            raise ShapeError(
-                f"affine expects trailing extent {self.fan_in}, got {x.shape}")
-        y = T.matmul(x, self.w)
-        b = T.reshape(self.b, (1,) * (y.ndim - 1) + (self.fan_out,))
-        return T.add(y, T.expand(b, y.shape))
+        return T.affine(x, self.w, self.b)
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}

@@ -52,11 +52,6 @@ class ClipBatch:
     def frames(self) -> int:
         return self.obs.shape[1]
 
-    def gt_params(self, clip: int) -> SmplParams:
-        return SmplParams(Tensor(self.gt_pose6d[clip]),
-                          Tensor(self.gt_beta[clip]),
-                          Tensor(self.gt_cam[clip]))
-
 
 def _grid_centers(side: int) -> np.ndarray:
     return -1.0 + (2.0 * np.arange(side) + 1.0) / side

@@ -8,8 +8,11 @@ Tensors are treated as immutable once created; only ``grad`` buffers
 mutate.
 
 Shape discipline: elementwise operations require exactly matching shapes
-(use ``expand`` for explicit broadcasting); only ``matmul`` broadcasts its
-leading batch axes.
+(use ``expand`` for explicit broadcasting). ``matmul`` broadcasts its
+leading batch axes, and the fused ops broadcast their parameters over the
+leading axes of their input: ``affine`` its weight and bias, ``layer_norm``
+its gain and bias; ``attention_core`` is batched over the leading axes that
+q, k and v share.
 """
 
 from __future__ import annotations
@@ -377,20 +380,6 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _result(n if keepdims else n.squeeze(axis), (t,), vjp)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``."""
-    axis = _norm_axis(axis, t.ndim)
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return _result(out, (t,), vjp)
-
-
 # -- linear algebra --------------------------------------------------------
 
 
@@ -425,19 +414,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), vjp)
 
 
-# -- composites ------------------------------------------------------------
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the trailing axis of x, as one GEMM over the rows of
+    ``x.reshape(-1, fan_in)``; the weight gradient is one GEMM over all rows
+    and the bias gradient one row sum."""
+    if w.ndim != 2 or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine weight {w.shape} and bias {b.shape} disagree")
+    fan_in, fan_out = w.shape
+    if x.ndim < 2:
+        raise ShapeError(f"affine input must have rank >= 2, got {x.shape}")
+    if x.shape[-1] != fan_in:
+        raise ShapeError(f"affine expects trailing extent {fan_in}, got {x.shape}")
+    y = x.data.reshape(-1, fan_in) @ w.data
+    y += b.data
+
+    def vjp(g):
+        rows = g.reshape(-1, fan_out)
+        gx = (rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x.data.reshape(-1, fan_in).T @ rows, rows.sum(axis=0)
+
+    return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w, b), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The VJP keeps only the normalized input and the per-row std:
+    gx = (gx̂ - mean(gx̂) - x̂ mean(gx̂ x̂)) / std with gx̂ = g * gain.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    xc = sub(x, expand(mu, x.shape))
-    var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    xhat = div(xc, expand(sqrt(add_scalar(var, eps)), x.shape))
-    pshape = (1,) * (x.ndim - 1) + (d,)
-    return add(mul(xhat, expand(reshape(gain, pshape), x.shape)),
-               expand(reshape(bias, pshape), x.shape))
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = np.divide(xc, std, out=xc)
+    out = xhat * gain.data
+    out += bias.data
 
+    def vjp(g):
+        gxhat = g * gain.data
+        p = g * xhat
+        gg = p.reshape(-1, d).sum(axis=0)
+        p *= gain.data
+        gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+        gx -= xhat * p.mean(axis=-1, keepdims=True)
+        gx /= std
+        return gx, gg, g.reshape(-1, d).sum(axis=0)
+
+    return _result(out, (x, gain, bias), vjp)
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ) v over the last two axes, batched over the leading axes
+    that q (..., m, dh), k (..., n, dh) and v (..., n, dv) share.
+
+    Returns the output and the (..., m, n) probabilities. The max shift, exp
+    and normalization run in place in one buffer, which the VJP keeps as its
+    only saved state and which is handed back read-only. The softmax
+    gradient reuses one (..., m, n) buffer and takes its row term from the
+    output: sum_j p_ij (g vᵀ)_ij = g_i · out_i.
+    """
+    lead = q.shape[:-2]
+    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
+            or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]):
+        raise ShapeError(
+            f"attention_core needs q (..., m, d), k (..., n, d) and v (..., n, e), "
+            f"got {q.shape}, {k.shape} and {v.shape}")
+    probs = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs.setflags(write=False)
+    out = np.matmul(probs, v.data)
+
+    def vjp(g):
+        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gs -= (g * out).sum(axis=-1, keepdims=True)
+        gs *= probs
+        return (np.matmul(gs, k.data), np.matmul(np.swapaxes(gs, -1, -2), q.data),
+                np.matmul(np.swapaxes(probs, -1, -2), g))
+
+    return _result(out, (q, k, v), vjp), probs

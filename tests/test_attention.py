@@ -75,6 +75,24 @@ class TestMsaLayer:
         assert np.abs(maps.sum(axis=-1) - 1.0).max() <= 1e-6
         assert maps.min() >= 0.0
 
+    @pytest.mark.parametrize("mode", ["spatial", "temporal", "coupled"])
+    def test_maps_are_read_only_and_writes_leave_gradients(self, mode):
+        # the maps share memory with the probabilities the backward pass reads
+        x = Tensor(self.rng.standard_normal((2, 3, 5, 8)), requires_grad=True)
+        weights = Tensor(self.rng.standard_normal(x.shape))
+
+        def grad(write):
+            x.clear_grad()
+            y, maps = self.msa(x, mode)
+            if write:
+                with pytest.raises(ValueError):
+                    maps[...] = 0.0
+            T.reduce_sum(T.mul(y, weights)).backward()
+            return x.grad
+
+        fresh = grad(write=False)
+        np.testing.assert_array_equal(grad(write=True), fresh)
+
     def test_single_frame_temporal_weights_are_exactly_one(self):
         _, maps = self.msa(_rand_tokens(self.rng, 1, 5, 8), "temporal")
         assert maps.shape == (5, 2, 1, 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stpose import synth
-from stpose.decoders import smpl_forward
+from stpose.decoders import SmplParams, smpl_forward
 from stpose.kinematics import smpl_tree
 from stpose.metrics import accel_error
 from stpose.synth import MAX_AMPLITUDE, ClipBatch, rasterize, synth_generate
@@ -136,7 +136,9 @@ class TestLabelConsistency:
         batch = small_batch()
         tree = smpl_tree()
         for c in range(batch.clips):
-            j3d, j2d = smpl_forward(batch.gt_params(c), tree)
+            params = SmplParams(Tensor(batch.gt_pose6d[c]), Tensor(batch.gt_beta[c]),
+                                Tensor(batch.gt_cam[c]))
+            j3d, j2d = smpl_forward(params, tree)
             assert np.array_equal(j3d.data, batch.gt_j3d[c])
             assert np.array_equal(j2d.data, batch.gt_j2d[c])
 

@@ -114,37 +114,32 @@ def test_matmul_batched_shape_and_errors():
         T.matmul(a, Tensor(np.zeros((2, 3, 4))))
 
 
-# ---------------------------------------------------------------- softmax
+# ------------------------------------------ softmax inside attention_core
+
+
+def _softmax_rows(x):
+    """attention_core's probabilities for logits x (m, n): with k = I the
+    logits q kᵀ are x itself."""
+    eye = Tensor(np.eye(x.shape[-1]))
+    return T.attention_core(Tensor(np.atleast_2d(x)), eye, eye)[1]
 
 
 def test_softmax_constant_vector_is_uniform():
-    out = T.softmax(Tensor(np.full(5, 1.7)), axis=0)
-    np.testing.assert_allclose(out.data, 0.2, atol=1e-15)
-
-
-def test_softmax_closed_form():
-    x = np.array([1.0, 2.0, 3.0])
-    e = np.exp(x)
-    want = e / e.sum()
-    got = T.softmax(Tensor(x), axis=0).data
-    assert np.abs(got - want).max() < 1e-12
+    np.testing.assert_allclose(_softmax_rows(np.full(5, 1.7)), 0.2, atol=1e-15)
 
 
 @given(st.floats(-30, 30))
 @settings(max_examples=25, deadline=None)
 def test_softmax_shift_invariance(c):
     x = np.linspace(-2, 2, 7)
-    a = T.softmax(Tensor(x), 0).data
-    b = T.softmax(Tensor(x + c), 0).data
-    assert np.abs(a - b).max() < 1e-12
+    assert np.abs(_softmax_rows(x) - _softmax_rows(x + c)).max() < 1e-12
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_softmax_rows_are_probability_vectors(seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 6)) * 5
-    y = T.softmax(Tensor(x), axis=1).data
+    y = _softmax_rows(rng.standard_normal((3, 6)) * 5)
     assert (y >= 0).all()
     np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-9)
 
@@ -189,9 +184,11 @@ def test_three_layer_composition_matches_finite_differences():
     x = rand(rng, 2, 4)
     c = Tensor(rng.standard_normal((2, 3)))
 
+    eye = Tensor(np.eye(3))
+
     def loss():
         h = T.gelu(T.matmul(x, w1))
-        y = T.softmax(T.matmul(h, w2), axis=-1)
+        y, _ = T.attention_core(T.matmul(h, w2), eye, eye)   # row softmax
         return T.reduce_sum(T.mul(y, c))
 
     assert fd_check(loss, [x, w1, w2], h=1e-6) < 1e-5
@@ -225,7 +222,6 @@ UNARY = {
     "cos": T.cos,
     "sigmoid": T.sigmoid,
     "gelu": T.gelu,
-    "softmax": lambda t: T.softmax(t, axis=-1),
     "reshape": lambda t: T.reshape(t, (4, 3)),
     "transpose": lambda t: T.transpose(t, (1, 0)),
     "slice": lambda t: T.slice_axis(t, 1, 1, 3),
@@ -271,12 +267,143 @@ def test_backward_determinism():
     rng = np.random.default_rng(13)
     x = rand(rng, 3, 3)
     w = rand(rng, 3, 3)
-    loss = T.reduce_sum(T.softmax(T.matmul(x, w), axis=-1))
+    loss = T.reduce_sum(T.attention_core(x, w, T.matmul(x, w))[0])
     loss.backward()
     g1 = x.grad.copy()
     x.clear_grad(), w.clear_grad()
     loss.backward()
     np.testing.assert_array_equal(x.grad, g1)
+
+
+# ---------------------------------------------------------------- fused ops
+# Each fused op against the composite it replaced, built from the remaining
+# primitives; the deleted softmax op is kept here as a one-node oracle.
+
+
+def _softmax_node(t):
+    e = np.exp(t.data - t.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return T._result(out, (t,),
+                     lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
+
+
+def _affine_composite(x, w, b):
+    y = T.matmul(x, w)
+    return T.add(y, T.expand(T.reshape(b, (1,) * (y.ndim - 1) + b.shape), y.shape))
+
+
+def _layer_norm_composite(x, gain, bias, eps=1e-5):
+    mu = T.reduce_mean(x, axis=-1, keepdims=True)
+    xc = T.sub(x, T.expand(mu, x.shape))
+    var = T.reduce_mean(T.mul(xc, xc), axis=-1, keepdims=True)
+    xhat = T.div(xc, T.expand(T.sqrt(T.add_scalar(var, eps)), x.shape))
+    pshape = (1,) * (x.ndim - 1) + gain.shape
+    return T.add(T.mul(xhat, T.expand(T.reshape(gain, pshape), x.shape)),
+                 T.expand(T.reshape(bias, pshape), x.shape))
+
+
+def _attention_composite(q, k, v):
+    perm = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    p = _softmax_node(T.matmul(q, T.transpose(k, perm)))
+    return T.matmul(p, v), p.data
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _grads(out, inputs, rng):
+    """Input gradients of a fixed random weighting of ``out``."""
+    for t in inputs:
+        t.clear_grad()
+    T.reduce_sum(T.mul(out, Tensor(rng.standard_normal(out.shape)))).backward()
+    grads = [t.grad for t in inputs]
+    for t in inputs:
+        t.clear_grad()
+    return grads
+
+
+@pytest.mark.parametrize("lead", [(6,), (2, 6), (2, 3, 4)], ids=["2d", "3d", "4d"])
+def test_affine_matches_matmul_plus_bias(lead):
+    rng = np.random.default_rng(21)
+    x, w, b = rand(rng, *lead, 5), rand(rng, 5, 3), rand(rng, 3)
+    fused, composite = T.affine(x, w, b), _affine_composite(x, w, b)
+    assert fused.shape == lead + (3,)
+    assert _rel(fused.data, composite.data) <= 1e-12
+    for got, want in zip(_grads(fused, [x, w, b], np.random.default_rng(1)),
+                         _grads(composite, [x, w, b], np.random.default_rng(1))):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_layer_norm_matches_composite():
+    rng = np.random.default_rng(22)
+    x, gain, bias = rand(rng, 2, 3, 4, 8), rand(rng, 8), rand(rng, 8)
+    fused = T.layer_norm(x, gain, bias)
+    composite = _layer_norm_composite(x, gain, bias)
+    np.testing.assert_array_equal(fused.data, composite.data)
+    for got, want in zip(_grads(fused, [x, gain, bias], np.random.default_rng(2)),
+                         _grads(composite, [x, gain, bias], np.random.default_rng(2))):
+        assert _rel(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("shapes", [((2, 3, 5, 4), 7, 3), ((64, 4, 17, 16), 17, 16)],
+                         ids=["small", "spatial"])
+def test_attention_core_matches_composite(shapes):
+    (*lead, m, dh), n, dv = shapes
+    rng = np.random.default_rng(23)
+    q, k, v = rand(rng, *lead, m, dh), rand(rng, *lead, n, dh), rand(rng, *lead, n, dv)
+    fused, probs = T.attention_core(q, k, v)
+    composite, want_probs = _attention_composite(q, k, v)
+    np.testing.assert_array_equal(probs, want_probs)
+    np.testing.assert_array_equal(fused.data, composite.data)
+    for got, want in zip(_grads(fused, [q, k, v], np.random.default_rng(3)),
+                         _grads(composite, [q, k, v], np.random.default_rng(3))):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_attention_core_probabilities_are_read_only():
+    rng = np.random.default_rng(24)
+    _, probs = T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3))
+    with pytest.raises(ValueError):
+        probs[0, 0, 0] = 1.0
+
+
+def _fused_cases(rng):
+    return [
+        (T.affine, [rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)]),
+        (T.layer_norm, [rand(rng, 2, 3, 4), rand(rng, 4), rand(rng, 4)]),
+        (lambda *a: T.attention_core(*a)[0],
+         [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3)]),
+    ]
+
+
+def test_fused_ops_record_one_node_and_none_without_grad():
+    for op, inputs in _fused_cases(np.random.default_rng(25)):
+        out = op(*inputs)
+        assert out._parents == tuple(inputs) and out._vjp is not None
+        with T.no_grad():
+            plain = op(*inputs)
+        assert plain._parents == () and plain._vjp is None
+        assert not plain.requires_grad
+
+
+def test_fused_ops_check_shapes():
+    rng = np.random.default_rng(26)
+    x = rand(rng, 2, 4)
+    with pytest.raises(ShapeError):
+        T.affine(x, rand(rng, 3, 5), rand(rng, 5))       # fan_in mismatch
+    with pytest.raises(ShapeError):
+        T.affine(x, rand(rng, 4, 5), rand(rng, 4))       # bias width
+    with pytest.raises(ShapeError):
+        T.affine(rand(rng, 4), rand(rng, 4, 5), rand(rng, 5))   # rank 1
+    with pytest.raises(ShapeError):
+        T.layer_norm(x, rand(rng, 3), rand(rng, 4))
+    with pytest.raises(ShapeError):
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 3), rand(rng, 2, 5, 3))
+    with pytest.raises(ShapeError):
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 6, 3))
+    with pytest.raises(ShapeError):
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 1, 5, 4), rand(rng, 1, 5, 3))
 
 
 # ---------------------------------------------------------------- no_grad
@@ -292,7 +419,7 @@ def test_no_grad_records_no_parents():
     x, w = rand(rng, 2, 3), rand(rng, 3, 3)
     with T.no_grad():
         y = _chain(x, w)
-        z = T.reduce_sum(T.concat([y, T.softmax(y, axis=-1)], axis=0))
+        z = T.reduce_sum(T.concat([y, T.attention_core(y, y, y)[0]], axis=0))
     for out in (y, z):
         assert not out.requires_grad
         assert out._parents == () and out._vjp is None
