@@ -163,7 +163,7 @@ class SteBlock:
         rows = (math.prod(s.shape[:-2]), s.shape[-1])
 
         def cls(z):
-            return T.reshape(T.slice_axis(z, -2, 0, 1), rows)
+            return T.reshape(T.take(z, [0], -2), rows)
 
         alpha_s = T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t))))
         alpha_t = T.add_scalar(T.neg(alpha_s), 1.0)
@@ -267,7 +267,7 @@ class SteEncoder:
         cls = T.expand(self.cls_token, lead + (frames, 1, cfg.d))
         x = T.concat([cls, x], axis=-2)
         x = T.add(x, T.expand(self.pos_spatial, token_shape))
-        pos_t = T.slice_axis(self.pos_temporal, 0, 0, frames)
+        pos_t = T.take(self.pos_temporal, range(frames), 0)
         x = T.add(x, T.expand(pos_t, token_shape))
 
         all_maps = []
@@ -275,7 +275,7 @@ class SteEncoder:
             x, maps = block(x, bypass_temporal=bypass_temporal)
             all_maps.append(maps)
         x = self.ln_final(x)
-        feats = T.reshape(T.slice_axis(x, -2, 0, 1), lead + (frames, cfg.d))
+        feats = T.reshape(T.take(x, [0], -2), lead + (frames, cfg.d))
         return feats, all_maps
 
     def named_params(self) -> dict[str, Tensor]:

@@ -18,8 +18,8 @@ from .config import RunConfig, load_config
 from .gradcheck import full_suite
 from .synth import synth_generate
 from .tensor import no_grad
-from .train import (Model, ablate, build_model, evaluate, model_forward,
-                    train)
+from .train import (Model, ablate, build_model, build_tree, evaluate,
+                    model_forward, train)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,6 +177,7 @@ def _cmd_synth(args) -> int:
     out = _require_out(args)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std,
+                           tree=build_tree(cfg.tree, cfg.seed),
                            p_2d_only=cfg.p_2d_only)
     path = os.path.join(out, "synth.npz")
     np.savez(path, obs=batch.obs, gt_pose6d=batch.gt_pose6d,

@@ -127,10 +127,10 @@ class IterativeDecoder:
                          (frames, PARAM_DIM))
         for _ in range(self.iterations):
             theta = T.add(theta, self.f(T.concat([x, theta], axis=-1)))
-        pose = T.reshape(T.slice_axis(theta, -1, 0, POSE_DIM),
+        pose = T.reshape(T.take(theta, range(POSE_DIM), -1),
                          (frames, NUM_JOINTS, 6))
-        shape = T.slice_axis(theta, -1, POSE_DIM, POSE_DIM + SHAPE_DIM)
-        cam = T.slice_axis(theta, -1, POSE_DIM + SHAPE_DIM, PARAM_DIM)
+        shape = T.take(theta, range(POSE_DIM, POSE_DIM + SHAPE_DIM), -1)
+        cam = T.take(theta, range(POSE_DIM + SHAPE_DIM, PARAM_DIM), -1)
         return SmplParams(pose, shape, cam)
 
     def named_params(self, prefix: str = "decoder") -> dict[str, Tensor]:

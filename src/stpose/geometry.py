@@ -26,16 +26,6 @@ class DegenerateRotationError(ValueError):
     """6D input whose Gram-Schmidt columns are too short or too parallel."""
 
 
-def _last(t: Tensor, start: int, stop: int) -> Tensor:
-    return T.slice_axis(t, -1, start, stop)
-
-
-def _mat_el(m: Tensor, i: int, j: int) -> Tensor:
-    """Element [..., i, j] of a (..., 3, 3) tensor, shaped (..., 1)."""
-    e = T.slice_axis(T.slice_axis(m, -2, i, i + 1), -1, j, j + 1)
-    return T.reshape(e, m.shape[:-2] + (1,))
-
-
 def rot6d_to_matrix(r: Tensor) -> Tensor:
     """Gram-Schmidt a (..., 6) tensor into proper rotations (..., 3, 3).
 
@@ -46,7 +36,7 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
     """
     if r.shape[-1] != 6:
         raise ShapeError(f"expected trailing extent 6, got {r.shape}")
-    a1, a2 = _last(r, 0, 3), _last(r, 3, 6)
+    a1, a2 = T.take(r, [0, 1, 2], -1), T.take(r, [3, 4, 5], -1)
 
     n1 = T.vecnorm(a1, axis=-1, keepdims=True)
     if (n1.data < ROT6D_EPS).any():
@@ -62,19 +52,11 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
             f"second 6D column is parallel to the first within {ROT6D_EPS:.0e}")
     b2 = T.div(u2, T.expand(n2, u2.shape))
 
-    b3 = _cross(b1, b2)
+    yzx, zxy = [1, 2, 0], [2, 0, 1]
+    b3 = T.sub(T.mul(T.take(b1, yzx, -1), T.take(b2, zxy, -1)),
+               T.mul(T.take(b1, zxy, -1), T.take(b2, yzx, -1)))   # b1 x b2
     cols = [T.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)]
     return T.concat(cols, axis=-1)
-
-
-def _cross(a: Tensor, b: Tensor) -> Tensor:
-    ax, ay, az = _last(a, 0, 1), _last(a, 1, 2), _last(a, 2, 3)
-    bx, by, bz = _last(b, 0, 1), _last(b, 1, 2), _last(b, 2, 3)
-    return T.concat([
-        T.sub(T.mul(ay, bz), T.mul(az, by)),
-        T.sub(T.mul(az, bx), T.mul(ax, bz)),
-        T.sub(T.mul(ax, by), T.mul(ay, bx)),
-    ], axis=-1)
 
 
 def axis_angle_to_matrix(v: Tensor) -> Tensor:
@@ -97,11 +79,9 @@ def axis_angle_to_matrix(v: Tensor) -> Tensor:
     cos_c = T.where(small, T.add_scalar(T.scale(t2, -1.0 / 24.0), 0.5),
                     T.div(T.add_scalar(T.neg(T.cos(safe)), 1.0), T.mul(safe, safe)))
 
-    x, y, z = _last(v, 0, 1), _last(v, 1, 2), _last(v, 2, 3)
-    zero = Tensor(np.zeros_like(x.data))
-    k = T.reshape(
-        T.concat([zero, T.neg(z), y, z, zero, T.neg(x), T.neg(y), x, zero], axis=-1),
-        v.shape[:-1] + (3, 3))
+    # (x, y, z, -x, -y, -z, 0) laid out as the cross-product matrix [v]x
+    signed = T.concat([v, T.neg(v), Tensor(np.zeros(v.shape[:-1] + (1,)))], axis=-1)
+    k = T.reshape(T.take(signed, [6, 5, 1, 2, 6, 3, 4, 0, 6], -1), v.shape[:-1] + (3, 3))
     k2 = T.matmul(k, k)
 
     mshape = k.shape
@@ -118,14 +98,11 @@ def matrix_to_axis_angle(m: Tensor) -> Tensor:
     it raises. For robust handling of near-pi inputs outside a gradient
     graph use :func:`matrix_to_axis_angle_np`.
     """
-    w = T.concat([
-        T.sub(_mat_el(m, 2, 1), _mat_el(m, 1, 2)),
-        T.sub(_mat_el(m, 0, 2), _mat_el(m, 2, 0)),
-        T.sub(_mat_el(m, 1, 0), _mat_el(m, 0, 1)),
-    ], axis=-1)                                    # 2 sin(t) * axis
+    m9 = T.reshape(m, m.shape[:-2] + (9,))         # entry (i, j) at 3 i + j
+    w = T.sub(T.take(m9, [7, 2, 3], -1), T.take(m9, [5, 6, 1], -1))   # 2 sin(t) * axis
     s = T.vecnorm(w, axis=-1, keepdims=True)       # 2 sin(t)
     c = T.add_scalar(
-        T.add(_mat_el(m, 0, 0), T.add(_mat_el(m, 1, 1), _mat_el(m, 2, 2))),
+        T.add(T.take(m9, [0], -1), T.add(T.take(m9, [4], -1), T.take(m9, [8], -1))),
         -1.0)                                      # 2 cos(t)
     theta = T.atan2(s, c)
 
@@ -149,12 +126,12 @@ def project(j3d: Tensor, cam: Tensor) -> Tensor:
     frames = j3d.shape[0]
     if cam.shape != (frames, 3):
         raise ShapeError(f"expected cameras shaped ({frames}, 3), got {cam.shape}")
-    s = T.slice_axis(cam, -1, 0, 1)
+    s = T.take(cam, [0], -1)
     if (s.data <= 0.0).any():
         raise ValueError(f"camera scale must be positive, min {s.data.min():.3e}")
-    xy = _last(j3d, 0, 2)
+    xy = T.take(j3d, [0, 1], -1)
     s_e = T.expand(T.reshape(s, (frames, 1, 1)), xy.shape)
-    t_e = T.expand(T.reshape(T.slice_axis(cam, -1, 1, 3), (frames, 1, 2)), xy.shape)
+    t_e = T.expand(T.reshape(T.take(cam, [1, 2], -1), (frames, 1, 2)), xy.shape)
     return T.add(T.mul(xy, s_e), t_e)
 
 

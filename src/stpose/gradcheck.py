@@ -103,7 +103,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("reshape", lambda: T.reshape(a, (6, 4)), [a]),
         ("transpose", lambda: T.transpose(a, (2, 0, 1)), [a]),
         ("concat", lambda: T.concat([a, b], axis=1), [a, b]),
-        ("slice_axis", lambda: T.slice_axis(a, 2, 1, 3), [a]),
+        ("take", lambda: T.take(a, [3, 1, 3, 0, 3], 2), [a]),
         ("expand", lambda: T.expand(T.reshape(m2, (1, 5, 4)), (3, 5, 4)), [m2]),
         ("add", lambda: T.add(a, b), [a, b]),
         ("sub", lambda: T.sub(a, b), [a, b]),

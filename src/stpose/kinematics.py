@@ -105,15 +105,21 @@ class KinematicTree:
         for k, p in enumerate(parents):
             if p != -1:
                 children[p].append(k)
-        order, queue = [], [self.root]
-        while queue:
-            k = queue.pop(0)
-            order.append(k)
-            queue.extend(children[k])
-        if len(order) != NUM_JOINTS:
+        # breadth first, one depth level at a time; topo_order is the levels
+        # in sequence, and each joint below the root records its parent's
+        # slot in the level above
+        levels, frontier = [], (self.root,)
+        while frontier:
+            levels.append(frontier)
+            frontier = tuple(c for k in frontier for c in children[k])
+        self.topo_order = sum(levels, ())
+        if len(self.topo_order) != NUM_JOINTS:
             raise ValueError("parent table contains a cycle or unreachable joints")
-        self.topo_order = tuple(order)
         self.children = tuple(tuple(c) for c in children)
+        self.levels = tuple(levels)
+        self.level_parents = tuple(
+            tuple(above.index(parents[k]) for k in level)
+            for above, level in zip(levels, levels[1:]))
 
         template = np.array(template, dtype=np.float64)
         if template.shape != (NUM_JOINTS, 3) or not np.isfinite(template).all():
@@ -282,24 +288,21 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
         raise ShapeError(f"beta must be ({frames}, {SHAPE_DIM}), got {beta.shape}")
 
     rest = rest_joints(tree, beta)
-    eye = T.expand(Tensor(np.eye(3)), (frames, 3, 3))
+    base = [k if p == -1 else p for k, p in enumerate(tree.parents)]
+    bones = T.reshape(T.sub(rest, T.take(rest, base, 1)), (frames, NUM_JOINTS, 3, 1))
 
-    j: dict[int, Tensor] = {}
-    world: dict[int, Tensor] = {}
-    dev: dict[int, Tensor] = {}
-    pos: dict[int, Tensor] = {}
-    for k in tree.topo_order:
-        j[k] = T.reshape(T.slice_axis(rest, 1, k, k + 1), (frames, 3, 1))
-        r_k = T.reshape(T.slice_axis(rot, 1, k, k + 1), (frames, 3, 3))
-        if k == tree.root:
-            world[k] = r_k
-            dev[k] = Tensor(np.zeros((frames, 3, 1)))
-        else:
-            p = tree.parents[k]
-            bone = T.sub(j[k], j[p])
-            world[k] = T.matmul(world[p], r_k)
-            dev[k] = T.add(dev[p], T.matmul(T.sub(world[p], eye), bone))
-        pos[k] = T.add(j[k], dev[k])
-
-    return T.concat([T.reshape(pos[k], (frames, 1, 3)) for k in range(NUM_JOINTS)],
-                    axis=1)
+    # one step per tree level: gather the parents' world rotations and
+    # deviations from the level above, then pose the whole level at once
+    world = T.take(rot, tree.levels[0], 1)
+    dev = Tensor(np.zeros((frames, 1, 3, 1)))
+    devs = [dev]
+    for level, up in zip(tree.levels[1:], tree.level_parents):
+        world_up = T.take(world, up, 1)
+        eye = T.expand(Tensor(np.eye(3)), world_up.shape)
+        dev = T.add(T.take(dev, up, 1),
+                    T.matmul(T.sub(world_up, eye), T.take(bones, level, 1)))
+        world = T.matmul(world_up, T.take(rot, level, 1))
+        devs.append(dev)
+    # the levels concatenate to topo_order; put the joints back in index order
+    dev = T.take(T.concat(devs, axis=1), np.argsort(tree.topo_order), 1)
+    return T.add(rest, T.reshape(dev, (frames, NUM_JOINTS, 3)))

@@ -193,18 +193,29 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
     return _result(data, tuple(ts), vjp)
 
 
-def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
+def take(t: Tensor, indices, axis: int) -> Tensor:
+    """Entries ``indices`` of ``t`` along ``axis``, as ``np.take``; a slice
+    is a take of a range. Indices must be a non-empty 1-D integer list in
+    [0, n): negative ones are refused, not wrapped. The VJP scatter-adds,
+    so a repeated index accumulates its gradients."""
     axis = _norm_axis(axis, t.ndim)
-    if not 0 <= start < stop <= t.shape[axis]:
-        raise ShapeError(f"empty or out-of-range slice [{start}:{stop}) on axis {axis} of {t.shape}")
-    index = tuple(slice(None) if a != axis else slice(start, stop) for a in range(t.ndim))
+    idx = np.asarray(indices)
+    n = t.shape[axis]
+    if (idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu"
+            or idx.min() < 0 or idx.max() >= n):
+        raise ShapeError(f"take needs a non-empty 1-D list of integers in [0, {n}) "
+                         f"on axis {axis} of {t.shape}, got {np.ravel(idx).tolist()}")
+    at = (slice(None),) * axis + (idx,)
 
     def vjp(g):
         full = np.zeros_like(t.data)
-        full[index] = g
+        if np.unique(idx).size < idx.size:
+            np.add.at(full, at, g)
+        else:
+            full[at] = g
         return (full,)
 
-    return _result(t.data[index].copy(), (t,), vjp)
+    return _result(np.take(t.data, idx, axis=axis), (t,), vjp)
 
 
 def expand(t: Tensor, shape) -> Tensor:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stpose.cli import main
+from stpose.kinematics import random_tree
 from stpose.synth import synth_generate
 
 TINY = """\
@@ -54,6 +55,17 @@ class TestSynthCommand:
         with np.load(out / "synth.npz") as z:
             reference = synth_generate(7, 2, 4, hw=4, noise_std=0.01)
             assert np.array_equal(z["obs"], reference.obs)
+
+    def test_tree_override_labels_that_tree(self, cfg_file, tmp_path):
+        out = tmp_path / "data"
+        assert main(["synth", "--config", cfg_file, "--seed", "5",
+                     "--tree", "random", "--out", str(out)]) == 0
+        with np.load(out / "synth.npz") as z:
+            labels = z["gt_j3d"]
+        on_random = synth_generate(5, 2, 4, hw=4, noise_std=0.01, tree=random_tree(5))
+        on_smpl = synth_generate(5, 2, 4, hw=4, noise_std=0.01)
+        assert np.array_equal(labels, on_random.gt_j3d)
+        assert not np.allclose(labels, on_smpl.gt_j3d)
 
 
 class TestTrainCommand:

@@ -272,3 +272,52 @@ class TestRot6dPacking:
         m = np.arange(9.0).reshape(3, 3)
         np.testing.assert_array_equal(
             G.matrix_to_rot6d_np(m), np.array([0.0, 3, 6, 1, 4, 7]))
+
+
+def _sum3(x):
+    """Sum over a trailing axis of 3, keeping it, as the tensor reductions do."""
+    return np.ascontiguousarray(x).sum(axis=(-1,), keepdims=True)
+
+
+def _rot6d_elementwise(r6):
+    """Gram-Schmidt written out entry by entry, in the tensor path's order."""
+    a1, a2 = r6[..., 0:3].copy(), r6[..., 3:6].copy()
+    b1 = a1 / np.sqrt(_sum3(a1 * a1))
+    u2 = a2 - b1 * _sum3(b1 * a2)
+    b2 = u2 / np.sqrt(_sum3(u2 * u2))
+    (ax, ay, az), (bx, by, bz) = b1.T, b2.T
+    b3 = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx]).T
+    return np.stack([b1, b2, b3], axis=-1)
+
+
+def _axis_angle_elementwise(m):
+    """Inverse Rodrigues written out entry by entry, in the tensor path's order."""
+    w = np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                  m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    s = np.sqrt(_sum3(w * w))
+    c = (m[..., 0, 0] + (m[..., 1, 1] + m[..., 2, 2]))[..., None] + -1.0
+    theta = np.arctan2(s, c)
+    small = s < 1e-6
+    factor = np.where(small, theta * theta * (1.0 / 12.0) + 0.5,
+                      theta / np.where(small, 1.0, s))
+    return w * factor
+
+
+class TestGatheredEntriesAreExact:
+    """rot6d_to_matrix and matrix_to_axis_angle read their entries with
+    gathers; each output entry is still the same float expression."""
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_rot6d_bitwise(self, seed):
+        r6 = _rand(np.random.default_rng(seed), 7, 6)
+        assert np.array_equal(G.rot6d_to_matrix(Tensor(r6)).data, _rot6d_elementwise(r6))
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matrix_to_axis_angle_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        v = _rand(rng, 7, 3) * rng.choice([1e-8, 1.0], size=(7, 1))
+        m = G.axis_angle_to_matrix_np(v)
+        assert np.array_equal(G.matrix_to_axis_angle(Tensor(m)).data,
+                              _axis_angle_elementwise(m))

@@ -7,6 +7,8 @@ parent product) and once as a fresh ancestor product per joint.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stpose import geometry as G
 from stpose import kinematics as K
@@ -234,6 +236,79 @@ class TestForwardKinematics:
         with pytest.raises(ShapeError):
             K.forward_kinematics(tree, Tensor(np.zeros((2, 24, 3, 3))),
                                  Tensor(np.zeros((3, 10))))
+
+
+def _fk_per_joint(tree, rot, beta):
+    """Forward kinematics one joint at a time in topo_order, with the same
+    deviation form: the reference for the level-at-a-time values."""
+    frames = rot.shape[0]
+    rest = K.rest_joints(tree, beta)
+    eye = T.expand(Tensor(np.eye(3)), (frames, 3, 3))
+    j, world, dev, pos = {}, {}, {}, {}
+    for k in tree.topo_order:
+        j[k] = T.reshape(T.take(rest, [k], 1), (frames, 3, 1))
+        r_k = T.reshape(T.take(rot, [k], 1), (frames, 3, 3))
+        if k == tree.root:
+            world[k], dev[k] = r_k, Tensor(np.zeros((frames, 3, 1)))
+        else:
+            p = tree.parents[k]
+            world[k] = T.matmul(world[p], r_k)
+            dev[k] = T.add(dev[p], T.matmul(T.sub(world[p], eye), T.sub(j[k], j[p])))
+        pos[k] = T.add(j[k], dev[k])
+    return T.concat([T.reshape(pos[k], (frames, 1, 3)) for k in range(K.NUM_JOINTS)],
+                    axis=1)
+
+
+def _make_tree(kind):
+    if kind == "smpl":
+        return K.smpl_tree()
+    if kind == "reverse":
+        return K.reverse_tree(K.smpl_tree())
+    return K.random_tree(kind)
+
+
+_STAR = K.KinematicTree([-1] + [0] * 23, K._default_template(), K._default_shape_basis())
+
+
+class TestLevelWiseForwardKinematics:
+    def test_levels_partition_topo_order(self):
+        for tree, depth in ((K.smpl_tree(), 9), (K.random_tree(3), 8),
+                            (K.reverse_tree(K.smpl_tree()), 13), (_STAR, 2)):
+            assert len(tree.levels) == depth
+            assert sum(tree.levels, ()) == tree.topo_order
+            for above, level, up in zip(tree.levels, tree.levels[1:], tree.level_parents):
+                assert [above[u] for u in up] == [tree.parents[k] for k in level]
+                assert all(tree.depth(k) == tree.depth(level[0]) for k in level)
+
+    @given(tree_kind=st.one_of(st.sampled_from(["smpl", "reverse"]), st.integers(0, 10 ** 6)),
+           seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_joint_loop(self, tree_kind, seed, frames):
+        tree = _make_tree(tree_kind)
+        rng = np.random.default_rng(seed)
+        rot0 = _random_pose(rng, frames)
+        beta0 = rng.standard_normal((frames, K.SHAPE_DIM))
+        coef = Tensor(rng.standard_normal((frames, K.NUM_JOINTS, 3)))
+        runs = []
+        for fk in (K.forward_kinematics, _fk_per_joint):
+            rot, beta = Tensor(rot0, requires_grad=True), Tensor(beta0, requires_grad=True)
+            joints = fk(tree, rot, beta)
+            T.reduce_sum(T.mul(joints, coef)).backward()
+            runs.append((joints.data, rot.grad, beta.grad))
+        (got, g_rot, g_beta), (want, w_rot, w_beta) = runs
+        assert np.array_equal(got, want)
+        for g, w in ((g_rot, w_rot), (g_beta, w_beta)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
+                                      K.reverse_tree(K.smpl_tree()), _STAR],
+                             ids=["smpl", "random", "reverse", "star"])
+    def test_graph_grows_with_depth_not_joints(self, tree):
+        rot = Tensor(_random_pose(np.random.default_rng(5), 2), requires_grad=True)
+        beta = Tensor(np.zeros((2, K.SHAPE_DIM)), requires_grad=True)
+        joints = K.forward_kinematics(tree, rot, beta)
+        nodes = sum(1 for node in T._topo_order(joints) if node._parents)
+        assert nodes <= 8 * len(tree.levels)
 
 
 class TestTreeVariants:

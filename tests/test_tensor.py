@@ -75,12 +75,20 @@ def test_reshape_rejects_extent_mismatch():
 def test_slice_and_concat_round_trip():
     rng = np.random.default_rng(1)
     x = Tensor(rng.standard_normal((4, 5)))
-    parts = [T.slice_axis(x, 1, 0, 2), T.slice_axis(x, 1, 2, 5)]
+    parts = [T.take(x, range(0, 2), 1), T.take(x, range(2, 5), 1)]
     np.testing.assert_array_equal(T.concat(parts, 1).data, x.data)
     with pytest.raises(ShapeError):
-        T.slice_axis(x, 1, 3, 3)  # empty
+        T.take(x, range(3, 3), 1)  # empty
     with pytest.raises(ShapeError):
-        T.slice_axis(x, 2, 0, 1)  # axis out of range
+        T.take(x, [0], 2)  # axis out of range
+
+
+@pytest.mark.parametrize("indices", [[], [5], [-1], [[0, 1]], [0.0], [True]],
+                         ids=["empty", "past_end", "negative", "2d", "float", "bool"])
+def test_take_refuses_bad_indices(indices):
+    x = Tensor(np.zeros((4, 5)))
+    with pytest.raises(ShapeError, match=r"axis 1 of \(4, 5\)"):
+        T.take(x, indices, -1)
 
 
 # ---------------------------------------------------------------- matmul
@@ -224,7 +232,8 @@ UNARY = {
     "gelu": T.gelu,
     "reshape": lambda t: T.reshape(t, (4, 3)),
     "transpose": lambda t: T.transpose(t, (1, 0)),
-    "slice": lambda t: T.slice_axis(t, 1, 1, 3),
+    "slice": lambda t: T.take(t, range(1, 3), 1),
+    "take_repeated": lambda t: T.take(t, [3, 1, 3, 0], 1),
     "mean": lambda t: T.reduce_mean(t, axis=0, keepdims=True),
     "sum_all": lambda t: T.reduce_sum(t),
     "vecnorm": lambda t: T.vecnorm(t, axis=-1),

@@ -1,8 +1,11 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stpose.train
 from stpose.attention import SteEncoder
@@ -168,6 +171,23 @@ class TestFiniteGuard:
             train(tiny_cfg())
         for name, p in built[0].named_params().items():   # no update applied
             assert np.array_equal(p.data, snapshots[2][name]), name
+
+
+class TestFuzz:
+    @given(seed=st.integers(0, 2 ** 16), tree=st.sampled_from(["smpl", "random", "reverse"]),
+           lr=st.floats(0.0, 0.2), stage1=st.integers(0, 3), stage2=st.integers(0, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_run_finishes_or_names_the_step(self, seed, tree, lr, stage1, stage2):
+        cfg = RunConfig(d=8, heads=2, blocks=1, hw=4, t_clip=2, clips=2, seed=seed,
+                        tree=tree, lr=lr, steps_stage1=stage1, steps_stage2=stage2)
+        try:
+            history = train(cfg).history
+        except RuntimeError as exc:
+            step = re.search(r"at step (\d+)", str(exc))
+            assert step is not None and int(step.group(1)) < cfg.total_steps, exc
+        else:
+            assert len(history) == cfg.total_steps
+            assert all(math.isfinite(rec.total) for rec in history)
 
 
 class TestDeterminism:
