@@ -23,6 +23,9 @@ so clips never attend to each other and every map gains the same leading
 axes. A single-frame image batch is the T = 1 case.
 
 The per-frame output feature is the class token after a final layer norm.
+The feed-forward half of a block (residual, layer norm, MLP) is row-wise,
+so the last block feeds forward only the class tokens the encoder returns;
+its attention still runs over every token, so its maps are the full ones.
 """
 
 from __future__ import annotations
@@ -146,9 +149,6 @@ class SteBlock:
         self.force_alpha = None
         self.last_alpha = None
 
-    def _mlp(self, z: Tensor) -> Tensor:
-        return self.fc2(T.gelu(self.fc1(z)))
-
     def _gated_mix(self, s: Tensor, t: Tensor) -> Tensor:
         """s and t are (..., T, N, d); the gates are per frame and channel,
         stored in last_alpha as (..., T, 1, d) pairs."""
@@ -175,9 +175,10 @@ class SteBlock:
 
         return T.add(T.mul(broad(alpha_s), s), T.mul(broad(alpha_t), t))
 
-    def __call__(self, x: Tensor, bypass_temporal: bool = False):
-        """x is (..., T, N, d); returns y shaped like x and the block's
-        attention maps keyed by mode."""
+    def attend(self, x: Tensor, bypass_temporal: bool = False):
+        """The attention half of the block: x is (..., T, N, d); returns the
+        residual stream u shaped like x and the block's attention maps keyed
+        by mode."""
         maps: dict[str, np.ndarray] = {}
         self.last_alpha = None
         topo = self.topology
@@ -213,8 +214,18 @@ class SteBlock:
             c, maps["coupled"] = self.msa_c(self.ln_attn(x), "coupled")
             u = T.add(x, c)
 
-        y = T.add(u, self._mlp(self.ln_mlp(u)))
-        return y, maps
+        return u, maps
+
+    def feed_forward(self, u: Tensor) -> Tensor:
+        """u + mlp(ln_mlp(u)); row-wise, so it runs on any subset of tokens."""
+        z = self.ln_mlp(u)
+        return T.add(u, T.mlp(z, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b))
+
+    def __call__(self, x: Tensor, bypass_temporal: bool = False):
+        """x is (..., T, N, d); returns y shaped like x and the block's
+        attention maps keyed by mode."""
+        u, maps = self.attend(x, bypass_temporal)
+        return self.feed_forward(u), maps
 
     def named_params(self, prefix: str) -> dict[str, Tensor]:
         out = self.ln_attn.named_params(f"{prefix}.ln_attn")
@@ -232,6 +243,8 @@ class SteEncoder:
     """Stack of blocks plus class token and position embeddings."""
 
     def __init__(self, cfg: SteConfig, rng: np.random.Generator):
+        if cfg.blocks < 1:
+            raise ValueError(f"the encoder needs at least one block, got {cfg.blocks}")
         self.cfg = cfg
         n = cfg.tokens
         self.cls_token = Tensor(rng.normal(0.0, 0.02, (1, 1, cfg.d)),
@@ -248,6 +261,10 @@ class SteEncoder:
         """obs is (..., T, hw, d_in) patch features, one clip per index of
         the leading axes; returns per-frame features (..., T, d) and the
         attention maps of every block, which gain the same leading axes.
+
+        The last block attends over all tokens, so its maps equal a full
+        block call's, then feeds forward and normalizes only the class
+        tokens, the (..., T, 1, d) rows the features are read from.
 
         bypass_temporal defaults to (T == 1): single frames carry no
         temporal axis worth attending over.
@@ -271,12 +288,16 @@ class SteEncoder:
         x = T.add(x, T.expand(pos_t, token_shape))
 
         all_maps = []
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x, maps = block(x, bypass_temporal=bypass_temporal)
             all_maps.append(maps)
-        x = self.ln_final(x)
-        feats = T.reshape(T.take(x, [0], -2), lead + (frames, cfg.d))
-        return feats, all_maps
+        # only the class tokens leave the encoder, and everything after the
+        # last block's attention is row-wise: feed forward those rows alone
+        last = self.blocks[-1]
+        u, maps = last.attend(x, bypass_temporal=bypass_temporal)
+        all_maps.append(maps)
+        cls = self.ln_final(last.feed_forward(T.take(u, [0], -2)))
+        return T.reshape(cls, lead + (frames, cfg.d)), all_maps
 
     def named_params(self) -> dict[str, Tensor]:
         out = {"cls_token": self.cls_token, "pos_spatial": self.pos_spatial,

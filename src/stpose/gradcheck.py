@@ -98,6 +98,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     joints, cam = t(2, 5, 3), Tensor(np.array([[1.2, 0.1, -0.2],
                                                [0.9, -0.3, 0.2]]),
                                      requires_grad=True)
+    w1, b1, w2, b2 = t(5, 6), t(6), t(6, 4), t(4)
 
     cases = [
         ("reshape", lambda: T.reshape(a, (6, 4)), [a]),
@@ -116,7 +117,6 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("sin", lambda: T.sin(a), [a]),
         ("cos", lambda: T.cos(a), [a]),
         ("sigmoid", lambda: T.sigmoid(a), [a]),
-        ("gelu", lambda: T.gelu(a), [a]),
         ("atan2", lambda: T.atan2(far, pos), [far, pos]),
         ("where", lambda: T.where(mask, a, b), [a, b]),
         ("reduce_sum", lambda: T.reduce_sum(a, axis=1, keepdims=True), [a]),
@@ -126,6 +126,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("affine", lambda: T.affine(x4, aw, ab), [x4, aw, ab]),
         ("attention_core", lambda: T.attention_core(q, k, v)[0], [q, k, v]),
         ("layer_norm", lambda: T.layer_norm(a, gain, bias), [a, gain, bias]),
+        ("mlp", lambda: T.mlp(x4, w1, b1, w2, b2), [x4, w1, b1, w2, b2]),
         ("rot6d_to_matrix", lambda: rot6d_to_matrix(six), [six]),
         ("axis_angle_to_matrix", lambda: axis_angle_to_matrix(aa), [aa]),
         ("matrix_to_axis_angle",

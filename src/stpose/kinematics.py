@@ -296,13 +296,15 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
     world = T.take(rot, tree.levels[0], 1)
     dev = Tensor(np.zeros((frames, 1, 3, 1)))
     devs = [dev]
-    for level, up in zip(tree.levels[1:], tree.level_parents):
+    deepest = len(tree.levels) - 1
+    for depth, (level, up) in enumerate(zip(tree.levels[1:], tree.level_parents), 1):
         world_up = T.take(world, up, 1)
         eye = T.expand(Tensor(np.eye(3)), world_up.shape)
         dev = T.add(T.take(dev, up, 1),
                     T.matmul(T.sub(world_up, eye), T.take(bones, level, 1)))
-        world = T.matmul(world_up, T.take(rot, level, 1))
         devs.append(dev)
+        if depth < deepest:   # no level below reads the deepest rotations
+            world = T.matmul(world_up, T.take(rot, level, 1))
     # the levels concatenate to topo_order; put the joints back in index order
     dev = T.take(T.concat(devs, axis=1), np.argsort(tree.topo_order), 1)
     return T.add(rest, T.reshape(dev, (frames, NUM_JOINTS, 3)))

@@ -10,9 +10,9 @@ mutate.
 Shape discipline: elementwise operations require exactly matching shapes
 (use ``expand`` for explicit broadcasting). ``matmul`` broadcasts its
 leading batch axes, and the fused ops broadcast their parameters over the
-leading axes of their input: ``affine`` its weight and bias, ``layer_norm``
-its gain and bias; ``attention_core`` is batched over the leading axes that
-q, k and v share.
+leading axes of their input: ``affine`` and ``mlp`` their weights and
+biases, ``layer_norm`` its gain and bias; ``attention_core`` is batched over
+the leading axes that q, k and v share.
 """
 
 from __future__ import annotations
@@ -303,19 +303,6 @@ def sigmoid(t: Tensor) -> Tensor:
     return _result(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
-def gelu(t: Tensor) -> Tensor:
-    """Exact erf form, 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    x = t.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
-
-    def vjp(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
-
-    return _result(out, (t,), vjp)
-
-
 def atan2(y: Tensor, x: Tensor) -> Tensor:
     _check_same_shape(y, x, "atan2")
     denom = y.data * y.data + x.data * x.data
@@ -445,6 +432,52 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, x.data.reshape(-1, fan_in).T @ rows, rows.sum(axis=0)
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w, b), vjp)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 over the trailing axis of x, with the
+    exact erf GELU h * Φ(h), Φ(h) = (1 + erf(h / √2)) / 2.
+
+    The forward keeps the op order of two affines around a GELU, so its
+    bits equal that composite's. The VJP keeps only the pre-activation h
+    and Φ (it recomputes h * Φ for the fc2 weight gradient), builds the
+    GELU derivative Φ + h * pdf(h) in one buffer and runs one GEMM per
+    gradient.
+    """
+    for w, b, name in ((w1, b1, "fc1"), (w2, b2, "fc2")):
+        if w.ndim != 2 or b.shape != (w.shape[1],):
+            raise ShapeError(f"mlp {name} weight {w.shape} and bias {b.shape} disagree")
+    (fan_in, hidden), fan_out = w1.shape, w2.shape[1]
+    if w2.shape[0] != hidden:
+        raise ShapeError(f"mlp fc1 {w1.shape} and fc2 {w2.shape} disagree")
+    if x.ndim < 2 or x.shape[-1] != fan_in:
+        raise ShapeError(f"mlp expects rank >= 2 input with trailing extent {fan_in}, "
+                         f"got {x.shape}")
+    rows = x.data.reshape(-1, fan_in)
+    h = rows @ w1.data
+    h += b1.data
+    phi = h * _INV_SQRT2
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    y = (h * phi) @ w2.data
+    y += b2.data
+
+    def vjp(g):
+        g = g.reshape(-1, fan_out)
+        gw2 = (h * phi).T @ g
+        gh = g @ w2.data.T
+        dphi = h * h
+        dphi *= -0.5
+        np.exp(dphi, out=dphi)
+        dphi *= _INV_SQRT2PI
+        dphi *= h
+        dphi += phi
+        gh *= dphi
+        gx = (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, rows.T @ gh, gh.sum(axis=0), gw2, g.sum(axis=0)
+
+    return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w1, b1, w2, b2), vjp)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

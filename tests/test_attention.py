@@ -11,9 +11,11 @@ from scipy.special import erf
 
 from stpose import tensor as T
 from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteConfig, SteEncoder
+from stpose.config import RunConfig
 from stpose.gradcheck import fd_check
 from stpose.layers import Affine
 from stpose.tensor import ShapeError, Tensor
+from stpose.train import build_model, model_forward
 
 
 def _softmax_np(x):
@@ -476,3 +478,91 @@ class TestSteEncoder:
         err = fd_check(loss, params, max_coords_per_tensor=6,
                        rng=np.random.default_rng(1))
         assert err < 1e-4
+
+
+def _grads_of(loss, params):
+    for p in params:
+        p.clear_grad()
+    loss.backward()
+    grads = [None if p.grad is None else p.grad.copy() for p in params]
+    for p in params:
+        p.clear_grad()
+    return grads
+
+
+class TestClassTokenTail:
+    """The last block feeds forward only the class tokens the encoder
+    returns; these checks hold it to the full block it replaces."""
+
+    @pytest.mark.parametrize("frames", [3, 1])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_tail_matches_the_full_last_block(self, topology, frames, monkeypatch):
+        rng = np.random.default_rng(141)
+        cfg = SteConfig(topology=topology, blocks=2, d=8, heads=2, hw=4, t_max=4,
+                        d_in=6)
+        enc = SteEncoder(cfg, rng)
+        embed = Affine(cfg.d_in, cfg.d, rng)
+        params = list(enc.named_params().values()) + list(
+            embed.named_params("e").values())
+        last = enc.blocks[-1]
+        seen, real_attend = [], last.attend
+
+        def attend(x, bypass_temporal=False):
+            seen.append(x)
+            return real_attend(x, bypass_temporal)
+
+        monkeypatch.setattr(last, "attend", attend)
+        obs = Tensor(rng.standard_normal((2, frames, cfg.hw, cfg.d_in)))
+        feats, maps = enc.encode(obs, embed)
+        monkeypatch.undo()
+        # the full block on the same input, sharing the graph below it
+        y, full_maps = last(seen[0], bypass_temporal=frames == 1)
+        full = T.reshape(T.take(enc.ln_final(y), [0], -2), feats.shape)
+
+        assert full_maps.keys() == maps[-1].keys()
+        for mode, m in full_maps.items():
+            np.testing.assert_array_equal(maps[-1][mode], m)
+        assert np.abs(feats.data - full.data).max() <= 1e-12 * np.abs(full.data).max()
+        coef = Tensor(rng.standard_normal(feats.shape))
+        tail_grads = _grads_of(T.reduce_sum(T.mul(feats, coef)), params)
+        full_grads = _grads_of(T.reduce_sum(T.mul(full, coef)), params)
+        for got, want in zip(tail_grads, full_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("frames", [3, 1])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_only_the_last_block_feeds_forward_class_tokens(self, topology, frames,
+                                                            monkeypatch):
+        cfg = RunConfig(encoder=topology, blocks=3, d=8, heads=2, hw=4, t_clip=3)
+        model = build_model(cfg)
+        last = model.encoder.blocks[-1]
+        mlp_inputs, last_inputs = [], []
+        real_mlp, real_attend = T.mlp, last.attend
+
+        def mlp(x, *weights):
+            mlp_inputs.append(x.shape)
+            return real_mlp(x, *weights)
+
+        def attend(x, bypass_temporal=False):
+            last_inputs.append(x)
+            return real_attend(x, bypass_temporal)
+
+        monkeypatch.setattr(T, "mlp", mlp)
+        monkeypatch.setattr(last, "attend", attend)
+        obs = np.random.default_rng(142).standard_normal((2, frames, cfg.hw, cfg.d_in))
+        out = model_forward(model, obs)
+        monkeypatch.undo()
+
+        full = (2, frames, cfg.hw + 1, cfg.d)
+        assert mlp_inputs == [full] * (cfg.blocks - 1) + [(2, frames, 1, cfg.d)]
+        _, full_maps = last(last_inputs[0], bypass_temporal=frames == 1)
+        assert full_maps.keys() == out.maps[-1].keys()
+        for mode, m in full_maps.items():
+            np.testing.assert_array_equal(out.maps[-1][mode], m)
+
+    def test_encoder_needs_a_block(self):
+        cfg = SteConfig(blocks=0, d=8, heads=2, hw=4, t_max=4, d_in=6)
+        with pytest.raises(ValueError, match="at least one block"):
+            SteEncoder(cfg, np.random.default_rng(0))

@@ -310,6 +310,27 @@ class TestLevelWiseForwardKinematics:
         nodes = sum(1 for node in T._topo_order(joints) if node._parents)
         assert nodes <= 8 * len(tree.levels)
 
+    @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
+                                      K.reverse_tree(K.smpl_tree()), _STAR],
+                             ids=["smpl", "random", "reverse", "star"])
+    def test_every_recorded_node_reaches_the_joints(self, tree, monkeypatch):
+        recorded = []
+        real = T._result
+
+        def result(data, parents, vjp):
+            out = real(data, parents, vjp)
+            if out._parents:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(T, "_result", result)
+        rot = Tensor(_random_pose(np.random.default_rng(6), 2), requires_grad=True)
+        beta = Tensor(np.zeros((2, K.SHAPE_DIM)), requires_grad=True)
+        joints = K.forward_kinematics(tree, rot, beta)
+        reachable = {id(node) for node in T._topo_order(joints) if node._parents}
+        assert {id(node) for node in recorded} == reachable
+        assert len(recorded) == len(reachable)
+
 
 class TestTreeVariants:
     def test_random_tree_is_deterministic_per_seed(self):

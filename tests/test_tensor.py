@@ -1,18 +1,30 @@
 """Tensor engine: values against independent oracles, gradients against
 central finite differences."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erf
 
 from stpose import tensor as T
-from stpose.gradcheck import fd_check
+from stpose.gradcheck import fd_check, op_checks
 from stpose.optim import Adam
 from stpose.tensor import ShapeError, Tensor
 
 
 def rand(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
+
+
+def _gelu_node(t):
+    """The exact erf GELU as one node: the op that ``tensor.mlp`` fused,
+    kept here as an oracle."""
+    x = t.data
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+    pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x * x)
+    return T._result(x * cdf, (t,), lambda g: (g * (cdf + x * pdf),))
 
 
 # ---------------------------------------------------------------- relayout
@@ -195,7 +207,7 @@ def test_three_layer_composition_matches_finite_differences():
     eye = Tensor(np.eye(3))
 
     def loss():
-        h = T.gelu(T.matmul(x, w1))
+        h = _gelu_node(T.matmul(x, w1))
         y, _ = T.attention_core(T.matmul(h, w2), eye, eye)   # row softmax
         return T.reduce_sum(T.mul(y, c))
 
@@ -229,7 +241,7 @@ UNARY = {
     "sin": T.sin,
     "cos": T.cos,
     "sigmoid": T.sigmoid,
-    "gelu": T.gelu,
+    "gelu": _gelu_node,
     "reshape": lambda t: T.reshape(t, (4, 3)),
     "transpose": lambda t: T.transpose(t, (1, 0)),
     "slice": lambda t: T.take(t, range(1, 3), 1),
@@ -286,7 +298,7 @@ def test_backward_determinism():
 
 # ---------------------------------------------------------------- fused ops
 # Each fused op against the composite it replaced, built from the remaining
-# primitives; the deleted softmax op is kept here as a one-node oracle.
+# primitives; the deleted softmax and GELU ops are kept as one-node oracles.
 
 
 def _softmax_node(t):
@@ -370,6 +382,31 @@ def test_attention_core_matches_composite(shapes):
         assert _rel(got, want) <= 1e-12
 
 
+@pytest.mark.parametrize("lead", [(6,), (2, 3, 4)], ids=["2d", "4d"])
+def test_mlp_matches_composite(lead):
+    rng = np.random.default_rng(27)
+    x = rand(rng, *lead, 5)
+    w1, b1, w2, b2 = rand(rng, 5, 8), rand(rng, 8), rand(rng, 8, 3), rand(rng, 3)
+    params = [w1, b1, w2, b2]
+    fused = T.mlp(x, *params)
+    composite = T.affine(_gelu_node(T.affine(x, w1, b1)), w2, b2)
+    assert fused.shape == lead + (3,)
+    np.testing.assert_array_equal(fused.data, composite.data)
+    for got, want in zip(_grads(fused, [x] + params, np.random.default_rng(4)),
+                         _grads(composite, [x] + params, np.random.default_rng(4))):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_mlp_skips_the_input_gradient_of_a_constant_input():
+    rng = np.random.default_rng(28)
+    x = Tensor(rng.standard_normal((4, 5)))
+    params = [rand(rng, 5, 8), rand(rng, 8), rand(rng, 8, 3), rand(rng, 3)]
+    out = T.mlp(x, *params)
+    assert out._vjp(np.ones(out.shape))[0] is None
+    T.reduce_sum(out).backward()
+    assert x.grad is None and all(p.grad is not None for p in params)
+
+
 def test_attention_core_probabilities_are_read_only():
     rng = np.random.default_rng(24)
     _, probs = T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3))
@@ -383,6 +420,8 @@ def _fused_cases(rng):
         (T.layer_norm, [rand(rng, 2, 3, 4), rand(rng, 4), rand(rng, 4)]),
         (lambda *a: T.attention_core(*a)[0],
          [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3)]),
+        (T.mlp, [rand(rng, 2, 3, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 5),
+                 rand(rng, 5)]),
     ]
 
 
@@ -413,13 +452,33 @@ def test_fused_ops_check_shapes():
         T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 6, 3))
     with pytest.raises(ShapeError):
         T.attention_core(rand(rng, 2, 3, 4), rand(rng, 1, 5, 4), rand(rng, 1, 5, 3))
+    w1, b1, w2, b2 = rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)
+    with pytest.raises(ShapeError, match="fc1"):
+        T.mlp(x, w1, rand(rng, 5), w2, b2)               # fc1 bias width
+    with pytest.raises(ShapeError, match="fc2"):
+        T.mlp(x, w1, b1, w2, rand(rng, 4))               # fc2 bias width
+    with pytest.raises(ShapeError, match="disagree"):
+        T.mlp(x, w1, b1, rand(rng, 5, 3), b2)            # hidden width
+    with pytest.raises(ShapeError, match="trailing extent"):
+        T.mlp(rand(rng, 2, 5), w1, b1, w2, b2)           # fan_in mismatch
+    with pytest.raises(ShapeError, match="trailing extent"):
+        T.mlp(rand(rng, 4), w1, b1, w2, b2)              # rank 1
+
+
+def test_every_public_op_has_a_finite_difference_check():
+    # a new op, fused or not, must join the suite criterion 1 runs
+    ops = {name for name, obj in vars(T).items()
+           if inspect.isfunction(obj) and obj.__module__ == T.__name__
+           and not name.startswith("_")} - {"build", "no_grad"}
+    checked = {c.name for c in op_checks()}
+    assert sorted(f"op.{name}" for name in ops if f"op.{name}" not in checked) == []
 
 
 # ---------------------------------------------------------------- no_grad
 
 
 def _chain(x, w):
-    return T.layer_norm(T.gelu(T.matmul(x, w)), Tensor(np.ones(3)),
+    return T.layer_norm(_gelu_node(T.matmul(x, w)), Tensor(np.ones(3)),
                         Tensor(np.zeros(3)))
 
 
