@@ -41,6 +41,7 @@ from .tensor import ShapeError, Tensor
 
 TOPOLOGIES = ("spatial", "temporal", "series", "parallel_v1", "parallel_v2",
               "coupling")
+MLP_RATIO = 4   # hidden width of a block's MLP, in units of d
 
 
 @dataclass
@@ -52,7 +53,6 @@ class SteConfig:
     hw: int = 16
     t_max: int = 8
     d_in: int = 24
-    mlp_ratio: int = 4
 
     @property
     def tokens(self) -> int:
@@ -127,7 +127,7 @@ class SteBlock:
     """
 
     def __init__(self, topology: str, d: int, heads: int,
-                 rng: np.random.Generator, mlp_ratio: int = 4):
+                 rng: np.random.Generator):
         if topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {topology!r}, want one of {TOPOLOGIES}")
         self.topology = topology
@@ -144,8 +144,8 @@ class SteBlock:
         if topology == "coupling":
             self.msa_c = MsaLayer(d, heads, rng)
         self.ln_mlp = LayerNorm(d)
-        self.fc1 = Affine(d, mlp_ratio * d, rng)
-        self.fc2 = Affine(mlp_ratio * d, d, rng)
+        self.fc1 = Affine(d, MLP_RATIO * d, rng)
+        self.fc2 = Affine(MLP_RATIO * d, d, rng)
         self.force_alpha = None
         self.last_alpha = None
 
@@ -253,11 +253,11 @@ class SteEncoder:
                                   requires_grad=True)
         self.pos_temporal = Tensor(rng.normal(0.0, 0.02, (cfg.t_max, 1, cfg.d)),
                                    requires_grad=True)
-        self.blocks = [SteBlock(cfg.topology, cfg.d, cfg.heads, rng, cfg.mlp_ratio)
+        self.blocks = [SteBlock(cfg.topology, cfg.d, cfg.heads, rng)
                        for _ in range(cfg.blocks)]
         self.ln_final = LayerNorm(cfg.d)
 
-    def encode(self, obs: Tensor, patch_embed: Affine, bypass_temporal=None):
+    def encode(self, obs: Tensor, patch_embed: Affine):
         """obs is (..., T, hw, d_in) patch features, one clip per index of
         the leading axes; returns per-frame features (..., T, d) and the
         attention maps of every block, which gain the same leading axes.
@@ -266,8 +266,8 @@ class SteEncoder:
         block call's, then feeds forward and normalizes only the class
         tokens, the (..., T, 1, d) rows the features are read from.
 
-        bypass_temporal defaults to (T == 1): single frames carry no
-        temporal axis worth attending over.
+        A clip of one frame bypasses every temporal sub-layer: a single
+        frame carries no temporal axis worth attending over.
         """
         cfg = self.cfg
         if obs.ndim < 3 or obs.shape[-2:] != (cfg.hw, cfg.d_in):
@@ -276,8 +276,7 @@ class SteEncoder:
         lead, frames = obs.shape[:-3], obs.shape[-3]
         if frames < 1 or frames > cfg.t_max:
             raise ShapeError(f"clip length {frames} outside 1..{cfg.t_max}")
-        if bypass_temporal is None:
-            bypass_temporal = frames == 1
+        bypass_temporal = frames == 1
 
         x = patch_embed(obs)
         token_shape = lead + (frames, cfg.tokens, cfg.d)

@@ -89,6 +89,8 @@ def load_checkpoint(path) -> dict:
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.take(name_len).decode("utf-8")
+        if name in params:
+            raise CheckpointError(f"entry {name!r} appears twice")
         code, rank = reader.unpack("<BB")
         if code not in _DTYPE_CODES:
             raise CheckpointError(f"unknown dtype code {code} for {name!r}")

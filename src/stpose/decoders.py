@@ -15,10 +15,10 @@ P = 24*6 + 10 + 3 = 157: theta <- theta + F(concat(x, theta)), running a
 fixed number of iterations from a learned initial vector, with gradients
 flowing through all iterations.
 
-Both decoders default to "rest" initialization: final-layer weights are
-zero and biases encode the rest state (identity 6D rotations, zero shape,
-unit camera scale), so the first forward pass produces a valid body at the
-rest pose instead of a degenerate all-zero 6D vector.
+Both decoders start at rest: final-layer weights are zero and biases
+encode the rest state (identity 6D rotations, zero shape, unit camera
+scale), so the first forward pass produces a valid body at the rest pose
+instead of a degenerate all-zero 6D vector. They draw no random numbers.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ PARAM_DIM = POSE_DIM + SHAPE_DIM + 3   # 157
 IDENTITY_6D = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
 REST_CAMERA = (1.0, 0.0, 0.0)
 
-INITS = ("rest", "xavier")
-
 
 class SmplParams(NamedTuple):
     pose: Tensor    # (T, 24, 6)
@@ -53,29 +51,24 @@ def _rest_theta() -> np.ndarray:
                            np.zeros(SHAPE_DIM), REST_CAMERA])
 
 
-def _make_head(fan_in: int, fan_out: int, rng, init: str,
-               rest_bias=None) -> Affine:
-    head = Affine(fan_in, fan_out, rng, zero_init=(init == "rest"))
-    if init == "rest" and rest_bias is not None:
-        head.b.data[:] = rest_bias
+def _rest_head(fan_in: int, fan_out: int, rest_bias=0.0) -> Affine:
+    head = Affine(fan_in, fan_out)
+    head.b.data[:] = rest_bias
     return head
 
 
 class KtdDecoder:
     """One affine regressor per joint, input width d + 6*|ancestors|."""
 
-    def __init__(self, d: int, tree: KinematicTree, rng: np.random.Generator,
-                 init: str = "rest"):
-        if init not in INITS:
-            raise ValueError(f"unknown init {init!r}, want one of {INITS}")
+    def __init__(self, d: int, tree: KinematicTree):
         self.d = d
         self.tree = tree
         self.joint_heads = [
-            _make_head(d + 6 * len(tree.ancestors(k)), 6, rng, init, IDENTITY_6D)
+            _rest_head(d + 6 * len(tree.ancestors(k)), 6, IDENTITY_6D)
             for k in range(NUM_JOINTS)
         ]
-        self.w_shape = _make_head(d, SHAPE_DIM, rng, init)
-        self.w_cam = _make_head(d, 3, rng, init, REST_CAMERA)
+        self.w_shape = _rest_head(d, SHAPE_DIM)
+        self.w_cam = _rest_head(d, 3, REST_CAMERA)
 
     def decode(self, x: Tensor) -> SmplParams:
         if x.ndim != 2 or x.shape[1] != self.d:
@@ -108,15 +101,12 @@ class KtdDecoder:
 class IterativeDecoder:
     """theta <- theta + F(concat(x, theta)), from a learned initial vector."""
 
-    def __init__(self, d: int, rng: np.random.Generator, iterations: int = 3,
-                 init: str = "rest"):
-        if init not in INITS:
-            raise ValueError(f"unknown init {init!r}, want one of {INITS}")
+    def __init__(self, d: int, iterations: int = 3):
         if iterations < 1:
             raise ValueError(f"need at least one iteration, got {iterations}")
         self.d = d
         self.iterations = iterations
-        self.f = Affine(d + PARAM_DIM, PARAM_DIM, rng, zero_init=(init == "rest"))
+        self.f = Affine(d + PARAM_DIM, PARAM_DIM)
         self.theta0 = Tensor(_rest_theta(), requires_grad=True)
 
     def decode(self, x: Tensor) -> SmplParams:

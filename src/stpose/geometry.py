@@ -59,38 +59,6 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
     return T.concat(cols, axis=-1)
 
 
-def axis_angle_to_matrix(v: Tensor) -> Tensor:
-    """Rodrigues rotation of (..., 3) axis-angle vectors to (..., 3, 3).
-
-    Uses series coefficients below ``1e-6`` radians so the zero rotation
-    and its gradients stay exact.
-    """
-    if v.shape[-1] != 3:
-        raise ShapeError(f"expected trailing extent 3, got {v.shape}")
-    theta = T.vecnorm(v, axis=-1, keepdims=True)
-    small = theta.data < _SMALL_ANGLE
-    ones = Tensor(np.ones_like(theta.data))
-    safe = T.where(small, ones, theta)
-    t2 = T.mul(theta, theta)
-
-    # sin(t)/t and (1-cos(t))/t^2 with small-angle series
-    sin_c = T.where(small, T.add_scalar(T.scale(t2, -1.0 / 6.0), 1.0),
-                    T.div(T.sin(safe), safe))
-    cos_c = T.where(small, T.add_scalar(T.scale(t2, -1.0 / 24.0), 0.5),
-                    T.div(T.add_scalar(T.neg(T.cos(safe)), 1.0), T.mul(safe, safe)))
-
-    # (x, y, z, -x, -y, -z, 0) laid out as the cross-product matrix [v]x
-    signed = T.concat([v, T.neg(v), Tensor(np.zeros(v.shape[:-1] + (1,)))], axis=-1)
-    k = T.reshape(T.take(signed, [6, 5, 1, 2, 6, 3, 4, 0, 6], -1), v.shape[:-1] + (3, 3))
-    k2 = T.matmul(k, k)
-
-    mshape = k.shape
-    eye = T.expand(Tensor(np.eye(3)), mshape)
-    sin_e = T.expand(T.reshape(sin_c, sin_c.shape + (1,)), mshape)
-    cos_e = T.expand(T.reshape(cos_c, cos_c.shape + (1,)), mshape)
-    return T.add(eye, T.add(T.mul(sin_e, k), T.mul(cos_e, k2)))
-
-
 def matrix_to_axis_angle(m: Tensor) -> Tensor:
     """Inverse Rodrigues for (..., 3, 3) rotations, output angle in [0, pi].
 
@@ -139,6 +107,9 @@ def project(j3d: Tensor, cam: Tensor) -> Tensor:
 
 
 def axis_angle_to_matrix_np(v: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation of (..., 3) axis-angle vectors to (..., 3, 3),
+    with series coefficients below 1e-6 radians so the zero rotation is
+    exact."""
     v = np.asarray(v, dtype=np.float64)
     theta = np.linalg.norm(v, axis=-1, keepdims=True)
     small = theta < _SMALL_ANGLE

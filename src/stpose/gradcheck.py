@@ -77,7 +77,7 @@ def _weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
 def op_checks(seed: int = 0) -> list[CheckResult]:
     """One finite-difference check per differentiable tensor/geometry op."""
     from . import tensor as T
-    from .geometry import (axis_angle_to_matrix, matrix_to_axis_angle,
+    from .geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle,
                            project, rot6d_to_matrix)
 
     rng = np.random.default_rng(seed)
@@ -94,7 +94,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     gain, bias = t(4), t(4)
     mask = rng.random((2, 3, 4)) > 0.5
     six = t(2, 4, 6, lo=-1.0, hi=1.0)
-    aa = t(2, 4, 3, lo=-0.5, hi=0.5)
+    rot = Tensor(axis_angle_to_matrix_np(rng.uniform(-0.5, 0.5, (2, 4, 3))),
+                 requires_grad=True)
     joints, cam = t(2, 5, 3), Tensor(np.array([[1.2, 0.1, -0.2],
                                                [0.9, -0.3, 0.2]]),
                                      requires_grad=True)
@@ -113,9 +114,6 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("neg", lambda: T.neg(a), [a]),
         ("scale", lambda: T.scale(a, -1.7), [a]),
         ("add_scalar", lambda: T.add_scalar(a, 0.3), [a]),
-        ("sqrt", lambda: T.sqrt(pos), [pos]),
-        ("sin", lambda: T.sin(a), [a]),
-        ("cos", lambda: T.cos(a), [a]),
         ("sigmoid", lambda: T.sigmoid(a), [a]),
         ("atan2", lambda: T.atan2(far, pos), [far, pos]),
         ("where", lambda: T.where(mask, a, b), [a, b]),
@@ -128,9 +126,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("layer_norm", lambda: T.layer_norm(a, gain, bias), [a, gain, bias]),
         ("mlp", lambda: T.mlp(x4, w1, b1, w2, b2), [x4, w1, b1, w2, b2]),
         ("rot6d_to_matrix", lambda: rot6d_to_matrix(six), [six]),
-        ("axis_angle_to_matrix", lambda: axis_angle_to_matrix(aa), [aa]),
-        ("matrix_to_axis_angle",
-         lambda: matrix_to_axis_angle(axis_angle_to_matrix(aa)), [aa]),
+        ("matrix_to_axis_angle", lambda: matrix_to_axis_angle(rot), [rot]),
         ("project", lambda: project(joints, cam), [joints, cam]),
     ]
 

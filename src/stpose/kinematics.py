@@ -115,7 +115,6 @@ class KinematicTree:
         self.topo_order = sum(levels, ())
         if len(self.topo_order) != NUM_JOINTS:
             raise ValueError("parent table contains a cycle or unreachable joints")
-        self.children = tuple(tuple(c) for c in children)
         self.levels = tuple(levels)
         self.level_parents = tuple(
             tuple(above.index(parents[k]) for k in level)
@@ -241,16 +240,6 @@ def tree_from_text(text: str) -> KinematicTree:
         parents[k] = p
         template[k] = coords
     return KinematicTree(parents, template, _default_shape_basis())
-
-
-def save_tree(tree: KinematicTree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(tree_to_text(tree))
-
-
-def load_tree(path) -> KinematicTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tree_from_text(fh.read())
 
 
 # -- rest pose and forward kinematics ----------------------------------------

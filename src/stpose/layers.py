@@ -18,11 +18,11 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Affine:
-    """y = x @ w + b over the trailing axis."""
+    """y = x @ w + b over the trailing axis; w starts as Xavier draws from
+    ``rng``, or as zeros when there is none, and b at zero."""
 
-    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator,
-                 zero_init: bool = False):
-        w = np.zeros((fan_in, fan_out)) if zero_init else xavier_uniform(rng, fan_in, fan_out)
+    def __init__(self, fan_in: int, fan_out: int, rng: np.random.Generator | None = None):
+        w = np.zeros((fan_in, fan_out)) if rng is None else xavier_uniform(rng, fan_in, fan_out)
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -33,15 +33,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _f64(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.float64)
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.data = _f64(values)
+        self.data = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -146,16 +142,17 @@ def _norm_axis(axis: int, ndim: int) -> int:
     return axis % ndim
 
 
-# -- construction --------------------------------------------------------
-
-
-def build(shape: Sequence[int], values: Iterable[float], requires_grad: bool = False) -> Tensor:
-    """Row-major tensor from flat values; product(shape) must match."""
-    flat = _f64(list(values)).ravel()
-    n = int(np.prod(shape)) if len(shape) else 1
-    if flat.size != n:
-        raise ShapeError(f"{flat.size} values cannot fill shape {tuple(shape)}")
-    return Tensor(flat.reshape(shape), requires_grad=requires_grad)
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over the axes a broadcast to g.shape added or widened."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    ones = tuple(a for a, n in enumerate(shape) if n == 1 and g.shape[a] != 1)
+    if ones:
+        g = g.sum(axis=ones, keepdims=True)
+    return g
 
 
 # -- relayout ------------------------------------------------------------
@@ -231,16 +228,7 @@ def expand(t: Tensor, shape) -> Tensor:
         data = np.broadcast_to(t.data, shape).copy()
     except ValueError as exc:
         raise ShapeError(str(exc)) from None
-
-    def vjp(g):
-        if lead:
-            g = g.sum(axis=tuple(range(lead)))
-        ones = tuple(a for a, n in enumerate(t.shape) if n == 1 and g.shape[a] != 1)
-        if ones:
-            g = g.sum(axis=ones, keepdims=True)
-        return (g,)
-
-    return _result(data, (t,), vjp)
+    return _result(data, (t,), lambda g: (_unbroadcast(g, t.shape),))
 
 
 # -- elementwise -----------------------------------------------------------
@@ -283,19 +271,6 @@ def scale(t: Tensor, c: float) -> Tensor:
 def add_scalar(t: Tensor, c: float) -> Tensor:
     c = float(c)
     return _result(t.data + c, (t,), lambda g: (g,))
-
-
-def sqrt(t: Tensor) -> Tensor:
-    out = np.sqrt(t.data)
-    return _result(out, (t,), lambda g: (g * 0.5 / out,))
-
-
-def sin(t: Tensor) -> Tensor:
-    return _result(np.sin(t.data), (t,), lambda g: (g * np.cos(t.data),))
-
-
-def cos(t: Tensor) -> Tensor:
-    return _result(np.cos(t.data), (t,), lambda g: (-g * np.sin(t.data),))
 
 
 def sigmoid(t: Tensor) -> Tensor:
@@ -379,18 +354,6 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 # -- linear algebra --------------------------------------------------------
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    if lead:
-        g = g.sum(axis=tuple(range(lead)))
-    ones = tuple(a for a, n in enumerate(shape) if n == 1 and g.shape[a] != 1)
-    if ones:
-        g = g.sum(axis=ones, keepdims=True)
-    return g
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -70,9 +70,9 @@ def build_model(cfg: RunConfig) -> Model:
                         d_in=cfg.d_in)
     encoder = SteEncoder(enc_cfg, rng)
     if cfg.decoder == "ktd":
-        decoder = KtdDecoder(cfg.d, tree, rng)
+        decoder = KtdDecoder(cfg.d, tree)
     else:
-        decoder = IterativeDecoder(cfg.d, rng, iterations=cfg.iterations)
+        decoder = IterativeDecoder(cfg.d, iterations=cfg.iterations)
     return Model(cfg, tree, patch_embed, encoder, decoder)
 
 
@@ -84,16 +84,14 @@ class ForwardOut(NamedTuple):
     maps: list
 
 
-def model_forward(model: Model, obs: np.ndarray,
-                  bypass_temporal=None) -> ForwardOut:
+def model_forward(model: Model, obs: np.ndarray) -> ForwardOut:
     """Full chain: observations -> features -> parameters -> joints.
 
     obs is (..., T, hw, d_in), one clip per index of the leading axes; the
     outputs run over the F = B*T frames of all clips, clip by clip.
     """
     feats, maps = model.encoder.encode(
-        Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed,
-        bypass_temporal)
+        Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed)
     frames = math.prod(feats.shape[:-1])
     params = model.decoder.decode(T.reshape(feats, (frames, feats.shape[-1])))
     rot = rot6d_to_matrix(params.pose)
@@ -203,6 +201,9 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     An error in a step's forward or backward pass is re-raised as a
     RuntimeError that names the step and the stage.
     """
+    if cfg.total_steps == 0:
+        raise ValueError("train needs at least one step, but steps_stage1 "
+                         "and steps_stage2 are both 0")
     model = build_model(cfg)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std, tree=model.tree,
@@ -254,17 +255,24 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
         with open(os.path.join(out_dir, "config.txt"), "w",
                   encoding="utf-8") as fh:
             fh.write(config_to_text(cfg))
-        write_loss_log(os.path.join(out_dir, "loss_log.csv"), history)
+        _write_csv(os.path.join(out_dir, "loss_log.csv"),
+                   [f.name for f in dataclasses.fields(StepRecord)],
+                   [dataclasses.astuple(rec) for rec in history])
         save_checkpoint(os.path.join(out_dir, "final.ckpt"), params)
     return result
 
 
-def write_loss_log(path, history):
-    fields = [f.name for f in dataclasses.fields(StepRecord)]
+def _write_csv(path, columns, rows, note=None):
+    """A header line of ``columns``, then one line per row; a string cell is
+    written as it is and any other cell as its repr, so floats round-trip.
+    ``note``, when given, is a line written above the header."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fields) + "\n")
-        for rec in history:
-            fh.write(",".join(repr(getattr(rec, f)) for f in fields) + "\n")
+        if note is not None:
+            fh.write(note + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(c if isinstance(c, str) else repr(c)
+                              for c in row) + "\n")
 
 
 def evaluate(model: Model, batch: ClipBatch, csv_path=None):
@@ -285,13 +293,10 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
                      else float("nan")})
     mean = {k: float(np.mean([r[k] for r in rows])) for k in EVAL_COLUMNS}
     if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("clip_id," + ",".join(EVAL_COLUMNS) + "\n")
-            for row in rows:
-                fh.write(f"{row['clip_id']}," +
-                         ",".join(repr(row[k]) for k in EVAL_COLUMNS) + "\n")
-            fh.write("mean," +
-                     ",".join(repr(mean[k]) for k in EVAL_COLUMNS) + "\n")
+        columns = ("clip_id",) + EVAL_COLUMNS
+        _write_csv(csv_path, columns,
+                   [[r[c] for c in columns] for r in rows]
+                   + [["mean"] + [mean[k] for k in EVAL_COLUMNS]])
     return rows, mean
 
 
@@ -333,12 +338,6 @@ def ablate(cfg: RunConfig, out_dir=None) -> list:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         columns = ("encoder", "decoder", "tree", "final_loss") + EVAL_COLUMNS
-        with open(os.path.join(out_dir, "ablation.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(ABLATION_NOTE + "\n")
-            fh.write(",".join(columns) + "\n")
-            for row in table:
-                fh.write(",".join(
-                    row[c] if isinstance(row[c], str) else repr(row[c])
-                    for c in columns) + "\n")
+        _write_csv(os.path.join(out_dir, "ablation.csv"), columns,
+                   [[row[c] for c in columns] for row in table], ABLATION_NOTE)
     return table

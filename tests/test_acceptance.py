@@ -17,6 +17,7 @@ from stpose.geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle_np,
                              rot6d_to_matrix)
 from stpose.gradcheck import CHAIN_TOL, OPS_TOL, full_suite
 from stpose.kinematics import NUM_JOINTS, rest_joints, smpl_tree, forward_kinematics
+from stpose.layers import xavier_uniform
 from stpose.metrics import accel_error, mpjpe, pa_mpjpe
 from stpose.tensor import Tensor
 from stpose.train import build_model, evaluate, train
@@ -139,7 +140,11 @@ def test_criterion_3_kinematics_oracle():
 def test_criterion_4_ktd_structure():
     d = 16
     tree = smpl_tree()
-    decoder = KtdDecoder(d, tree, np.random.default_rng(0), init="xavier")
+    decoder = KtdDecoder(d, tree)
+    # off the rest start: Xavier weight matrices, zero biases
+    rng = np.random.default_rng(0)
+    for name, p in decoder.named_params().items():
+        p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
 
     widths_ok = all(
         decoder.joint_heads[k].fan_in == d + 6 * len(tree.ancestors(k))

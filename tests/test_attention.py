@@ -368,17 +368,19 @@ class TestSteEncoder:
         assert maps[0]["spatial"].shape == (3, cfg.heads, cfg.tokens, cfg.tokens)
         assert maps[0]["temporal"].shape == (cfg.tokens, cfg.heads, 3, 3)
 
-    def test_single_frame_defaults_to_bypass(self):
+    def test_single_frame_defaults_to_bypass(self, force_bypass):
         rng = np.random.default_rng(132)
         cfg = self._cfg()
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = self._obs(rng, 1, cfg)
         f_default, maps = enc.encode(obs, embed)
-        f_forced, _ = enc.encode(obs, embed, bypass_temporal=True)
+        force_bypass(enc, True)
+        f_forced, _ = enc.encode(obs, embed)
         assert np.array_equal(f_default.data, f_forced.data)
         assert all("temporal" not in m for m in maps)
-        f_attend, _ = enc.encode(obs, embed, bypass_temporal=False)
+        force_bypass(enc, False)
+        f_attend, _ = enc.encode(obs, embed)
         assert not np.array_equal(f_default.data, f_attend.data)
 
     def test_clip_length_limits(self):

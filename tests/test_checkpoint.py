@@ -121,6 +121,16 @@ class TestErrors:
         with pytest.raises(CheckpointError, match="dtype code 7"):
             load_checkpoint(path)
 
+    def test_duplicate_entry_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.zeros(2), "v": np.ones(2)})
+        blob = path.read_bytes()
+        # rename entry "v" (u16 length 1, then the name) to "w"
+        assert blob.count(b"\x01\x00v") == 1
+        path.write_bytes(blob.replace(b"\x01\x00v", b"\x01\x00w"))
+        with pytest.raises(CheckpointError, match="'w' appears twice"):
+            load_checkpoint(path)
+
     def test_overlong_name(self, tmp_path):
         with pytest.raises(CheckpointError, match="name too long"):
             save_checkpoint(tmp_path / "x.ckpt", {"n" * 70000: np.zeros(1)})

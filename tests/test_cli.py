@@ -84,6 +84,17 @@ class TestTrainCommand:
         assert main(["train", "--config", cfg_file]) == 1
         assert "needs --out" in capsys.readouterr().err
 
+    def test_zero_steps_fail_cleanly(self, tmp_path, capsys):
+        cfg = tmp_path / "idle.cfg"
+        cfg.write_text(TINY.replace("steps_stage1 = 1", "steps_stage1 = 0")
+                       .replace("steps_stage2 = 2", "steps_stage2 = 0"))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "steps_stage1" in err and "steps_stage2" in err
+        assert not (out / "final.ckpt").exists()
+
 
 class TestEvalCommand:
     def test_round_trip_reproduces_training_metrics(self, cfg_file, tmp_path,
@@ -178,4 +189,4 @@ class TestGradcheckCommand:
         stdout = capsys.readouterr().out
         assert "FAIL" not in stdout
         assert stdout.strip().endswith("0 failures")
-        assert stdout.count("PASS") >= 30
+        assert stdout.count("PASS") >= 28

@@ -14,8 +14,16 @@ from stpose.decoders import (IDENTITY_6D, PARAM_DIM, POSE_DIM, IterativeDecoder,
 from stpose.gradcheck import fd_check
 from stpose.geometry import axis_angle_to_matrix_np, matrix_to_rot6d_np, project, rot6d_to_matrix
 from stpose.kinematics import forward_kinematics
-from stpose.layers import Affine
+from stpose.layers import Affine, xavier_uniform
 from stpose.tensor import ShapeError, Tensor
+
+
+def _xavier(decoder, rng):
+    """Move a decoder off its rest start: every weight matrix gets Xavier
+    draws from rng, in parameter order, and every affine bias zeros."""
+    for name, p in decoder.named_params().items():
+        p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
+    return decoder
 
 
 def _zero_all(decoder):
@@ -26,18 +34,18 @@ def _zero_all(decoder):
 class TestKtdStructure:
     def test_input_widths_match_ancestor_counts(self):
         tree = K.smpl_tree()
-        dec = KtdDecoder(64, tree, np.random.default_rng(0))
+        dec = KtdDecoder(64, tree)
         for k in range(24):
             assert dec.joint_heads[k].fan_in == 64 + 6 * len(tree.ancestors(k))
 
     def test_documented_width_examples(self):
-        dec = KtdDecoder(64, K.smpl_tree(), np.random.default_rng(0))
+        dec = KtdDecoder(64, K.smpl_tree())
         assert dec.joint_heads[0].fan_in == 64
         assert dec.joint_heads[2].fan_in == 70
         assert dec.joint_heads[5].fan_in == 76
 
     def test_zero_weights_give_zero_params(self):
-        dec = KtdDecoder(16, K.smpl_tree(), np.random.default_rng(1))
+        dec = KtdDecoder(16, K.smpl_tree())
         _zero_all(dec)
         out = dec.decode(Tensor(np.random.default_rng(2).standard_normal((3, 16))))
         assert np.array_equal(out.pose.data, np.zeros((3, 24, 6)))
@@ -45,7 +53,7 @@ class TestKtdStructure:
         assert np.array_equal(out.cam.data, np.zeros((3, 3)))
 
     def test_rest_init_decodes_to_rest_state(self):
-        dec = KtdDecoder(16, K.smpl_tree(), np.random.default_rng(3))
+        dec = KtdDecoder(16, K.smpl_tree())
         out = dec.decode(Tensor(np.random.default_rng(4).standard_normal((2, 16))))
         assert np.array_equal(out.pose.data,
                               np.broadcast_to(IDENTITY_6D, (2, 24, 6)))
@@ -55,7 +63,7 @@ class TestKtdStructure:
     def test_parameter_count_closed_form(self):
         for tree in (K.smpl_tree(), K.reverse_tree(K.smpl_tree()), K.random_tree(5)):
             d = 32
-            dec = KtdDecoder(d, tree, np.random.default_rng(6))
+            dec = KtdDecoder(d, tree)
             depth_sum = sum(len(tree.ancestors(k)) for k in range(24))
             joints = 6 * (24 * d + 6 * depth_sum) + 24 * 6
             extras = (d * 10 + 10) + (d * 3 + 3)
@@ -63,25 +71,21 @@ class TestKtdStructure:
             assert got == joints + extras
 
     def test_width_mismatch_detected(self):
-        dec = KtdDecoder(16, K.smpl_tree(), np.random.default_rng(7))
+        dec = KtdDecoder(16, K.smpl_tree())
         dec.joint_heads[5] = Affine(16 + 6, 6, np.random.default_rng(8))
         with pytest.raises(ShapeError, match="tree wants"):
             dec.decode(Tensor(np.zeros((1, 16))))
 
     def test_feature_width_validated(self):
-        dec = KtdDecoder(16, K.smpl_tree(), np.random.default_rng(9))
+        dec = KtdDecoder(16, K.smpl_tree())
         with pytest.raises(ShapeError):
             dec.decode(Tensor(np.zeros((1, 17))))
-
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError, match="init"):
-            KtdDecoder(8, K.smpl_tree(), np.random.default_rng(0), init="zeros")
 
 
 class TestKtdDependencies:
     def _decoder(self, tree=None):
         tree = tree or K.smpl_tree()
-        return KtdDecoder(12, tree, np.random.default_rng(10), init="xavier")
+        return _xavier(KtdDecoder(12, tree), np.random.default_rng(10))
 
     def test_reverse_mode_dependency_pattern(self):
         tree = K.smpl_tree()
@@ -153,7 +157,7 @@ class TestKtdDependencies:
 
 class TestIterativeDecoder:
     def test_zero_residual_returns_learned_init(self):
-        dec = IterativeDecoder(16, np.random.default_rng(20))
+        dec = IterativeDecoder(16)
         x = Tensor(np.random.default_rng(21).standard_normal((3, 16)))
         out = dec.decode(x)
         flat = np.concatenate([out.pose.data.reshape(3, -1), out.shape.data,
@@ -161,8 +165,7 @@ class TestIterativeDecoder:
         assert np.array_equal(flat, np.broadcast_to(dec.theta0.data, (3, PARAM_DIM)))
 
     def test_single_iteration_from_zero_init_is_one_affine(self):
-        dec = IterativeDecoder(16, np.random.default_rng(22), iterations=1,
-                               init="xavier")
+        dec = _xavier(IterativeDecoder(16, iterations=1), np.random.default_rng(22))
         dec.theta0.data[:] = 0.0
         x = np.random.default_rng(23).standard_normal((2, 16))
         out = dec.decode(Tensor(x))
@@ -173,7 +176,7 @@ class TestIterativeDecoder:
         np.testing.assert_allclose(flat, want, atol=1e-14)
 
     def test_three_iterations_match_unrolled_oracle(self):
-        dec = IterativeDecoder(16, np.random.default_rng(24), init="xavier")
+        dec = _xavier(IterativeDecoder(16), np.random.default_rng(24))
         dec.theta0.data[:] = np.random.default_rng(25).standard_normal(PARAM_DIM) * 0.1
         x = np.random.default_rng(26).standard_normal((2, 16))
         out = dec.decode(Tensor(x))
@@ -186,7 +189,7 @@ class TestIterativeDecoder:
         assert np.abs(flat - theta).max() < 1e-12
 
     def test_every_weight_reaches_every_output(self):
-        dec = IterativeDecoder(8, np.random.default_rng(27), init="xavier")
+        dec = _xavier(IterativeDecoder(8), np.random.default_rng(27))
         x = Tensor(np.random.default_rng(28).standard_normal((2, 8)))
         out = dec.decode(x)
         T.reduce_sum(out.pose).backward()
@@ -194,7 +197,7 @@ class TestIterativeDecoder:
         assert np.count_nonzero(dec.theta0.grad[:POSE_DIM]) == POSE_DIM
 
     def test_split_layout(self):
-        dec = IterativeDecoder(8, np.random.default_rng(29))
+        dec = IterativeDecoder(8)
         dec.theta0.data[:] = np.arange(PARAM_DIM, dtype=np.float64)
         out = dec.decode(Tensor(np.zeros((1, 8))))
         assert np.array_equal(out.pose.data.ravel(), np.arange(POSE_DIM))
@@ -204,7 +207,7 @@ class TestIterativeDecoder:
 
     def test_iteration_count_validated(self):
         with pytest.raises(ValueError, match="iteration"):
-            IterativeDecoder(8, np.random.default_rng(0), iterations=0)
+            IterativeDecoder(8, iterations=0)
 
 
 class TestSmplForward:
@@ -252,9 +255,9 @@ class TestSmplForward:
         tree = K.smpl_tree()
         rng = np.random.default_rng(33)
         if kind == "ktd":
-            dec = KtdDecoder(16, tree, rng, init="xavier")
+            dec = _xavier(KtdDecoder(16, tree), rng)
         else:
-            dec = IterativeDecoder(16, rng, init="xavier")
+            dec = _xavier(IterativeDecoder(16), rng)
             dec.f.w.data[:] *= 0.1
         x = Tensor(rng.standard_normal((2, 16)), requires_grad=True)
         c3 = np.asarray(rng.standard_normal((2, 24, 3)))

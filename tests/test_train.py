@@ -18,7 +18,7 @@ from stpose.tensor import Tensor
 from stpose.train import (ABLATION_NOTE, EVAL_COLUMNS, ablate,
                           ablation_configs, batch_step, build_model,
                           build_tree, evaluate, lr_factor, model_forward,
-                          train, write_loss_log, _blend_reports,
+                          train, _blend_reports,
                           _check_finite, _loss_weights)
 from stpose.synth import synth_generate
 
@@ -180,6 +180,10 @@ class TestFuzz:
     def test_run_finishes_or_names_the_step(self, seed, tree, lr, stage1, stage2):
         cfg = RunConfig(d=8, heads=2, blocks=1, hw=4, t_clip=2, clips=2, seed=seed,
                         tree=tree, lr=lr, steps_stage1=stage1, steps_stage2=stage2)
+        if cfg.total_steps == 0:
+            with pytest.raises(ValueError, match="steps_stage1 and steps_stage2"):
+                train(cfg)
+            return
         try:
             history = train(cfg).history
         except RuntimeError as exc:
@@ -214,27 +218,27 @@ class TestDeterminism:
 
 
 class TestTemporalBypass:
-    def test_single_frame_matches_explicit_bypass(self):
+    def test_single_frame_matches_explicit_bypass(self, force_bypass):
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = synth_generate(1, 1, cfg.t_clip, hw=cfg.hw)
         frame = batch.obs[0, 2:3]
         auto, _ = model.encoder.encode(Tensor(frame), model.patch_embed)
-        forced, _ = model.encoder.encode(Tensor(frame), model.patch_embed,
-                                         bypass_temporal=True)
-        assert np.array_equal(auto.data, forced.data)
         out_auto = model_forward(model, frame)
-        out_forced = model_forward(model, frame, bypass_temporal=True)
+        force_bypass(model.encoder, True)
+        forced, _ = model.encoder.encode(Tensor(frame), model.patch_embed)
+        assert np.array_equal(auto.data, forced.data)
+        out_forced = model_forward(model, frame)
         assert np.array_equal(out_auto.j3d.data, out_forced.j3d.data)
 
-    def test_bypass_changes_multi_frame_features(self):
+    def test_bypass_changes_multi_frame_features(self, force_bypass):
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = synth_generate(1, 1, cfg.t_clip, hw=cfg.hw)
         full, _ = model.encoder.encode(Tensor(batch.obs[0]), model.patch_embed)
+        force_bypass(model.encoder, True)
         bypassed, _ = model.encoder.encode(Tensor(batch.obs[0]),
-                                           model.patch_embed,
-                                           bypass_temporal=True)
+                                           model.patch_embed)
         assert not np.array_equal(full.data, bypassed.data)
 
 
@@ -418,10 +422,8 @@ class TestArtifacts:
             assert np.array_equal(loaded[name], trained[name].data)
 
     def test_loss_log_round_trip(self, tmp_path):
-        result = train(tiny_cfg())
-        path = tmp_path / "loss_log.csv"
-        write_loss_log(path, result.history)
-        lines = path.read_text().strip().splitlines()
+        result = train(tiny_cfg(), out_dir=tmp_path)
+        lines = (tmp_path / "loss_log.csv").read_text().strip().splitlines()
         assert lines[0] == "step,stage,lr,total,l_3d,l_2d,l_smpl,l_norm"
         assert len(lines) == 1 + len(result.history)
         for rec, line in zip(result.history, lines[1:]):
