@@ -31,7 +31,6 @@ its attention still runs over every token, so its maps are the full ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,21 +41,6 @@ from .tensor import ShapeError, Tensor
 TOPOLOGIES = ("spatial", "temporal", "series", "parallel_v1", "parallel_v2",
               "coupling")
 MLP_RATIO = 4   # hidden width of a block's MLP, in units of d
-
-
-@dataclass
-class SteConfig:
-    topology: str = "parallel_v2"
-    blocks: int = 2
-    d: int = 64
-    heads: int = 4
-    hw: int = 16
-    t_max: int = 8
-    d_in: int = 24
-
-    @property
-    def tokens(self) -> int:
-        return self.hw + 1
 
 
 class MsaLayer:
@@ -240,20 +224,22 @@ class SteBlock:
 
 
 class SteEncoder:
-    """Stack of blocks plus class token and position embeddings."""
+    """Stack of blocks plus class token and position embeddings.
 
-    def __init__(self, cfg: SteConfig, rng: np.random.Generator):
-        if cfg.blocks < 1:
-            raise ValueError(f"the encoder needs at least one block, got {cfg.blocks}")
+    cfg is the run's RunConfig; the encoder reads its encoder topology,
+    blocks, d, heads, hw, t_clip (the longest clip, the number of temporal
+    positions) and d_in.
+    """
+
+    def __init__(self, cfg, rng: np.random.Generator):
         self.cfg = cfg
-        n = cfg.tokens
         self.cls_token = Tensor(rng.normal(0.0, 0.02, (1, 1, cfg.d)),
                                 requires_grad=True)
-        self.pos_spatial = Tensor(rng.normal(0.0, 0.02, (1, n, cfg.d)),
+        self.pos_spatial = Tensor(rng.normal(0.0, 0.02, (1, cfg.hw + 1, cfg.d)),
                                   requires_grad=True)
-        self.pos_temporal = Tensor(rng.normal(0.0, 0.02, (cfg.t_max, 1, cfg.d)),
+        self.pos_temporal = Tensor(rng.normal(0.0, 0.02, (cfg.t_clip, 1, cfg.d)),
                                    requires_grad=True)
-        self.blocks = [SteBlock(cfg.topology, cfg.d, cfg.heads, rng)
+        self.blocks = [SteBlock(cfg.encoder, cfg.d, cfg.heads, rng)
                        for _ in range(cfg.blocks)]
         self.ln_final = LayerNorm(cfg.d)
 
@@ -274,12 +260,12 @@ class SteEncoder:
             raise ShapeError(
                 f"expected observations (..., T, {cfg.hw}, {cfg.d_in}), got {obs.shape}")
         lead, frames = obs.shape[:-3], obs.shape[-3]
-        if frames < 1 or frames > cfg.t_max:
-            raise ShapeError(f"clip length {frames} outside 1..{cfg.t_max}")
+        if frames < 1 or frames > cfg.t_clip:
+            raise ShapeError(f"clip length {frames} outside 1..{cfg.t_clip}")
         bypass_temporal = frames == 1
 
         x = patch_embed(obs)
-        token_shape = lead + (frames, cfg.tokens, cfg.d)
+        token_shape = lead + (frames, cfg.hw + 1, cfg.d)
         cls = T.expand(self.cls_token, lead + (frames, 1, cfg.d))
         x = T.concat([cls, x], axis=-2)
         x = T.add(x, T.expand(self.pos_spatial, token_shape))

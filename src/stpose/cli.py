@@ -2,7 +2,8 @@
 
 Subcommands: train, eval, gradcheck, ablate, attn-dump, synth. A flat
 key = value config file supplies the run configuration; --seed, --encoder,
---decoder, and --tree override single fields.
+--decoder, and --tree override single fields. Each subcommand accepts only
+the flags it reads (see _COMMANDS).
 """
 
 from __future__ import annotations
@@ -22,33 +23,34 @@ from .train import (Model, ablate, build_model, build_tree, evaluate,
                     model_forward, train)
 
 
+_FLAG_HELP = {
+    "config": "flat key = value config file",
+    "seed": "override the run seed",
+    "out": "output directory",
+    "checkpoint": "checkpoint file to load",
+    "encoder": "override encoder topology",
+    "decoder": "override decoder kind",
+    "tree": "override kinematic tree kind",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stpose",
         description="spatio-temporal attention pose estimation, desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("train", "train a model on synthetic clips"),
-            ("eval", "evaluate a checkpoint on synthetic clips"),
-            ("gradcheck", "finite-difference check of all gradients"),
-            ("ablate", "train and compare encoder/decoder variants"),
-            ("attn-dump", "write attention maps as CSV and PGM images"),
-            ("synth", "generate a synthetic clip batch as .npz")):
+    for name, (_, helptext, flags) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", help="flat key = value config file")
-        cmd.add_argument("--seed", type=int, help="override the run seed")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--checkpoint", help="checkpoint file to load")
-        cmd.add_argument("--encoder", help="override encoder topology")
-        cmd.add_argument("--decoder", help="override decoder kind")
-        cmd.add_argument("--tree", help="override kinematic tree kind")
+        for flag in flags:
+            cmd.add_argument(f"--{flag}", type=int if flag == "seed" else str,
+                             help=_FLAG_HELP[flag])
     return parser
 
 
 def _load_run_config(args) -> RunConfig:
     overrides = {}
     for key in ("seed", "encoder", "decoder", "tree"):
-        value = getattr(args, key)
+        value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
     if args.config is not None:
@@ -189,20 +191,31 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+_RUN_FLAGS = ("config", "seed", "encoder", "decoder", "tree")
+
+# name: (handler, help, flags); each subcommand accepts only the flags it
+# reads (ablate sets encoder, decoder and tree per row itself)
 _COMMANDS = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
-    "ablate": _cmd_ablate,
-    "attn-dump": _cmd_attn_dump,
-    "synth": _cmd_synth,
+    "train": (_cmd_train, "train a model on synthetic clips",
+              _RUN_FLAGS + ("out",)),
+    "eval": (_cmd_eval, "evaluate a checkpoint on synthetic clips",
+             _RUN_FLAGS + ("out", "checkpoint")),
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of all gradients",
+                  ("seed",)),
+    "ablate": (_cmd_ablate, "train and compare encoder/decoder variants",
+               ("config", "seed", "out")),
+    "attn-dump": (_cmd_attn_dump,
+                  "write attention maps as CSV and PGM images",
+                  _RUN_FLAGS + ("out", "checkpoint")),
+    "synth": (_cmd_synth, "generate a synthetic clip batch as .npz",
+              ("config", "seed", "tree", "out")),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,10 @@
 One pair per line, `#` starts a comment (whole-line or trailing), blank
 lines ignored. Unknown keys are errors, as are malformed lines and values
 that do not parse as the field's type.
+
+RunConfig is the only place a run setting is stated: the encoder and the
+loss read theirs from it. It is checked when it is made and frozen, so a
+value can change only through ``dataclasses.replace``, which checks again.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ DECODERS = ("ktd", "iterative")
 TREES = ("smpl", "random", "reverse")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     encoder: str = "parallel_v2"
     decoder: str = "ktd"

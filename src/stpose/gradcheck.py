@@ -157,7 +157,6 @@ def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckRes
     """End-to-end observation -> loss gradients for both decoders, through
     one training batch of two clips, the second of them 2D-only."""
     from .config import RunConfig
-    from .losses import LossWeights
     from .synth import synth_generate
     from .train import batch_step, build_model
 
@@ -173,10 +172,9 @@ def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckRes
         batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                                noise_std=cfg.noise_std, tree=model.tree)
         batch.has_3d[:] = (True, False)
-        weights = LossWeights()
 
         def loss():
-            return batch_step(model, batch, range(cfg.clips), weights).total
+            return batch_step(model, batch, range(cfg.clips)).total
 
         err = fd_check(loss, list(params.values()),
                        max_coords_per_tensor=max_coords_per_tensor,

@@ -5,14 +5,16 @@ The total is
     L = w_3d * L_3D + w_2d * L_2D + L_SMPL + w_norm * L_NORM
 
 where L_3D / L_2D are per-frame sums over joints of Euclidean distances,
-L_SMPL = w_pose * |theta - theta_gt| + w_shape * |beta - beta_gt| with
-theta compared as the 72-dim axis-angle vector, and L_NORM = |theta| +
+L_SMPL = w_smpl_pose * |theta - theta_gt| + w_smpl_shape * |beta - beta_gt|
+with theta compared as the 72-dim axis-angle vector, and L_NORM = |theta| +
 |beta|. Every term is averaged over the frames of a clip, then over clips.
 Because L_SMPL carries two separate weights it is reported already
 weighted, so the report's total is always the plain weighted sum of its
 components.
 
 The 3D keypoint and parameter terms of 2D-only clips are masked to zero.
+The five weights are the w_* fields of the run's RunConfig, which checks
+that each is finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -22,22 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import RunConfig
 from .tensor import ShapeError, Tensor
-
-
-@dataclass
-class LossWeights:
-    w_3d: float = 300.0
-    w_2d: float = 300.0
-    w_smpl_pose: float = 60.0
-    w_smpl_shape: float = 0.06
-    w_norm: float = 1e-4
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"loss weight {name} must be finite and >= 0, "
-                                 f"got {value}")
 
 
 @dataclass
@@ -55,14 +43,15 @@ class LossReport:
 def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
                pred_beta: Tensor, gt_j3d: np.ndarray, gt_j2d: np.ndarray,
                gt_theta: np.ndarray, gt_beta: np.ndarray,
-               weights: LossWeights, has_3d=True) -> LossReport:
+               cfg: RunConfig, has_3d=True) -> LossReport:
     """Predictions are tensors (graph inputs); ground truth plain arrays.
 
     Shapes: j3d (F, J, 3), j2d (F, J, 2), theta (F, 72) axis-angle,
     beta (F, 10), where the F rows are B clips of F / B frames each, clip
-    by clip. has_3d is a (B,) bool array, or one bool for a single clip;
-    False marks a 2D-only clip, whose 3D keypoint and parameter terms are
-    masked out. Every term is the mean over clips of the clip's frame mean.
+    by clip. The weights are cfg's w_* fields. has_3d is a (B,) bool
+    array, or one bool for a single clip; False marks a 2D-only clip, whose
+    3D keypoint and parameter terms are masked out. Every term is the mean
+    over clips of the clip's frame mean.
     """
     if pred_j3d.shape != np.shape(gt_j3d) or pred_j2d.shape != np.shape(gt_j2d):
         raise ShapeError(
@@ -94,11 +83,11 @@ def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
     l_3d = masked(joint_sums(pred_j3d, gt_j3d))
     pose_term = norms(T.sub(pred_theta, Tensor(np.asarray(gt_theta))))
     shape_term = norms(T.sub(pred_beta, Tensor(np.asarray(gt_beta))))
-    l_smpl = masked(T.add(T.scale(pose_term, weights.w_smpl_pose),
-                          T.scale(shape_term, weights.w_smpl_shape)))
-    per_clip = T.add(T.add(T.scale(l_2d, weights.w_2d),
-                           T.scale(l_norm, weights.w_norm)),
-                     T.add(T.scale(l_3d, weights.w_3d), l_smpl))
+    l_smpl = masked(T.add(T.scale(pose_term, cfg.w_smpl_pose),
+                          T.scale(shape_term, cfg.w_smpl_shape)))
+    per_clip = T.add(T.add(T.scale(l_2d, cfg.w_2d),
+                           T.scale(l_norm, cfg.w_norm)),
+                     T.add(T.scale(l_3d, cfg.w_3d), l_smpl))
 
     def mean(x: Tensor) -> float:
         return float(x.data.mean())

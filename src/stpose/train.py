@@ -18,7 +18,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from . import tensor as T
-from .attention import TOPOLOGIES, SteConfig, SteEncoder
+from .attention import TOPOLOGIES, SteEncoder
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_to_text
 from .decoders import IterativeDecoder, KtdDecoder, SmplParams
@@ -26,7 +26,7 @@ from .geometry import matrix_to_axis_angle, project, rot6d_to_matrix
 from .kinematics import (NUM_JOINTS, KinematicTree, forward_kinematics,
                          random_tree, reverse_tree, smpl_tree)
 from .layers import Affine
-from .losses import LossReport, LossWeights, total_loss
+from .losses import LossReport, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
 from .optim import Adam
 from .synth import ClipBatch, synth_generate
@@ -65,10 +65,7 @@ def build_model(cfg: RunConfig) -> Model:
     rng = np.random.default_rng(cfg.seed)
     tree = build_tree(cfg.tree, cfg.seed)
     patch_embed = Affine(cfg.d_in, cfg.d, rng)
-    enc_cfg = SteConfig(topology=cfg.encoder, blocks=cfg.blocks, d=cfg.d,
-                        heads=cfg.heads, hw=cfg.hw, t_max=cfg.t_clip,
-                        d_in=cfg.d_in)
-    encoder = SteEncoder(enc_cfg, rng)
+    encoder = SteEncoder(cfg, rng)
     if cfg.decoder == "ktd":
         decoder = KtdDecoder(cfg.d, tree)
     else:
@@ -154,16 +151,11 @@ def _check_grads(params: dict, step: int):
                 f"non-finite gradient at step {step}: {name}")
 
 
-def _loss_weights(cfg: RunConfig) -> LossWeights:
-    return LossWeights(cfg.w_3d, cfg.w_2d, cfg.w_smpl_pose,
-                       cfg.w_smpl_shape, cfg.w_norm)
-
-
-def batch_step(model: Model, batch: ClipBatch, clips, weights: LossWeights,
+def batch_step(model: Model, batch: ClipBatch, clips,
                frame=None) -> LossReport:
     """Mean over the given clips of each clip's frame-mean loss, as one
-    graph; ``frame`` picks one frame per clip (image mode, T = 1), ``None``
-    feeds whole clips (video mode)."""
+    graph, weighted by ``model.cfg``; ``frame`` picks one frame per clip
+    (image mode, T = 1), ``None`` feeds whole clips (video mode)."""
     pick = (np.asarray(clips),
             slice(None) if frame is None else slice(frame, frame + 1))
 
@@ -176,7 +168,7 @@ def batch_step(model: Model, batch: ClipBatch, clips, weights: LossWeights,
                       (out.rot.shape[0], NUM_JOINTS * 3))
     return total_loss(out.j3d, out.j2d, theta, out.params.shape,
                       frames(batch.gt_j3d), frames(batch.gt_j2d),
-                      frames(batch.gt_theta), frames(batch.gt_beta), weights,
+                      frames(batch.gt_theta), frames(batch.gt_beta), model.cfg,
                       has_3d=batch.has_3d[pick[0]])
 
 
@@ -208,7 +200,6 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std, tree=model.tree,
                            p_2d_only=cfg.p_2d_only)
-    weights = _loss_weights(cfg)
     params = model.named_params()
     opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
 
@@ -222,18 +213,16 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
         try:
             if stage == 1 or ratio == 1.0:
                 # image steps: one rotating frame per clip, temporal bypass
-                report = batch_step(model, batch, all_clips, weights,
-                                    frame=frame)
+                report = batch_step(model, batch, all_clips, frame=frame)
                 image_step += 1
             elif ratio == 0.0:
-                report = batch_step(model, batch, all_clips, weights)
+                report = batch_step(model, batch, all_clips)
             else:
                 # mixed batch: whole clips and single frames in the same
                 # step, weighted by the configured ratio, so the objective
                 # is the same from step to step
-                video = batch_step(model, batch, all_clips, weights)
-                image = batch_step(model, batch, all_clips, weights,
-                                   frame=frame)
+                video = batch_step(model, batch, all_clips)
+                image = batch_step(model, batch, all_clips, frame=frame)
                 image_step += 1
                 report = _blend_reports(video, image, ratio)
             opt.zero_grad()

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import erf
 
 from stpose import tensor as T
-from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteConfig, SteEncoder
+from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteEncoder
 from stpose.config import RunConfig
 from stpose.gradcheck import fd_check
 from stpose.layers import Affine
@@ -349,10 +349,10 @@ class TestSteBlock:
 
 class TestSteEncoder:
     def _cfg(self, **kw):
-        base = dict(topology="parallel_v2", blocks=2, d=8, heads=2, hw=4,
-                    t_max=4, d_in=6)
+        base = dict(encoder="parallel_v2", blocks=2, d=8, heads=2, hw=4,
+                    t_clip=4, d_in=6)
         base.update(kw)
-        return SteConfig(**base)
+        return RunConfig(**base)
 
     def _obs(self, rng, frames, cfg):
         return Tensor(rng.standard_normal((frames, cfg.hw, cfg.d_in)))
@@ -365,8 +365,9 @@ class TestSteEncoder:
         feats, maps = enc.encode(self._obs(rng, 3, cfg), embed)
         assert feats.shape == (3, cfg.d)
         assert len(maps) == cfg.blocks
-        assert maps[0]["spatial"].shape == (3, cfg.heads, cfg.tokens, cfg.tokens)
-        assert maps[0]["temporal"].shape == (cfg.tokens, cfg.heads, 3, 3)
+        n = cfg.hw + 1
+        assert maps[0]["spatial"].shape == (3, cfg.heads, n, n)
+        assert maps[0]["temporal"].shape == (n, cfg.heads, 3, 3)
 
     def test_single_frame_defaults_to_bypass(self, force_bypass):
         rng = np.random.default_rng(132)
@@ -397,7 +398,7 @@ class TestSteEncoder:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_clip_stack_matches_per_clip_calls(self, topology, frames):
         rng = np.random.default_rng(137)
-        cfg = self._cfg(topology=topology)
+        cfg = self._cfg(encoder=topology)
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = rng.standard_normal((2, frames, cfg.hw, cfg.d_in))
@@ -423,20 +424,20 @@ class TestSteEncoder:
             assert np.array_equal(pa.data, pb.data)
 
     def test_parameter_count_closed_form(self):
-        cfg = self._cfg(topology="parallel_v2", blocks=3)
+        cfg = self._cfg(encoder="parallel_v2", blocks=3)
         enc = SteEncoder(cfg, np.random.default_rng(10))
-        d, n = cfg.d, cfg.tokens
+        d, n = cfg.d, cfg.hw + 1
         msa = 4 * (d * d + d)
         ln = 2 * d
         mlp = d * 4 * d + 4 * d + 4 * d * d + d
         gate = d * d + d
         block = ln + 2 * msa + gate + ln + mlp
-        want = d + n * d + cfg.t_max * d + cfg.blocks * block + ln
+        want = d + n * d + cfg.t_clip * d + cfg.blocks * block + ln
         assert sum(p.data.size for p in enc.named_params().values()) == want
 
     def test_frame_permutation_equivariance_with_permuted_time_rows(self):
         rng = np.random.default_rng(135)
-        cfg = self._cfg(topology="parallel_v2", blocks=2, t_max=3)
+        cfg = self._cfg(encoder="parallel_v2", blocks=2, t_clip=3)
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = rng.standard_normal((3, cfg.hw, cfg.d_in))
@@ -450,7 +451,7 @@ class TestSteEncoder:
 
     def test_spatial_only_encoder_is_frame_permutation_equivariant(self):
         rng = np.random.default_rng(136)
-        cfg = self._cfg(topology="spatial", blocks=2, t_max=4)
+        cfg = self._cfg(encoder="spatial", blocks=2, t_clip=4)
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = rng.standard_normal((4, cfg.hw, cfg.d_in))
@@ -465,7 +466,7 @@ class TestSteEncoder:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_end_to_end_gradient(self, topology):
         rng = np.random.default_rng(134)
-        cfg = self._cfg(topology=topology, blocks=1)
+        cfg = self._cfg(encoder=topology, blocks=1)
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
         obs = self._obs(rng, 2, cfg)
@@ -500,7 +501,7 @@ class TestClassTokenTail:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_tail_matches_the_full_last_block(self, topology, frames, monkeypatch):
         rng = np.random.default_rng(141)
-        cfg = SteConfig(topology=topology, blocks=2, d=8, heads=2, hw=4, t_max=4,
+        cfg = RunConfig(encoder=topology, blocks=2, d=8, heads=2, hw=4, t_clip=4,
                         d_in=6)
         enc = SteEncoder(cfg, rng)
         embed = Affine(cfg.d_in, cfg.d, rng)
@@ -563,8 +564,3 @@ class TestClassTokenTail:
         assert full_maps.keys() == out.maps[-1].keys()
         for mode, m in full_maps.items():
             np.testing.assert_array_equal(out.maps[-1][mode], m)
-
-    def test_encoder_needs_a_block(self):
-        cfg = SteConfig(blocks=0, d=8, heads=2, hw=4, t_max=4, d_in=6)
-        with pytest.raises(ValueError, match="at least one block"):
-            SteEncoder(cfg, np.random.default_rng(0))

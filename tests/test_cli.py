@@ -142,6 +142,17 @@ class TestErrorPaths:
             main(["deploy"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--checkpoint", "x"], ["gradcheck", "--config", "x"],
+        ["gradcheck", "--out", "x"], ["ablate", "--encoder", "coupling"],
+        ["synth", "--decoder", "iterative"]],
+        ids=lambda argv: "".join(argv[:2]))
+    def test_flags_a_subcommand_does_not_read_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_table_and_csv(self, cfg_file, tmp_path, capsys):

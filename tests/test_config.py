@@ -95,7 +95,8 @@ class TestValidation:
         ("noise_std", float("nan")), ("stage2_image_ratio", float("nan")),
         ("p_2d_only", 2.0), ("p_2d_only", -0.5), ("p_2d_only", float("nan")),
         ("noise_std", -1.0), ("w_3d", -1.0), ("w_2d", -1.0),
-        ("w_smpl_pose", -1.0), ("w_smpl_shape", -1.0), ("w_norm", -1e-4)])
+        ("w_smpl_pose", -1.0), ("w_smpl_shape", -1.0), ("w_norm", -1e-4),
+        ("w_norm", float("nan")), ("w_2d", float("inf"))])
     def test_range_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
@@ -104,6 +105,22 @@ class TestValidation:
         cfg = RunConfig(hw=9, d=48, heads=3, p_2d_only=1.0, noise_std=0.0,
                         w_3d=0.0, w_norm=0.0)
         assert (cfg.hw, cfg.heads, cfg.p_2d_only) == (9, 3, 1.0)
+
+
+class TestFrozen:
+    """A config is checked once, when it is made, so no field may change
+    after that."""
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_fields_cannot_be_assigned(self, field):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, getattr(cfg, field))
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            dataclasses.replace(RunConfig(), lr=float("nan"))
+        assert dataclasses.replace(RunConfig(), lr=0.5).lr == 0.5
 
 
 class TestRoundTrip:

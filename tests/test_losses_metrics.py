@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.spatial.transform import Rotation
 
-from stpose import tensor as T
+from stpose.config import RunConfig
 from stpose.gradcheck import fd_check
-from stpose.losses import LossReport, LossWeights, total_loss
+from stpose.losses import total_loss
 from stpose.metrics import accel_error, mpjpe, pa_mpjpe, similarity_align
 from stpose.tensor import ShapeError, Tensor
 
@@ -24,9 +24,9 @@ def _gt_like(rng, frames=2, joints=24):
             rng.standard_normal((frames, 10)) * 0.3)
 
 
-def _loss_args(pred, gt, weights, has_3d=True):
+def _loss_args(pred, gt, cfg, has_3d=True):
     return total_loss(Tensor(pred[0]), Tensor(pred[1]), Tensor(pred[2]),
-                      Tensor(pred[3]), *gt, weights=weights, has_3d=has_3d)
+                      Tensor(pred[3]), *gt, cfg=cfg, has_3d=has_3d)
 
 
 class TestTotalLoss:
@@ -35,7 +35,7 @@ class TestTotalLoss:
         j3d, j2d, _, _ = _gt_like(rng)
         zero_theta, zero_beta = np.zeros((2, 72)), np.zeros((2, 10))
         rep = _loss_args((j3d, j2d, zero_theta, zero_beta),
-                         (j3d, j2d, zero_theta, zero_beta), LossWeights())
+                         (j3d, j2d, zero_theta, zero_beta), RunConfig())
         assert rep.value() == 0.0
         assert rep.l_3d == rep.l_2d == rep.l_smpl == rep.l_norm == 0.0
 
@@ -45,8 +45,8 @@ class TestTotalLoss:
         zeros2 = np.zeros((1, 1, 2))
         zt, zb = np.zeros((1, 72)), np.zeros((1, 10))
         rep = _loss_args((pred3, zeros2, zt, zb), (gt3, zeros2, zt, zb),
-                         LossWeights(w_3d=1.0, w_2d=1.0, w_smpl_pose=0,
-                                     w_smpl_shape=0, w_norm=0))
+                         RunConfig(w_3d=1.0, w_2d=1.0, w_smpl_pose=0,
+                                   w_smpl_shape=0, w_norm=0))
         assert rep.l_3d == 5.0
         assert rep.value() == 5.0
 
@@ -54,8 +54,8 @@ class TestTotalLoss:
         rng = np.random.default_rng(202)
         gt = _gt_like(rng, frames=3)
         pred = tuple(a + rng.standard_normal(a.shape) * 0.1 for a in gt)
-        w = LossWeights(w_3d=2.0, w_2d=3.0, w_smpl_pose=0.5, w_smpl_shape=0.25,
-                        w_norm=0.125)
+        w = RunConfig(w_3d=2.0, w_2d=3.0, w_smpl_pose=0.5, w_smpl_shape=0.25,
+                      w_norm=0.125)
         rep = _loss_args(pred, gt, w)
 
         frames = 3
@@ -84,7 +84,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(203)
         gt = _gt_like(rng)
         pred = tuple(a + 0.2 for a in gt)
-        w = LossWeights()
+        w = RunConfig()
         rep = _loss_args(pred, gt, w)
         want = w.w_3d * rep.l_3d + w.w_2d * rep.l_2d + rep.l_smpl \
             + w.w_norm * rep.l_norm
@@ -94,13 +94,13 @@ class TestTotalLoss:
         rng = np.random.default_rng(204)
         gt = _gt_like(rng)
         pred = tuple(a + 1.0 for a in gt)
-        w = LossWeights(w_3d=100.0, w_2d=1.0, w_smpl_pose=100.0,
-                        w_smpl_shape=100.0, w_norm=0.0)
+        w = RunConfig(w_3d=100.0, w_2d=1.0, w_smpl_pose=100.0,
+                      w_smpl_shape=100.0, w_norm=0.0)
         rep = _loss_args(pred, gt, w, has_3d=False)
         assert rep.l_3d == 0.0 and rep.l_smpl == 0.0
-        only_2d = _loss_args(pred, gt, LossWeights(w_3d=0, w_2d=1.0,
-                                                   w_smpl_pose=0, w_smpl_shape=0,
-                                                   w_norm=0.0))
+        only_2d = _loss_args(pred, gt, RunConfig(w_3d=0, w_2d=1.0,
+                                                 w_smpl_pose=0, w_smpl_shape=0,
+                                                 w_norm=0.0))
         assert abs(rep.value() - only_2d.l_2d) < 1e-12
 
     def test_nonnegative_on_random_inputs(self):
@@ -108,7 +108,7 @@ class TestTotalLoss:
         for _ in range(20):
             gt = _gt_like(rng)
             pred = tuple(a + rng.standard_normal(a.shape) for a in gt)
-            assert _loss_args(pred, gt, LossWeights()).value() >= 0.0
+            assert _loss_args(pred, gt, RunConfig()).value() >= 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(206)
@@ -117,7 +117,7 @@ class TestTotalLoss:
                           requires_grad=True) for a in gt]
 
         def loss():
-            return total_loss(*tensors, *gt, weights=LossWeights()).total
+            return total_loss(*tensors, *gt, cfg=RunConfig()).total
 
         assert fd_check(loss, tensors, max_coords_per_tensor=20,
                         rng=np.random.default_rng(3)) < 1e-5
@@ -127,17 +127,17 @@ class TestTotalLoss:
         gt = _gt_like(rng)
         with pytest.raises(ShapeError):
             total_loss(Tensor(rng.standard_normal((2, 23, 3))), Tensor(gt[1]),
-                       Tensor(gt[2]), Tensor(gt[3]), *gt, weights=LossWeights())
+                       Tensor(gt[2]), Tensor(gt[3]), *gt, cfg=RunConfig())
 
     def test_per_clip_mask_is_mean_of_clip_losses(self):
         rng = np.random.default_rng(208)
         gt = _gt_like(rng, frames=6)
         pred = tuple(a + rng.standard_normal(a.shape) * 0.1 for a in gt)
         has_3d = np.array([True, False, True])
-        rep = _loss_args(pred, gt, LossWeights(), has_3d=has_3d)
+        rep = _loss_args(pred, gt, RunConfig(), has_3d=has_3d)
         clips = [_loss_args(tuple(a[2 * c:2 * c + 2] for a in pred),
                             tuple(a[2 * c:2 * c + 2] for a in gt),
-                            LossWeights(), has_3d=bool(has_3d[c]))
+                            RunConfig(), has_3d=bool(has_3d[c]))
                  for c in range(3)]
         assert rep.value() == pytest.approx(
             np.mean([c.value() for c in clips]), rel=1e-14)
@@ -150,13 +150,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(209)
         gt = _gt_like(rng, frames=3)
         with pytest.raises(ShapeError, match="clips"):
-            _loss_args(gt, gt, LossWeights(), has_3d=np.array([True, True]))
-
-    @pytest.mark.parametrize("bad", [dict(w_3d=-1.0), dict(w_norm=float("nan")),
-                                     dict(w_2d=float("inf"))])
-    def test_weight_validation(self, bad):
-        with pytest.raises(ValueError):
-            LossWeights(**bad)
+            _loss_args(gt, gt, RunConfig(), has_3d=np.array([True, True]))
 
 
 class TestMpjpe:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -18,8 +17,7 @@ from stpose.tensor import Tensor
 from stpose.train import (ABLATION_NOTE, EVAL_COLUMNS, ablate,
                           ablation_configs, batch_step, build_model,
                           build_tree, evaluate, lr_factor, model_forward,
-                          train, _blend_reports,
-                          _check_finite, _loss_weights)
+                          train, _blend_reports, _check_finite)
 from stpose.synth import synth_generate
 
 
@@ -143,7 +141,7 @@ class TestFiniteGuard:
             _check_finite(report, 0)
 
     def test_train_aborts_on_non_finite(self, monkeypatch):
-        def bad_step(model, batch, clips, weights, frame=None):
+        def bad_step(model, batch, clips, frame=None):
             return LossReport(Tensor(np.array(np.nan)), 0.0, 0.0, 0.0, 0.0)
         monkeypatch.setattr(stpose.train, "batch_step", bad_step)
         with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
@@ -246,16 +244,14 @@ class TestBatchStep:
     def test_mean_over_clips(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
-        weights = _loss_weights(cfg)
         for has_3d in ((True, True), (True, False)):
             batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
                                    tree=model.tree)
             batch.has_3d[:] = has_3d
             for frame in (None, 1):
-                singles = [batch_step(model, batch, [c], weights, frame=frame)
+                singles = [batch_step(model, batch, [c], frame=frame)
                            for c in range(2)]
-                combined = batch_step(model, batch, range(2), weights,
-                                      frame=frame)
+                combined = batch_step(model, batch, range(2), frame=frame)
                 assert combined.value() == pytest.approx(
                     0.5 * (singles[0].value() + singles[1].value()), rel=1e-12)
                 for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
@@ -280,8 +276,8 @@ class TestBatchStep:
             return real(self, obs, *args, **kwargs)
 
         monkeypatch.setattr(SteEncoder, "encode", counting)
-        batch_step(model, batch, range(3), _loss_weights(cfg))
-        batch_step(model, batch, range(3), _loss_weights(cfg), frame=2)
+        batch_step(model, batch, range(3))
+        batch_step(model, batch, range(3), frame=2)
         assert shapes == [(3, cfg.t_clip, cfg.hw, cfg.d_in),
                           (3, 1, cfg.hw, cfg.d_in)]
 
@@ -290,10 +286,26 @@ class TestBatchStep:
         model = build_model(cfg)
         batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
                                tree=model.tree)
-        weights = _loss_weights(cfg)
-        by_frame = [batch_step(model, batch, range(2), weights, frame=f)
+        by_frame = [batch_step(model, batch, range(2), frame=f)
                     for f in range(2)]
         assert by_frame[0].value() != by_frame[1].value()
+
+    def test_weights_come_from_the_model_config(self):
+        cfg = tiny_cfg(w_3d=7.0, w_2d=0.5, w_norm=3.0)
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        rep = batch_step(model, batch, range(2))
+        w = model.cfg
+        want = w.w_3d * rep.l_3d + w.w_2d * rep.l_2d + rep.l_smpl \
+            + w.w_norm * rep.l_norm
+        assert rep.value() == pytest.approx(want, rel=1e-12)
+        # the SMPL term carries its own weights: zeroing them zeroes it
+        no_smpl = build_model(tiny_cfg(w_3d=7.0, w_2d=0.5, w_norm=3.0,
+                                       w_smpl_pose=0.0, w_smpl_shape=0.0))
+        zeroed = batch_step(no_smpl, batch, range(2))
+        assert rep.l_smpl > 0.0 and zeroed.l_smpl == 0.0
+        assert (zeroed.l_3d, zeroed.l_2d) == (rep.l_3d, rep.l_2d)
 
     def test_blend_reports(self):
         a = LossReport(Tensor(np.array(4.0)), 1.0, 2.0, 3.0, 4.0)
