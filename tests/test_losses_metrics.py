@@ -152,6 +152,12 @@ class TestTotalLoss:
         with pytest.raises(ShapeError, match="clips"):
             _loss_args(gt, gt, RunConfig(), has_3d=np.array([True, True]))
 
+    @pytest.mark.parametrize("bad", [dict(w_3d=-1.0), dict(w_norm=float("nan")),
+                                     dict(w_2d=float("inf"))])
+    def test_weight_validation(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RunConfig(**bad)
+
 
 class TestMpjpe:
     def test_exact_match(self):
