@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from . import tensor as T
-from .layers import Affine, LayerNorm
+from .layers import Affine, LayerNorm, Module
 from .tensor import ShapeError, Tensor
 
 TOPOLOGIES = ("spatial", "temporal", "series", "parallel_v1", "parallel_v2",
@@ -43,7 +43,7 @@ TOPOLOGIES = ("spatial", "temporal", "series", "parallel_v1", "parallel_v2",
 MLP_RATIO = 4   # hidden width of a block's MLP, in units of d
 
 
-class MsaLayer:
+class MsaLayer(Module):
     """Multi-head self-attention with mode-dependent token layout."""
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
@@ -95,14 +95,8 @@ class MsaLayer:
             return T.reshape(y, x.shape), maps.reshape(lead + maps.shape[1:])
         raise ValueError(f"unknown attention mode {mode!r}")
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = {}
-        for name in ("wq", "wk", "wv", "wo"):
-            out.update(getattr(self, name).named_params(f"{prefix}.{name}"))
-        return out
 
-
-class SteBlock:
+class SteBlock(Module):
     """One encoder block in a chosen topology.
 
     force_alpha, when set to a (spatial, temporal) pair of floats, replaces
@@ -211,19 +205,8 @@ class SteBlock:
         u, maps = self.attend(x, bypass_temporal)
         return self.feed_forward(u), maps
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        out = self.ln_attn.named_params(f"{prefix}.ln_attn")
-        for name in ("msa_s", "msa_t", "ln_attn2", "gate", "msa_c"):
-            sub = getattr(self, name, None)
-            if sub is not None:
-                out.update(sub.named_params(f"{prefix}.{name}"))
-        out.update(self.ln_mlp.named_params(f"{prefix}.ln_mlp"))
-        out.update(self.fc1.named_params(f"{prefix}.fc1"))
-        out.update(self.fc2.named_params(f"{prefix}.fc2"))
-        return out
 
-
-class SteEncoder:
+class SteEncoder(Module):
     """Stack of blocks plus class token and position embeddings.
 
     cfg is the run's RunConfig; the encoder reads its encoder topology,
@@ -283,12 +266,3 @@ class SteEncoder:
         all_maps.append(maps)
         cls = self.ln_final(last.feed_forward(T.take(u, [0], -2)))
         return T.reshape(cls, lead + (frames, cfg.d)), all_maps
-
-    def named_params(self) -> dict[str, Tensor]:
-        out = {"cls_token": self.cls_token, "pos_spatial": self.pos_spatial,
-               "pos_temporal": self.pos_temporal}
-        for i, block in enumerate(self.blocks):
-            out.update(block.named_params(f"blocks.{i}"))
-        out.update(self.ln_final.named_params("ln_final"))
-        return out
-

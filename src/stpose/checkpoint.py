@@ -9,13 +9,13 @@ Layout, all integers little-endian:
 then per entry:
 
     name_len u16, name UTF-8
-    dtype    u8    0 = float32, 1 = float64
+    dtype    u8    1 = float64, the only code
     rank     u8
     extents  rank * u32
-    data     raw little-endian values, C order
+    data     raw little-endian float64 values, C order
 
-Values are written as float64 by default so a save/load round trip is
-bitwise exact.
+Values are always float64, so a save/load round trip is bitwise exact.
+Loading refuses an entry that holds a NaN or an infinity.
 """
 
 from __future__ import annotations
@@ -28,24 +28,20 @@ from .tensor import Tensor
 
 MAGIC = b"MAEDCKPT"
 VERSION = 1
-
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_F8_CODE = 1
+_F8 = np.dtype("<f8")
 
 
 class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, params: dict, dtype: str = "f8"):
-    """Write `name -> Tensor` (or ndarray) entries to `path`."""
-    code = {"f4": 0, "f8": 1}.get(dtype)
-    if code is None:
-        raise CheckpointError(f"dtype must be 'f4' or 'f8', got {dtype!r}")
-    out_dtype = _DTYPE_CODES[code]
+def save_checkpoint(path, params: dict):
+    """Write `name -> Tensor` (or ndarray) entries to `path` as float64."""
     chunks = [MAGIC, struct.pack("<II", VERSION, len(params))]
     for name, value in params.items():
         data = value.data if isinstance(value, Tensor) else np.asarray(value)
-        data = np.asarray(data, dtype=out_dtype)  # ascontiguousarray bumps 0-d to 1-d
+        data = np.asarray(data, dtype=_F8)  # ascontiguousarray bumps 0-d to 1-d
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise CheckpointError(f"parameter name too long: {name!r}")
@@ -53,7 +49,7 @@ def save_checkpoint(path, params: dict, dtype: str = "f8"):
             raise CheckpointError(f"parameter rank too large: {name!r}")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
-        chunks.append(struct.pack("<BB", code, data.ndim))
+        chunks.append(struct.pack("<BB", _F8_CODE, data.ndim))
         chunks.append(struct.pack(f"<{data.ndim}I", *data.shape))
         chunks.append(data.tobytes(order="C"))
     with open(path, "wb") as fh:
@@ -77,7 +73,8 @@ class _Reader:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as `name -> ndarray` (float64)."""
+    """Read a checkpoint back as `name -> ndarray` (float64), refusing any
+    entry that is not finite."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(len(MAGIC)) != MAGIC:
@@ -92,15 +89,16 @@ def load_checkpoint(path) -> dict:
         if name in params:
             raise CheckpointError(f"entry {name!r} appears twice")
         code, rank = reader.unpack("<BB")
-        if code not in _DTYPE_CODES:
+        if code != _F8_CODE:
             raise CheckpointError(f"unknown dtype code {code} for {name!r}")
         shape = reader.unpack(f"<{rank}I")
-        item_dtype = _DTYPE_CODES[code]
         n_items = 1
         for extent in shape:
             n_items *= extent
-        raw = reader.take(n_items * item_dtype.itemsize)
-        data = np.frombuffer(raw, dtype=item_dtype).reshape(shape)
+        raw = reader.take(n_items * _F8.itemsize)
+        data = np.frombuffer(raw, dtype=_F8).reshape(shape)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"entry {name!r} holds non-finite values")
         params[name] = np.array(data, dtype=np.float64)
     if reader.pos != len(reader.blob):
         raise CheckpointError("trailing bytes after last entry")

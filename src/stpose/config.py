@@ -19,6 +19,8 @@ from .attention import TOPOLOGIES
 
 DECODERS = ("ktd", "iterative")
 TREES = ("smpl", "random", "reverse")
+# the values each annotated field type accepts; a bool is never one of them
+_TYPES = {"int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,12 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.encoder not in TOPOLOGIES:
             raise ValueError(f"encoder must be one of {TOPOLOGIES}, "
                              f"got {self.encoder!r}")
@@ -74,10 +82,6 @@ class RunConfig:
         if self.d % self.heads:
             raise ValueError(f"d must be divisible by heads, got d {self.d} "
                              f"and heads {self.heads}")
-        for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got "
-                                 f"{getattr(self, f.name)}")
         for name in ("lr", "noise_std", "w_3d", "w_2d", "w_smpl_pose",
                      "w_smpl_shape", "w_norm"):
             if getattr(self, name) < 0:

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .geometry import project, rot6d_to_matrix
 from .kinematics import NUM_JOINTS, SHAPE_DIM, KinematicTree, forward_kinematics
-from .layers import Affine
+from .layers import Affine, Module
 from .tensor import ShapeError, Tensor
 
 POSE_DIM = NUM_JOINTS * 6
@@ -57,18 +57,18 @@ def _rest_head(fan_in: int, fan_out: int, rest_bias=0.0) -> Affine:
     return head
 
 
-class KtdDecoder:
+class KtdDecoder(Module):
     """One affine regressor per joint, input width d + 6*|ancestors|."""
 
     def __init__(self, d: int, tree: KinematicTree):
         self.d = d
         self.tree = tree
-        self.joint_heads = [
+        self.joint = [
             _rest_head(d + 6 * len(tree.ancestors(k)), 6, IDENTITY_6D)
             for k in range(NUM_JOINTS)
         ]
-        self.w_shape = _rest_head(d, SHAPE_DIM)
-        self.w_cam = _rest_head(d, 3, REST_CAMERA)
+        self.shape = _rest_head(d, SHAPE_DIM)
+        self.cam = _rest_head(d, 3, REST_CAMERA)
 
     def decode(self, x: Tensor) -> SmplParams:
         if x.ndim != 2 or x.shape[1] != self.d:
@@ -77,7 +77,7 @@ class KtdDecoder:
         omega: dict[int, Tensor] = {}
         for k in self.tree.topo_order:
             ancestors = self.tree.ancestors(k)
-            head = self.joint_heads[k]
+            head = self.joint[k]
             want = self.d + 6 * len(ancestors)
             if head.fan_in != want:
                 raise ShapeError(
@@ -87,18 +87,10 @@ class KtdDecoder:
             omega[k] = head(inp)
         pose = T.concat([T.reshape(omega[k], (frames, 1, 6))
                          for k in range(NUM_JOINTS)], axis=1)
-        return SmplParams(pose, self.w_shape(x), self.w_cam(x))
-
-    def named_params(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        out = {}
-        for k, head in enumerate(self.joint_heads):
-            out.update(head.named_params(f"{prefix}.joint.{k}"))
-        out.update(self.w_shape.named_params(f"{prefix}.shape"))
-        out.update(self.w_cam.named_params(f"{prefix}.cam"))
-        return out
+        return SmplParams(pose, self.shape(x), self.cam(x))
 
 
-class IterativeDecoder:
+class IterativeDecoder(Module):
     """theta <- theta + F(concat(x, theta)), from a learned initial vector."""
 
     def __init__(self, d: int, iterations: int = 3):
@@ -122,11 +114,6 @@ class IterativeDecoder:
         shape = T.take(theta, range(POSE_DIM, POSE_DIM + SHAPE_DIM), -1)
         cam = T.take(theta, range(POSE_DIM + SHAPE_DIM, PARAM_DIM), -1)
         return SmplParams(pose, shape, cam)
-
-    def named_params(self, prefix: str = "decoder") -> dict[str, Tensor]:
-        out = self.f.named_params(f"{prefix}.f")
-        out[f"{prefix}.theta0"] = self.theta0
-        return out
 
 
 def smpl_forward(params: SmplParams, tree: KinematicTree):

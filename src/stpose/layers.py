@@ -1,7 +1,11 @@
-"""Affine maps and layer normalization shared by the encoder and decoders.
+"""The Module base, plus the affine maps and layer normalization shared by
+the encoder and decoders.
 
-Every layer exposes ``named_params(prefix)`` so checkpoints can address
-each weight array by a stable dotted path.
+Every parameter holder is a ``Module``: a parameter's name is its dotted
+attribute path from the model (``encoder.blocks.0.fc1.w``), and the order
+of ``named_params`` is the order the attributes were assigned. Checkpoint
+entries, Adam's parameter list and the eval noise of the benchmark all
+follow that order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,32 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-class Affine:
+def _walk(out: dict[str, Tensor], path: str, value) -> None:
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            out[path] = value
+    elif isinstance(value, Module):
+        out.update(value.named_params(path))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _walk(out, f"{path}.{i}", item)
+
+
+class Module:
+    """A parameter holder. ``named_params`` walks ``vars(self)`` in
+    assignment order and returns every tensor that requires gradients
+    under its dotted attribute path; a list names its items by index, and
+    a Module attribute is walked the same way. Nothing else is entered, so
+    configs, trees and cached arrays carry no parameters."""
+
+    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for name, value in vars(self).items():
+            _walk(out, f"{prefix}.{name}" if prefix else name, value)
+        return out
+
+
+class Affine(Module):
     """y = x @ w + b over the trailing axis; w starts as Xavier draws from
     ``rng``, or as zeros when there is none, and b at zero."""
 
@@ -33,11 +62,8 @@ class Affine:
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.w, self.b)
 
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-class LayerNorm:
+class LayerNorm(Module):
     """Normalize the trailing axis to zero mean / unit variance, then
     apply a learned per-channel gain and bias."""
 
@@ -47,6 +73,3 @@ class LayerNorm:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.g, self.b)
-
-    def named_params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.g": self.g, f"{prefix}.b": self.b}

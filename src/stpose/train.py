@@ -25,7 +25,7 @@ from .decoders import IterativeDecoder, KtdDecoder, SmplParams
 from .geometry import matrix_to_axis_angle, project, rot6d_to_matrix
 from .kinematics import (NUM_JOINTS, KinematicTree, forward_kinematics,
                          random_tree, reverse_tree, smpl_tree)
-from .layers import Affine
+from .layers import Affine, Module
 from .losses import LossReport, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
 from .optim import Adam
@@ -46,19 +46,12 @@ def build_tree(kind: str, seed: int) -> KinematicTree:
 
 
 @dataclass
-class Model:
+class Model(Module):
     cfg: RunConfig
     tree: KinematicTree
     patch_embed: Affine
     encoder: SteEncoder
     decoder: Union[KtdDecoder, IterativeDecoder]
-
-    def named_params(self) -> dict:
-        out = dict(self.patch_embed.named_params("patch_embed"))
-        for name, p in self.encoder.named_params().items():
-            out[f"encoder.{name}"] = p
-        out.update(self.decoder.named_params("decoder"))
-        return out
 
 
 def build_model(cfg: RunConfig) -> Model:

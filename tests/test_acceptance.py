@@ -147,11 +147,11 @@ def test_criterion_4_ktd_structure():
         p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
 
     widths_ok = all(
-        decoder.joint_heads[k].fan_in == d + 6 * len(tree.ancestors(k))
+        decoder.joint[k].fan_in == d + 6 * len(tree.ancestors(k))
         for k in range(NUM_JOINTS))
-    spot_ok = (decoder.joint_heads[0].fan_in == d
-               and decoder.joint_heads[2].fan_in == d + 6
-               and decoder.joint_heads[5].fan_in == d + 12)
+    spot_ok = (decoder.joint[0].fan_in == d
+               and decoder.joint[2].fan_in == d + 6
+               and decoder.joint[5].fan_in == d + 12)
 
     params = decoder.named_params()
     x = Tensor(np.random.default_rng(1).normal(size=(2, d)))
@@ -165,12 +165,11 @@ def test_criterion_4_ktd_structure():
         for j in range(NUM_JOINTS):
             touched = any(
                 p.grad is not None and np.abs(p.grad).max() > 0
-                for p in decoder.joint_heads[j].named_params("h").values())
+                for p in decoder.joint[j].named_params().values())
             deps_ok &= touched == (j in expect)
-        for name in ("shape", "cam"):
-            head = decoder.w_shape if name == "shape" else decoder.w_cam
+        for head in (decoder.shape, decoder.cam):
             deps_ok &= all(p.grad is None or not np.abs(p.grad).any()
-                           for p in head.named_params("h").values())
+                           for p in head.named_params().values())
 
     ok = widths_ok and spot_ok and deps_ok
     report(4, "hierarchical decoder structure", ok,

@@ -100,6 +100,17 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("blocks", 1.5), ("d", 16.0), ("seed", True), ("clips", "2"),
+        ("lr", "0.1"), ("beta1", False), ("w_3d", None), ("noise_std", [0.0]),
+        ("encoder", 3), ("tree", b"smpl"), ("decoder", None)])
+    def test_wrong_type_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            RunConfig(**{field: value})
+
+    def test_int_accepted_for_float_field(self):
+        assert RunConfig(lr=1, w_norm=0).lr == 1
+
     def test_range_edges_allowed(self):
         cfg = RunConfig(hw=9, d=48, heads=3, p_2d_only=1.0, noise_std=0.0,
                         w_3d=0.0, w_norm=0.0)

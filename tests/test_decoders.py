@@ -36,13 +36,13 @@ class TestKtdStructure:
         tree = K.smpl_tree()
         dec = KtdDecoder(64, tree)
         for k in range(24):
-            assert dec.joint_heads[k].fan_in == 64 + 6 * len(tree.ancestors(k))
+            assert dec.joint[k].fan_in == 64 + 6 * len(tree.ancestors(k))
 
     def test_documented_width_examples(self):
         dec = KtdDecoder(64, K.smpl_tree())
-        assert dec.joint_heads[0].fan_in == 64
-        assert dec.joint_heads[2].fan_in == 70
-        assert dec.joint_heads[5].fan_in == 76
+        assert dec.joint[0].fan_in == 64
+        assert dec.joint[2].fan_in == 70
+        assert dec.joint[5].fan_in == 76
 
     def test_zero_weights_give_zero_params(self):
         dec = KtdDecoder(16, K.smpl_tree())
@@ -72,7 +72,7 @@ class TestKtdStructure:
 
     def test_width_mismatch_detected(self):
         dec = KtdDecoder(16, K.smpl_tree())
-        dec.joint_heads[5] = Affine(16 + 6, 6, np.random.default_rng(8))
+        dec.joint[5] = Affine(16 + 6, 6, np.random.default_rng(8))
         with pytest.raises(ShapeError, match="tree wants"):
             dec.decode(Tensor(np.zeros((1, 16))))
 
@@ -96,13 +96,13 @@ class TestKtdDependencies:
             target = T.reduce_sum(T.take(out.pose, [k], 1))
             target.backward()
             allowed = set(tree.ancestors(k)) | {k}
-            for j, head in enumerate(dec.joint_heads):
+            for j, head in enumerate(dec.joint):
                 touched = head.w.grad is not None and np.abs(head.w.grad).max() > 0
                 assert touched == (j in allowed), (k, j)
                 head.w.grad = None
                 head.b.grad = None
-            assert dec.w_shape.w.grad is None
-            assert dec.w_cam.w.grad is None
+            assert dec.shape.w.grad is None
+            assert dec.cam.w.grad is None
 
     def test_forward_perturbation_dependency_pattern(self):
         tree = K.smpl_tree()
@@ -110,10 +110,10 @@ class TestKtdDependencies:
         x = Tensor(np.random.default_rng(12).standard_normal((1, 12)))
         base = dec.decode(x)
         for j in (0, 2, 16, 22):
-            saved = dec.joint_heads[j].b.data.copy()
-            dec.joint_heads[j].b.data[:] += 0.25
+            saved = dec.joint[j].b.data.copy()
+            dec.joint[j].b.data[:] += 0.25
             bumped = dec.decode(x)
-            dec.joint_heads[j].b.data[:] = saved
+            dec.joint[j].b.data[:] = saved
             changed = {k for k in range(24)
                        if not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])}
             descendants = {k for k in range(24) if j in tree.ancestors(k)}
@@ -126,7 +126,7 @@ class TestKtdDependencies:
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(13).standard_normal((1, 12)))
         base = dec.decode(x)
-        dec.joint_heads[0].b.data[:] += 0.5
+        dec.joint[0].b.data[:] += 0.5
         bumped = dec.decode(x)
         for k in range(24):
             assert not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])
@@ -137,9 +137,9 @@ class TestKtdDependencies:
         out = dec.decode(x)
         target = T.add(T.reduce_sum(out.shape), T.reduce_sum(out.cam))
         target.backward()
-        assert np.abs(dec.w_shape.w.grad).max() > 0
-        assert np.abs(dec.w_cam.w.grad).max() > 0
-        for head in dec.joint_heads:
+        assert np.abs(dec.shape.w.grad).max() > 0
+        assert np.abs(dec.cam.w.grad).max() > 0
+        for head in dec.joint:
             assert head.w.grad is None
 
     def test_random_tree_dependencies_follow_that_tree(self):
@@ -150,7 +150,7 @@ class TestKtdDependencies:
         out = dec.decode(x)
         T.reduce_sum(T.take(out.pose, [k], 1)).backward()
         allowed = set(tree.ancestors(k)) | {k}
-        for j, head in enumerate(dec.joint_heads):
+        for j, head in enumerate(dec.joint):
             touched = head.w.grad is not None and np.abs(head.w.grad).max() > 0
             assert touched == (j in allowed)
 

@@ -1,13 +1,25 @@
-"""Every imported name is read: an import nothing reads is a dead line that
-suggests a dependency or coverage the file does not have."""
+"""Every imported name is read, and every top-level function and class of
+stpose has a caller in stpose: an import nothing reads, or a definition only
+tests reach, is a dead line that suggests a dependency, a feature or
+coverage the code does not have."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/stpose/*.py")) + sorted(ROOT.glob("tests/*.py"))
+SOURCES = sorted(ROOT.glob("src/stpose/*.py"))
+FILES = SOURCES + sorted(ROOT.glob("tests/*.py"))
+
+# Top-level definitions that no module of stpose reads, each kept on purpose.
+UNCALLED = {
+    "tree_to_text": "tree text form, kept for the packed KTD (ROADMAP item 3)",
+    "tree_from_text": "tree text form, kept for the packed KTD (ROADMAP item 3)",
+    "matrix_to_axis_angle_np": "oracle read by criterion 6 and tests/test_geometry.py",
+    "is_rotation_matrix": "oracle read by tests/test_geometry.py",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -44,3 +56,37 @@ def test_scan_finds_the_unread_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _reads(tree) -> collections.Counter:
+    """Loaded names and attribute names: ``f(x)`` reads f, ``T.f(x)`` reads f."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+    return out
+
+
+def uncalled_definitions(sources: list) -> list:
+    """Top-level functions and classes of the given sources that none of
+    them reads, in source order. A read inside the definition itself (a
+    recursive call) does not count; a read of an attribute of the same
+    name anywhere does, so the scan can miss a dead name."""
+    trees = [ast.parse(source) for source in sources]
+    total = sum((_reads(tree) for tree in trees), collections.Counter())
+    return [node.name for tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and total[node.name] == _reads(node)[node.name]]
+
+
+def test_definition_scan_finds_the_uncalled_names():
+    sources = ["def used(): pass\ndef lone(): return lone()\nclass Dead: pass\n",
+               "import m\nm.used()\ndef also(): pass\nalso()\n"]
+    assert uncalled_definitions(sources) == ["lone", "Dead"]
+
+
+def test_every_definition_has_a_caller():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert sorted(uncalled_definitions(sources)) == sorted(UNCALLED)

@@ -11,6 +11,7 @@ from stpose.attention import SteEncoder
 from stpose.checkpoint import load_checkpoint, restore_params
 from stpose.config import RunConfig
 from stpose.decoders import SmplParams
+from stpose.layers import Affine, Module
 from stpose.losses import LossReport
 from stpose.metrics import accel_error, mpjpe, pa_mpjpe
 from stpose.tensor import Tensor
@@ -74,6 +75,65 @@ class TestModelAssembly:
             one = model_forward(model, batch.obs[c])
             np.testing.assert_allclose(out.j3d.data[4 * c:4 * c + 4],
                                        one.j3d.data, rtol=0, atol=1e-12)
+
+
+# Model.named_params() of RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2):
+# checkpoints, Adam and the benchmark's eval noise all follow this order.
+PINNED_ENCODER = [
+    "patch_embed.w", "patch_embed.b",
+    "encoder.cls_token", "encoder.pos_spatial", "encoder.pos_temporal",
+    "encoder.blocks.0.ln_attn.g", "encoder.blocks.0.ln_attn.b",
+    "encoder.blocks.0.msa_s.wq.w", "encoder.blocks.0.msa_s.wq.b",
+    "encoder.blocks.0.msa_s.wk.w", "encoder.blocks.0.msa_s.wk.b",
+    "encoder.blocks.0.msa_s.wv.w", "encoder.blocks.0.msa_s.wv.b",
+    "encoder.blocks.0.msa_s.wo.w", "encoder.blocks.0.msa_s.wo.b",
+    "encoder.blocks.0.msa_t.wq.w", "encoder.blocks.0.msa_t.wq.b",
+    "encoder.blocks.0.msa_t.wk.w", "encoder.blocks.0.msa_t.wk.b",
+    "encoder.blocks.0.msa_t.wv.w", "encoder.blocks.0.msa_t.wv.b",
+    "encoder.blocks.0.msa_t.wo.w", "encoder.blocks.0.msa_t.wo.b",
+    "encoder.blocks.0.gate.w", "encoder.blocks.0.gate.b",
+    "encoder.blocks.0.ln_mlp.g", "encoder.blocks.0.ln_mlp.b",
+    "encoder.blocks.0.fc1.w", "encoder.blocks.0.fc1.b",
+    "encoder.blocks.0.fc2.w", "encoder.blocks.0.fc2.b",
+    "encoder.ln_final.g", "encoder.ln_final.b",
+]
+PINNED_DECODER = {
+    "ktd": [f"decoder.joint.{k}.{p}" for k in range(24) for p in "wb"]
+    + ["decoder.shape.w", "decoder.shape.b", "decoder.cam.w", "decoder.cam.b"],
+    "iterative": ["decoder.f.w", "decoder.f.b", "decoder.theta0"],
+}
+
+
+class TestParamWalker:
+    @pytest.mark.parametrize("decoder", ["ktd", "iterative"])
+    def test_model_names_are_pinned(self, decoder):
+        cfg = RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2, decoder=decoder)
+        names = list(build_model(cfg).named_params())
+        assert names == PINNED_ENCODER + PINNED_DECODER[decoder]
+
+    def test_toy_module_walk(self):
+        class Leaf(Module):
+            def __init__(self):
+                self.w = Tensor(np.ones(2), requires_grad=True)
+                self.frozen = Tensor(np.ones(2))         # no grad: skipped
+
+        class Toy(Module):
+            def __init__(self):
+                self.cfg = RunConfig()                   # not a Module: skipped
+                self.z = Tensor(np.zeros(1), requires_grad=True)
+                self.heads = [Leaf(), Affine(2, 3)]
+                self.cache = np.zeros(3)                 # plain array: skipped
+                self.pair = (Leaf(),)                    # only lists are entered
+                self.inner = Leaf()
+                self.a = Tensor(np.zeros(1), requires_grad=True)
+
+        toy = Toy()
+        params = toy.named_params()
+        assert list(params) == ["z", "heads.0.w", "heads.1.w", "heads.1.b",
+                                "inner.w", "a"]
+        assert params["heads.1.b"] is toy.heads[1].b
+        assert list(toy.named_params("m")) == [f"m.{n}" for n in params]
+        assert list(toy.inner.named_params("x")) == ["x.w"]
 
 
 class TestSchedule:
