@@ -210,8 +210,9 @@ class SteEncoder(Module):
     """Stack of blocks plus class token and position embeddings.
 
     cfg is the run's RunConfig; the encoder reads its encoder topology,
-    blocks, d, heads, hw, t_clip (the longest clip, the number of temporal
-    positions) and d_in.
+    blocks, d, heads, hw and t_clip (the longest clip, the number of
+    temporal positions). The channel width of an observation is the patch
+    embedding's to check.
     """
 
     def __init__(self, cfg, rng: np.random.Generator):
@@ -227,9 +228,10 @@ class SteEncoder(Module):
         self.ln_final = LayerNorm(cfg.d)
 
     def encode(self, obs: Tensor, patch_embed: Affine):
-        """obs is (..., T, hw, d_in) patch features, one clip per index of
-        the leading axes; returns per-frame features (..., T, d) and the
-        attention maps of every block, which gain the same leading axes.
+        """obs is (..., T, hw, c) patch features, c the patch embedding's
+        fan-in, one clip per index of the leading axes; returns per-frame
+        features (..., T, d) and the attention maps of every block, which
+        gain the same leading axes.
 
         The last block attends over all tokens, so its maps equal a full
         block call's, then feeds forward and normalizes only the class
@@ -239,9 +241,9 @@ class SteEncoder(Module):
         frame carries no temporal axis worth attending over.
         """
         cfg = self.cfg
-        if obs.ndim < 3 or obs.shape[-2:] != (cfg.hw, cfg.d_in):
+        if obs.ndim < 3 or obs.shape[-2] != cfg.hw:
             raise ShapeError(
-                f"expected observations (..., T, {cfg.hw}, {cfg.d_in}), got {obs.shape}")
+                f"expected observations (..., T, {cfg.hw}, c), got {obs.shape}")
         lead, frames = obs.shape[:-3], obs.shape[-3]
         if frames < 1 or frames > cfg.t_clip:
             raise ShapeError(f"clip length {frames} outside 1..{cfg.t_clip}")

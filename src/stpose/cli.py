@@ -74,7 +74,7 @@ def _cmd_train(args) -> int:
     out = _require_out(args)
     result = train(cfg, out_dir=out)
     for rec in result.history:
-        if rec.step % max(cfg.log_interval, 1) == 0 or rec.step == cfg.total_steps - 1:
+        if rec.step % cfg.log_interval == 0 or rec.step == cfg.total_steps - 1:
             print(f"step {rec.step:5d} stage {rec.stage} lr {rec.lr:.2e} "
                   f"loss {rec.total:.4f}")
     _, mean = evaluate(result.model, result.batch,

@@ -1,8 +1,8 @@
 """Flat key = value run configuration.
 
 One pair per line, `#` starts a comment (whole-line or trailing), blank
-lines ignored. Unknown keys are errors, as are malformed lines and values
-that do not parse as the field's type.
+lines ignored. Unknown and repeated keys are errors, as are malformed lines
+and values that do not parse as the field's type.
 
 RunConfig is the only place a run setting is stated: the encoder and the
 loss read theirs from it. It is checked when it is made and frozen, so a
@@ -32,7 +32,6 @@ class RunConfig:
     d: int = 64
     heads: int = 4
     hw: int = 16
-    d_in: int = 24
     t_clip: int = 8
     iterations: int = 3
     seed: int = 0
@@ -70,11 +69,11 @@ class RunConfig:
                              f"got {self.decoder!r}")
         if self.tree not in TREES:
             raise ValueError(f"tree must be one of {TREES}, got {self.tree!r}")
-        for name in ("blocks", "d", "heads", "hw", "d_in", "t_clip",
-                     "iterations", "clips"):
+        for name in ("blocks", "d", "heads", "hw", "t_clip", "iterations",
+                     "clips", "log_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("steps_stage1", "steps_stage2", "log_interval", "seed"):
+        for name in ("steps_stage1", "steps_stage2", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if math.isqrt(self.hw) ** 2 != self.hw:
@@ -117,8 +116,8 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_text(text: str) -> dict:
-    """Key/value overrides from flat config text."""
-    out = {}
+    """Key/value overrides from flat config text; a key may appear once."""
+    out, seen = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,6 +129,10 @@ def parse_config_text(text: str) -> dict:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if not value:
             raise ValueError(f"config line {lineno}: empty value for {key!r}")
+        if key in seen:
+            raise ValueError(f"config line {lineno}: key {key!r} already set "
+                             f"on line {seen[key]}")
+        seen[key] = lineno
         out[key] = _coerce(key, value)
     return out
 

@@ -41,9 +41,10 @@ REST_CAMERA = (1.0, 0.0, 0.0)
 
 
 class SmplParams(NamedTuple):
-    pose: Tensor    # (T, 24, 6)
-    shape: Tensor   # (T, 10)
-    cam: Tensor     # (T, 3)
+    """Per-frame parameters; the leading axes (...) are the frame axes."""
+    pose: Tensor    # (..., 24, 6)
+    shape: Tensor   # (..., 10)
+    cam: Tensor     # (..., 3)
 
 
 def _rest_theta() -> np.ndarray:
@@ -71,9 +72,8 @@ class KtdDecoder(Module):
         self.cam = _rest_head(d, 3, REST_CAMERA)
 
     def decode(self, x: Tensor) -> SmplParams:
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"expected features (T, {self.d}), got {x.shape}")
-        frames = x.shape[0]
+        if x.ndim < 2 or x.shape[-1] != self.d:
+            raise ShapeError(f"expected features (..., T, {self.d}), got {x.shape}")
         omega: dict[int, Tensor] = {}
         for k in self.tree.topo_order:
             ancestors = self.tree.ancestors(k)
@@ -85,8 +85,8 @@ class KtdDecoder(Module):
             inp = x if not ancestors else T.concat(
                 [x] + [omega[a] for a in ancestors], axis=-1)
             omega[k] = head(inp)
-        pose = T.concat([T.reshape(omega[k], (frames, 1, 6))
-                         for k in range(NUM_JOINTS)], axis=1)
+        pose = T.concat([T.reshape(omega[k], x.shape[:-1] + (1, 6))
+                         for k in range(NUM_JOINTS)], axis=-2)
         return SmplParams(pose, self.shape(x), self.cam(x))
 
 
@@ -102,15 +102,13 @@ class IterativeDecoder(Module):
         self.theta0 = Tensor(_rest_theta(), requires_grad=True)
 
     def decode(self, x: Tensor) -> SmplParams:
-        if x.ndim != 2 or x.shape[1] != self.d:
-            raise ShapeError(f"expected features (T, {self.d}), got {x.shape}")
-        frames = x.shape[0]
-        theta = T.expand(T.reshape(self.theta0, (1, PARAM_DIM)),
-                         (frames, PARAM_DIM))
+        if x.ndim < 2 or x.shape[-1] != self.d:
+            raise ShapeError(f"expected features (..., T, {self.d}), got {x.shape}")
+        theta = T.expand(self.theta0, x.shape[:-1] + (PARAM_DIM,))
         for _ in range(self.iterations):
             theta = T.add(theta, self.f(T.concat([x, theta], axis=-1)))
         pose = T.reshape(T.take(theta, range(POSE_DIM), -1),
-                         (frames, NUM_JOINTS, 6))
+                         x.shape[:-1] + (NUM_JOINTS, 6))
         shape = T.take(theta, range(POSE_DIM, POSE_DIM + SHAPE_DIM), -1)
         cam = T.take(theta, range(POSE_DIM + SHAPE_DIM, PARAM_DIM), -1)
         return SmplParams(pose, shape, cam)
@@ -119,7 +117,8 @@ class IterativeDecoder(Module):
 def smpl_forward(params: SmplParams, tree: KinematicTree):
     """Params to joints: 6D -> rotations -> forward kinematics -> projection.
 
-    Returns (J3d, J2d) shaped (T, 24, 3) and (T, 24, 2).
+    Returns (J3d, J2d) shaped (..., 24, 3) and (..., 24, 2), with the
+    frame axes of ``params``.
     """
     rot = rot6d_to_matrix(params.pose)
     joints = forward_kinematics(tree, rot, params.shape)

@@ -88,18 +88,19 @@ def matrix_to_axis_angle(m: Tensor) -> Tensor:
 
 
 def project(j3d: Tensor, cam: Tensor) -> Tensor:
-    """Weak-perspective projection of (T, J, 3) joints with (T, 3) cameras."""
-    if j3d.ndim != 3 or j3d.shape[-1] != 3:
-        raise ShapeError(f"expected joints shaped (T, J, 3), got {j3d.shape}")
-    frames = j3d.shape[0]
-    if cam.shape != (frames, 3):
-        raise ShapeError(f"expected cameras shaped ({frames}, 3), got {cam.shape}")
+    """Weak-perspective projection of (..., J, 3) joints with (..., 3)
+    cameras of the same leading axes, one camera per index of them."""
+    if j3d.ndim < 2 or j3d.shape[-1] != 3:
+        raise ShapeError(f"expected joints shaped (..., J, 3), got {j3d.shape}")
+    lead = j3d.shape[:-2]
+    if cam.shape != lead + (3,):
+        raise ShapeError(f"expected cameras shaped {lead + (3,)}, got {cam.shape}")
     s = T.take(cam, [0], -1)
     if (s.data <= 0.0).any():
         raise ValueError(f"camera scale must be positive, min {s.data.min():.3e}")
     xy = T.take(j3d, [0, 1], -1)
-    s_e = T.expand(T.reshape(s, (frames, 1, 1)), xy.shape)
-    t_e = T.expand(T.reshape(T.take(cam, [1, 2], -1), (frames, 1, 2)), xy.shape)
+    s_e = T.expand(T.reshape(s, lead + (1, 1)), xy.shape)
+    t_e = T.expand(T.reshape(T.take(cam, [1, 2], -1), lead + (1, 2)), xy.shape)
     return T.add(T.mul(xy, s_e), t_e)
 
 

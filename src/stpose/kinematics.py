@@ -246,54 +246,50 @@ def tree_from_text(text: str) -> KinematicTree:
 
 
 def rest_joints(tree: KinematicTree, beta: Tensor) -> Tensor:
-    """Rest positions for shape beta: template + reshape(beta @ basis).
-
-    Accepts beta shaped (10,) for a single body or (T, 10) per frame, and
-    returns (24, 3) or (T, 24, 3) to match.
+    """Rest positions for shapes beta (..., 10): template + beta @ basis,
+    as one affine GEMM over every row of beta, returned as (..., 24, 3).
     """
-    basis = Tensor(np.asarray(tree.shape_basis))
-    if beta.shape == (SHAPE_DIM,):
-        disp = T.reshape(T.matmul(T.reshape(beta, (1, SHAPE_DIM)), basis),
-                         (NUM_JOINTS, 3))
-        return T.add(Tensor(np.asarray(tree.template)), disp)
-    if beta.ndim == 2 and beta.shape[1] == SHAPE_DIM:
-        frames = beta.shape[0]
-        disp = T.reshape(T.matmul(beta, basis), (frames, NUM_JOINTS, 3))
-        base = T.expand(T.reshape(Tensor(np.asarray(tree.template)),
-                                  (1, NUM_JOINTS, 3)), disp.shape)
-        return T.add(base, disp)
-    raise ShapeError(f"beta must be ({SHAPE_DIM},) or (T, {SHAPE_DIM}), got {beta.shape}")
+    if beta.ndim < 1 or beta.shape[-1] != SHAPE_DIM:
+        raise ShapeError(f"beta must be (..., {SHAPE_DIM}), got {beta.shape}")
+    lead = beta.shape[:-1]
+    # affine wants rank >= 2; a unit axis lets one (10,) body through too
+    rows = T.reshape(beta, lead + (1, SHAPE_DIM))
+    flat = T.affine(rows, Tensor(np.asarray(tree.shape_basis)),
+                    Tensor(np.asarray(tree.template).reshape(-1)))
+    return T.reshape(flat, lead + (NUM_JOINTS, 3))
 
 
 def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor:
-    """Pose the body: rot is (T, 24, 3, 3) local rotations, beta (T, 10).
+    """Pose the body: rot is (..., 24, 3, 3) local rotations, beta (..., 10)
+    with the same leading axes, one body per index of them.
 
-    Returns the posed joints, (T, 24, 3).
+    Returns the posed joints, (..., 24, 3).
     """
-    if rot.ndim != 4 or rot.shape[1:] != (NUM_JOINTS, 3, 3):
-        raise ShapeError(f"rotations must be (T, {NUM_JOINTS}, 3, 3), got {rot.shape}")
-    frames = rot.shape[0]
-    if beta.shape != (frames, SHAPE_DIM):
-        raise ShapeError(f"beta must be ({frames}, {SHAPE_DIM}), got {beta.shape}")
+    if rot.ndim < 3 or rot.shape[-3:] != (NUM_JOINTS, 3, 3):
+        raise ShapeError(f"rotations must be (..., {NUM_JOINTS}, 3, 3), got {rot.shape}")
+    lead = rot.shape[:-3]
+    if beta.shape != lead + (SHAPE_DIM,):
+        raise ShapeError(f"beta must be {lead + (SHAPE_DIM,)}, got {beta.shape}")
 
+    # the joint axis is -3 of rotations, bones and deviations, -2 of rest
     rest = rest_joints(tree, beta)
     base = [k if p == -1 else p for k, p in enumerate(tree.parents)]
-    bones = T.reshape(T.sub(rest, T.take(rest, base, 1)), (frames, NUM_JOINTS, 3, 1))
+    bones = T.reshape(T.sub(rest, T.take(rest, base, -2)), lead + (NUM_JOINTS, 3, 1))
 
     # one step per tree level: gather the parents' world rotations and
     # deviations from the level above, then pose the whole level at once
-    world = T.take(rot, tree.levels[0], 1)
-    dev = Tensor(np.zeros((frames, 1, 3, 1)))
+    world = T.take(rot, tree.levels[0], -3)
+    dev = Tensor(np.zeros(lead + (1, 3, 1)))
     devs = [dev]
     deepest = len(tree.levels) - 1
     for depth, (level, up) in enumerate(zip(tree.levels[1:], tree.level_parents), 1):
-        world_up = T.take(world, up, 1)
+        world_up = T.take(world, up, -3)
         eye = T.expand(Tensor(np.eye(3)), world_up.shape)
-        dev = T.add(T.take(dev, up, 1),
-                    T.matmul(T.sub(world_up, eye), T.take(bones, level, 1)))
+        dev = T.add(T.take(dev, up, -3),
+                    T.matmul(T.sub(world_up, eye), T.take(bones, level, -3)))
         devs.append(dev)
         if depth < deepest:   # no level below reads the deepest rotations
-            world = T.matmul(world_up, T.take(rot, level, 1))
+            world = T.matmul(world_up, T.take(rot, level, -3))
     # the levels concatenate to topo_order; put the joints back in index order
-    dev = T.take(T.concat(devs, axis=1), np.argsort(tree.topo_order), 1)
-    return T.add(rest, T.reshape(dev, (frames, NUM_JOINTS, 3)))
+    dev = T.take(T.concat(devs, axis=-3), np.argsort(tree.topo_order), -3)
+    return T.add(rest, T.reshape(dev, lead + (NUM_JOINTS, 3)))

@@ -46,37 +46,34 @@ def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
                cfg: RunConfig, has_3d=True) -> LossReport:
     """Predictions are tensors (graph inputs); ground truth plain arrays.
 
-    Shapes: j3d (F, J, 3), j2d (F, J, 2), theta (F, 72) axis-angle,
-    beta (F, 10), where the F rows are B clips of F / B frames each, clip
-    by clip. The weights are cfg's w_* fields. has_3d is a (B,) bool
-    array, or one bool for a single clip; False marks a 2D-only clip, whose
-    3D keypoint and parameter terms are masked out. Every term is the mean
-    over clips of the clip's frame mean.
+    Shapes: j3d (..., T, J, 3), j2d (..., T, J, 2), theta (..., T, 72)
+    axis-angle, beta (..., T, 10): one clip of T frames per index of the
+    leading axes. The weights are cfg's w_* fields. has_3d is a bool array
+    shaped like those clip axes, one bool for a single clip; False marks a
+    2D-only clip, whose 3D keypoint and parameter terms are masked out.
+    Every term is the mean over clips of the clip's frame mean.
     """
     if pred_j3d.shape != np.shape(gt_j3d) or pred_j2d.shape != np.shape(gt_j2d):
         raise ShapeError(
             f"prediction/ground-truth mismatch: {pred_j3d.shape} vs "
             f"{np.shape(gt_j3d)}, {pred_j2d.shape} vs {np.shape(gt_j2d)}")
-    if pred_j3d.shape[:2] != pred_j2d.shape[:2]:
-        raise ShapeError("2D and 3D joint counts disagree")
-    has_3d = np.atleast_1d(np.asarray(has_3d, dtype=bool))
-    rows = pred_j3d.shape[0]
-    if has_3d.ndim != 1 or not has_3d.size or rows % has_3d.size:
-        raise ShapeError(f"{rows} frames do not split into {has_3d.size} clips")
-    clips = (has_3d.size, rows // has_3d.size)
-
-    def clip_means(per_frame: Tensor) -> Tensor:
-        return T.reduce_mean(T.reshape(per_frame, clips), axis=-1)
+    if pred_j3d.ndim < 3 or pred_j3d.shape[:-1] != pred_j2d.shape[:-1]:
+        raise ShapeError(f"3D and 2D joints are not (..., T, J, 3) and (..., T, J, "
+                         f"2): {pred_j3d.shape} vs {pred_j2d.shape}")
+    has_3d, clips = np.asarray(has_3d, dtype=bool), pred_j3d.shape[:-3]
+    if has_3d.shape != clips:
+        raise ShapeError(f"has_3d is shaped {has_3d.shape}, but the clips {clips}")
 
     def joint_sums(pred: Tensor, gt: np.ndarray) -> Tensor:
         diff = T.sub(pred, Tensor(np.asarray(gt)))
-        return clip_means(T.reduce_sum(T.vecnorm(diff, axis=-1), axis=-1))
+        per_frame = T.reduce_sum(T.vecnorm(diff, axis=-1), axis=-1)
+        return T.reduce_mean(per_frame, axis=-1)
 
     def norms(x: Tensor) -> Tensor:
-        return clip_means(T.vecnorm(x, axis=-1))
+        return T.reduce_mean(T.vecnorm(x, axis=-1), axis=-1)
 
     def masked(per_clip: Tensor) -> Tensor:
-        return T.where(has_3d, per_clip, Tensor(np.zeros(has_3d.size)))
+        return T.where(has_3d, per_clip, Tensor(np.zeros(clips)))
 
     l_2d = joint_sums(pred_j2d, gt_j2d)
     l_norm = T.add(norms(pred_theta), norms(pred_beta))

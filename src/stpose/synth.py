@@ -129,8 +129,8 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
     has_3d = rng.random(count) >= p_2d_only
 
     # generator guarantee: labels reproduce through the decoder-side path
-    check = rot6d_to_matrix(Tensor(pose6d.reshape(-1, NUM_JOINTS, 6))).data
-    rebuilt = axis_angle_to_matrix_np(theta.reshape(-1, NUM_JOINTS, 3))
+    check = rot6d_to_matrix(Tensor(pose6d)).data
+    rebuilt = axis_angle_to_matrix_np(theta.reshape(pose6d.shape[:-1] + (3,)))
     err = np.abs(check - rebuilt).max()
     if not err < 1e-9:
         raise RuntimeError(f"6D and axis-angle labels disagree by {err:.3e}")

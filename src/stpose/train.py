@@ -10,7 +10,6 @@ the seed is deterministic, so a config fully reproduces a run.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -57,7 +56,7 @@ class Model(Module):
 def build_model(cfg: RunConfig) -> Model:
     rng = np.random.default_rng(cfg.seed)
     tree = build_tree(cfg.tree, cfg.seed)
-    patch_embed = Affine(cfg.d_in, cfg.d, rng)
+    patch_embed = Affine(NUM_JOINTS, cfg.d, rng)
     encoder = SteEncoder(cfg, rng)
     if cfg.decoder == "ktd":
         decoder = KtdDecoder(cfg.d, tree)
@@ -67,23 +66,23 @@ def build_model(cfg: RunConfig) -> Model:
 
 
 class ForwardOut(NamedTuple):
+    """Everything past the encoder keeps the observations' (..., T) axes."""
     params: SmplParams
-    j3d: Tensor     # (F, 24, 3)
-    j2d: Tensor     # (F, 24, 2)
-    rot: Tensor     # (F, 24, 3, 3) local joint rotations
+    j3d: Tensor     # (..., T, 24, 3)
+    j2d: Tensor     # (..., T, 24, 2)
+    rot: Tensor     # (..., T, 24, 3, 3) local joint rotations
     maps: list
 
 
 def model_forward(model: Model, obs: np.ndarray) -> ForwardOut:
     """Full chain: observations -> features -> parameters -> joints.
 
-    obs is (..., T, hw, d_in), one clip per index of the leading axes; the
-    outputs run over the F = B*T frames of all clips, clip by clip.
+    obs is (..., T, hw, 24), one clip per index of the leading axes; every
+    output keeps the (..., T) axes of the clips' frames.
     """
     feats, maps = model.encoder.encode(
         Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed)
-    frames = math.prod(feats.shape[:-1])
-    params = model.decoder.decode(T.reshape(feats, (frames, feats.shape[-1])))
+    params = model.decoder.decode(feats)
     rot = rot6d_to_matrix(params.pose)
     j3d = forward_kinematics(model.tree, rot, params.shape)
     return ForwardOut(params, j3d, project(j3d, params.cam), rot, maps)
@@ -151,17 +150,12 @@ def batch_step(model: Model, batch: ClipBatch, clips,
     (image mode, T = 1), ``None`` feeds whole clips (video mode)."""
     pick = (np.asarray(clips),
             slice(None) if frame is None else slice(frame, frame + 1))
-
-    def frames(a):
-        a = a[pick]
-        return a.reshape((-1,) + a.shape[2:])
-
     out = model_forward(model, batch.obs[pick])
     theta = T.reshape(matrix_to_axis_angle(out.rot),
-                      (out.rot.shape[0], NUM_JOINTS * 3))
+                      out.rot.shape[:-3] + (NUM_JOINTS * 3,))
     return total_loss(out.j3d, out.j2d, theta, out.params.shape,
-                      frames(batch.gt_j3d), frames(batch.gt_j2d),
-                      frames(batch.gt_theta), frames(batch.gt_beta), model.cfg,
+                      batch.gt_j3d[pick], batch.gt_j2d[pick],
+                      batch.gt_theta[pick], batch.gt_beta[pick], model.cfg,
                       has_3d=batch.has_3d[pick[0]])
 
 
@@ -265,7 +259,6 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     """
     with T.no_grad():
         j3d = model_forward(model, batch.obs).j3d.data
-    j3d = j3d.reshape(batch.gt_j3d.shape)
     rows = []
     for clip in range(batch.clips):
         pred, gt = j3d[clip], batch.gt_j3d[clip]

@@ -13,9 +13,13 @@ from stpose import tensor as T
 from stpose.attention import TOPOLOGIES, MsaLayer, SteBlock, SteEncoder
 from stpose.config import RunConfig
 from stpose.gradcheck import fd_check
+from stpose.kinematics import NUM_JOINTS
 from stpose.layers import Affine
 from stpose.tensor import ShapeError, Tensor
 from stpose.train import build_model, model_forward
+
+# channels per patch in encoder tests that bring their own patch embedding
+CHANNELS = 6
 
 
 def _softmax_np(x):
@@ -350,18 +354,18 @@ class TestSteBlock:
 class TestSteEncoder:
     def _cfg(self, **kw):
         base = dict(encoder="parallel_v2", blocks=2, d=8, heads=2, hw=4,
-                    t_clip=4, d_in=6)
+                    t_clip=4)
         base.update(kw)
         return RunConfig(**base)
 
     def _obs(self, rng, frames, cfg):
-        return Tensor(rng.standard_normal((frames, cfg.hw, cfg.d_in)))
+        return Tensor(rng.standard_normal((frames, cfg.hw, CHANNELS)))
 
     def test_feature_shape_and_map_count(self):
         rng = np.random.default_rng(131)
         cfg = self._cfg()
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
         feats, maps = enc.encode(self._obs(rng, 3, cfg), embed)
         assert feats.shape == (3, cfg.d)
         assert len(maps) == cfg.blocks
@@ -373,7 +377,7 @@ class TestSteEncoder:
         rng = np.random.default_rng(132)
         cfg = self._cfg()
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
         obs = self._obs(rng, 1, cfg)
         f_default, maps = enc.encode(obs, embed)
         force_bypass(enc, True)
@@ -388,11 +392,11 @@ class TestSteEncoder:
         rng = np.random.default_rng(133)
         cfg = self._cfg()
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
         with pytest.raises(ShapeError, match="clip"):
             enc.encode(self._obs(rng, 5, cfg), embed)
         with pytest.raises(ShapeError):
-            enc.encode(Tensor(np.zeros((2, 3, cfg.d_in))), embed)
+            enc.encode(Tensor(np.zeros((2, 3, CHANNELS))), embed)
 
     @pytest.mark.parametrize("frames", [3, 1])
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -400,8 +404,8 @@ class TestSteEncoder:
         rng = np.random.default_rng(137)
         cfg = self._cfg(encoder=topology)
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
-        obs = rng.standard_normal((2, frames, cfg.hw, cfg.d_in))
+        embed = Affine(CHANNELS, cfg.d, rng)
+        obs = rng.standard_normal((2, frames, cfg.hw, CHANNELS))
         feats, maps = enc.encode(Tensor(obs), embed)
         assert feats.shape == (2, frames, cfg.d)
         for c in range(2):
@@ -439,8 +443,8 @@ class TestSteEncoder:
         rng = np.random.default_rng(135)
         cfg = self._cfg(encoder="parallel_v2", blocks=2, t_clip=3)
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
-        obs = rng.standard_normal((3, cfg.hw, cfg.d_in))
+        embed = Affine(CHANNELS, cfg.d, rng)
+        obs = rng.standard_normal((3, cfg.hw, CHANNELS))
         base, _ = enc.encode(Tensor(obs), embed)
         perm = np.array([2, 0, 1])
         saved = enc.pos_temporal.data.copy()
@@ -453,8 +457,8 @@ class TestSteEncoder:
         rng = np.random.default_rng(136)
         cfg = self._cfg(encoder="spatial", blocks=2, t_clip=4)
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
-        obs = rng.standard_normal((4, cfg.hw, cfg.d_in))
+        embed = Affine(CHANNELS, cfg.d, rng)
+        obs = rng.standard_normal((4, cfg.hw, CHANNELS))
         base, _ = enc.encode(Tensor(obs), embed)
         perm = np.array([3, 1, 0, 2])
         saved = enc.pos_temporal.data.copy()
@@ -468,7 +472,7 @@ class TestSteEncoder:
         rng = np.random.default_rng(134)
         cfg = self._cfg(encoder=topology, blocks=1)
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
         obs = self._obs(rng, 2, cfg)
         coef = np.asarray(rng.standard_normal((2, cfg.d)))
         params = list(enc.named_params().values()) + list(
@@ -501,10 +505,9 @@ class TestClassTokenTail:
     @pytest.mark.parametrize("topology", TOPOLOGIES)
     def test_tail_matches_the_full_last_block(self, topology, frames, monkeypatch):
         rng = np.random.default_rng(141)
-        cfg = RunConfig(encoder=topology, blocks=2, d=8, heads=2, hw=4, t_clip=4,
-                        d_in=6)
+        cfg = RunConfig(encoder=topology, blocks=2, d=8, heads=2, hw=4, t_clip=4)
         enc = SteEncoder(cfg, rng)
-        embed = Affine(cfg.d_in, cfg.d, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
         params = list(enc.named_params().values()) + list(
             embed.named_params("e").values())
         last = enc.blocks[-1]
@@ -515,7 +518,7 @@ class TestClassTokenTail:
             return real_attend(x, bypass_temporal)
 
         monkeypatch.setattr(last, "attend", attend)
-        obs = Tensor(rng.standard_normal((2, frames, cfg.hw, cfg.d_in)))
+        obs = Tensor(rng.standard_normal((2, frames, cfg.hw, CHANNELS)))
         feats, maps = enc.encode(obs, embed)
         monkeypatch.undo()
         # the full block on the same input, sharing the graph below it
@@ -554,7 +557,7 @@ class TestClassTokenTail:
 
         monkeypatch.setattr(T, "mlp", mlp)
         monkeypatch.setattr(last, "attend", attend)
-        obs = np.random.default_rng(142).standard_normal((2, frames, cfg.hw, cfg.d_in))
+        obs = np.random.default_rng(142).standard_normal((2, frames, cfg.hw, NUM_JOINTS))
         out = model_forward(model, obs)
         monkeypatch.undo()
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +45,10 @@ class TestParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_text("d = 8\njust some words\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"line 3: key 'd' already set on line 1"):
+            parse_config_text("d = 8\nheads = 2\nd = 16\n")
+
     def test_empty_value(self):
         with pytest.raises(ValueError, match=r"empty value.*'lr'"):
             parse_config_text("lr =\n")
@@ -72,8 +77,8 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
 
-    @pytest.mark.parametrize("field", ["blocks", "d", "heads", "hw", "d_in",
-                                       "t_clip", "iterations", "clips"])
+    @pytest.mark.parametrize("field", ["blocks", "d", "heads", "hw", "t_clip",
+                                       "iterations", "clips", "log_interval"])
     def test_positive_fields(self, field):
         with pytest.raises(ValueError, match="positive"):
             RunConfig(**{field: 0})
@@ -157,3 +162,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="d must be divisible by heads"):
             load_config(path)
         assert load_config(path, {"d": 48}).heads == 3
+
+
+class TestReadme:
+    def test_key_block_matches_defaults(self):
+        """README's "All keys with their defaults" block parses to RunConfig()
+        field for field, in declaration order."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        after = readme[readme.index("All keys with their"):]
+        start = after.index("```\n") + len("```\n")
+        block = after[start:after.index("```", start)]
+        defaults = RunConfig()
+        assert list(parse_config_text(block).items()) == [
+            (f.name, getattr(defaults, f.name))
+            for f in dataclasses.fields(RunConfig)]

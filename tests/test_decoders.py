@@ -275,3 +275,35 @@ class TestSmplForward:
         err = fd_check(loss, params, max_coords_per_tensor=4,
                        rng=np.random.default_rng(2))
         assert err < 1e-4
+
+
+class TestClipAxes:
+    """A (2, 3, ...) stack of clips decodes and poses bit for bit as each
+    clip does on its own."""
+
+    @pytest.mark.parametrize("kind", ["ktd", "iterative"])
+    def test_decode_stack_matches_per_clip(self, kind):
+        rng = np.random.default_rng(34)
+        dec = KtdDecoder(12, K.smpl_tree()) if kind == "ktd" else IterativeDecoder(12)
+        _xavier(dec, rng)
+        x = rng.standard_normal((2, 3, 12))
+        out = dec.decode(Tensor(x))
+        assert [a.shape for a in out] == [(2, 3, 24, 6), (2, 3, 10), (2, 3, 3)]
+        for c in range(2):
+            for got, want in zip(out, dec.decode(Tensor(x[c]))):
+                assert np.array_equal(got.data[c], want.data)
+
+    def test_smpl_forward_stack_matches_per_clip(self):
+        tree = K.smpl_tree()
+        rng = np.random.default_rng(35)
+        pose = rng.standard_normal((2, 3, 24, 6))
+        shape = rng.standard_normal((2, 3, 10)) * 0.5
+        cam = np.concatenate([rng.uniform(0.5, 1.5, (2, 3, 1)),
+                              rng.standard_normal((2, 3, 2))], axis=-1)
+        j3d, j2d = smpl_forward(SmplParams(Tensor(pose), Tensor(shape), Tensor(cam)), tree)
+        assert (j3d.shape, j2d.shape) == ((2, 3, 24, 3), (2, 3, 24, 2))
+        for c in range(2):
+            one3, one2 = smpl_forward(
+                SmplParams(Tensor(pose[c]), Tensor(shape[c]), Tensor(cam[c])), tree)
+            assert np.array_equal(j3d.data[c], one3.data)
+            assert np.array_equal(j2d.data[c], one2.data)

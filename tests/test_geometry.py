@@ -230,6 +230,18 @@ class TestProject:
             G.project(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError):
             G.project(Tensor(np.zeros((2, 4, 3))), Tensor(np.zeros((3, 3))))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 3\)"):
+            G.project(Tensor(np.zeros((2, 3, 4, 3))), Tensor(np.zeros((2, 2, 3))))
+
+    def test_clip_stack_matches_per_clip(self):
+        rng = np.random.default_rng(44)
+        j3d = _rand(rng, 2, 3, 24, 3)
+        cam = np.concatenate([rng.uniform(0.5, 1.5, (2, 3, 1)), _rand(rng, 2, 3, 2)],
+                             axis=-1)
+        got = G.project(Tensor(j3d), Tensor(cam)).data
+        assert got.shape == (2, 3, 24, 2)
+        for c in range(2):
+            assert np.array_equal(got[c], G.project(Tensor(j3d[c]), Tensor(cam[c])).data)
 
     def test_gradient_through_joints_and_camera(self):
         rng = np.random.default_rng(43)

@@ -236,6 +236,29 @@ class TestForwardKinematics:
         with pytest.raises(ShapeError):
             K.forward_kinematics(tree, Tensor(np.zeros((2, 24, 3, 3))),
                                  Tensor(np.zeros((3, 10))))
+        with pytest.raises(ShapeError, match=r"\(2, 3, 10\)"):
+            K.forward_kinematics(tree, Tensor(np.zeros((2, 3, 24, 3, 3))),
+                                 Tensor(np.zeros((3, 2, 10))))
+
+
+class TestClipAxes:
+    """A (2, 3, ...) stack of clips poses bit for bit as each clip does on
+    its own."""
+
+    @pytest.mark.parametrize("make_tree", [K.smpl_tree, lambda: K.random_tree(3),
+                                           lambda: K.reverse_tree(K.smpl_tree())])
+    def test_stack_matches_per_clip(self, make_tree):
+        tree = make_tree()
+        rng = np.random.default_rng(73)
+        rot = _random_pose(rng, 6).reshape(2, 3, K.NUM_JOINTS, 3, 3)
+        beta = rng.standard_normal((2, 3, K.SHAPE_DIM))
+        joints = K.forward_kinematics(tree, Tensor(rot), Tensor(beta)).data
+        rest = K.rest_joints(tree, Tensor(beta)).data
+        assert joints.shape == rest.shape == (2, 3, K.NUM_JOINTS, 3)
+        for c in range(2):
+            one = K.forward_kinematics(tree, Tensor(rot[c]), Tensor(beta[c])).data
+            assert np.array_equal(joints[c], one)
+            assert np.array_equal(rest[c], K.rest_joints(tree, Tensor(beta[c])).data)
 
 
 def _fk_per_joint(tree, rot, beta):

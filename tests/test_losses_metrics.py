@@ -17,11 +17,11 @@ from stpose.metrics import accel_error, mpjpe, pa_mpjpe, similarity_align
 from stpose.tensor import ShapeError, Tensor
 
 
-def _gt_like(rng, frames=2, joints=24):
-    return (rng.standard_normal((frames, joints, 3)),
-            rng.standard_normal((frames, joints, 2)),
-            rng.standard_normal((frames, 72)) * 0.3,
-            rng.standard_normal((frames, 10)) * 0.3)
+def _gt_like(rng, frames=2, joints=24, clips=()):
+    return (rng.standard_normal(clips + (frames, joints, 3)),
+            rng.standard_normal(clips + (frames, joints, 2)),
+            rng.standard_normal(clips + (frames, 72)) * 0.3,
+            rng.standard_normal(clips + (frames, 10)) * 0.3)
 
 
 def _loss_args(pred, gt, cfg, has_3d=True):
@@ -128,15 +128,22 @@ class TestTotalLoss:
         with pytest.raises(ShapeError):
             total_loss(Tensor(rng.standard_normal((2, 23, 3))), Tensor(gt[1]),
                        Tensor(gt[2]), Tensor(gt[3]), *gt, cfg=RunConfig())
+        # under clip axes, the check compares all but the coordinate axis
+        gt = _gt_like(rng, clips=(3,))
+        j3d = rng.standard_normal((3, 2, 23, 3))
+        with pytest.raises(ShapeError, match="23, 3.*24, 2"):
+            total_loss(Tensor(j3d), Tensor(gt[1]), Tensor(gt[2]),
+                       Tensor(gt[3]), j3d, *gt[1:], cfg=RunConfig(),
+                       has_3d=np.ones(3, dtype=bool))
 
     def test_per_clip_mask_is_mean_of_clip_losses(self):
         rng = np.random.default_rng(208)
-        gt = _gt_like(rng, frames=6)
+        gt = _gt_like(rng, clips=(3,))
         pred = tuple(a + rng.standard_normal(a.shape) * 0.1 for a in gt)
         has_3d = np.array([True, False, True])
         rep = _loss_args(pred, gt, RunConfig(), has_3d=has_3d)
-        clips = [_loss_args(tuple(a[2 * c:2 * c + 2] for a in pred),
-                            tuple(a[2 * c:2 * c + 2] for a in gt),
+        clips = [_loss_args(tuple(a[c] for a in pred),
+                            tuple(a[c] for a in gt),
                             RunConfig(), has_3d=bool(has_3d[c]))
                  for c in range(3)]
         assert rep.value() == pytest.approx(
@@ -147,9 +154,10 @@ class TestTotalLoss:
         assert clips[1].l_3d == clips[1].l_smpl == 0.0
 
     def test_frames_must_split_into_clips(self):
+        """has_3d names one flag per clip, shaped like the clip axes."""
         rng = np.random.default_rng(209)
         gt = _gt_like(rng, frames=3)
-        with pytest.raises(ShapeError, match="clips"):
+        with pytest.raises(ShapeError, match=r"\(2,\).*clips \(\)"):
             _loss_args(gt, gt, RunConfig(), has_3d=np.array([True, True]))
 
     @pytest.mark.parametrize("bad", [dict(w_3d=-1.0), dict(w_norm=float("nan")),

@@ -11,6 +11,7 @@ from stpose.attention import SteEncoder
 from stpose.checkpoint import load_checkpoint, restore_params
 from stpose.config import RunConfig
 from stpose.decoders import SmplParams
+from stpose.kinematics import NUM_JOINTS
 from stpose.layers import Affine, Module
 from stpose.losses import LossReport
 from stpose.metrics import accel_error, mpjpe, pa_mpjpe
@@ -63,18 +64,17 @@ class TestModelAssembly:
         assert out.params.pose.shape == (4, 24, 6)
         assert len(out.maps) == cfg.blocks
 
-    def test_clip_stack_flattens_frames_clip_by_clip(self):
+    def test_clip_stack_keeps_clip_axes(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
         batch = synth_generate(0, 2, cfg.t_clip, hw=cfg.hw)
         out = model_forward(model, batch.obs)
-        assert out.j3d.shape == (8, 24, 3)
-        assert out.rot.shape == (8, 24, 3, 3)
+        assert out.j3d.shape == (2, 4, 24, 3)
+        assert out.rot.shape == (2, 4, 24, 3, 3)
         assert out.maps[0]["spatial"].shape == (2, 4, cfg.heads, 5, 5)
         for c in range(2):
             one = model_forward(model, batch.obs[c])
-            np.testing.assert_allclose(out.j3d.data[4 * c:4 * c + 4],
-                                       one.j3d.data, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(out.j3d.data[c], one.j3d.data)
 
 
 # Model.named_params() of RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2):
@@ -338,8 +338,8 @@ class TestBatchStep:
         monkeypatch.setattr(SteEncoder, "encode", counting)
         batch_step(model, batch, range(3))
         batch_step(model, batch, range(3), frame=2)
-        assert shapes == [(3, cfg.t_clip, cfg.hw, cfg.d_in),
-                          (3, 1, cfg.hw, cfg.d_in)]
+        assert shapes == [(3, cfg.t_clip, cfg.hw, NUM_JOINTS),
+                          (3, 1, cfg.hw, NUM_JOINTS)]
 
     def test_image_mode_uses_one_frame(self):
         cfg = tiny_cfg()
@@ -393,9 +393,8 @@ class TestEvaluate:
 
         class Oracle:
             def decode(self, feats):
-                return SmplParams(*(Tensor(a.reshape((-1,) + a.shape[2:]))
-                                    for a in (batch.gt_pose6d, batch.gt_beta,
-                                              batch.gt_cam)))
+                return SmplParams(*(Tensor(a) for a in (
+                    batch.gt_pose6d, batch.gt_beta, batch.gt_cam)))
 
         model.decoder = Oracle()
         rows, mean = evaluate(model, batch)
@@ -439,7 +438,7 @@ class TestEvaluate:
                             no_axis_angle)
         evaluate(model, batch)
         assert len(outs) == 1
-        assert outs[0].j3d.shape == (2 * cfg.t_clip, 24, 3)
+        assert outs[0].j3d.shape == (2, cfg.t_clip, 24, 3)
         assert not outs[0].j3d.requires_grad and outs[0].j3d._parents == ()
 
     def test_mean_matches_rows(self):
