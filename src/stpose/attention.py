@@ -22,10 +22,16 @@ batch axes of attention (B*T for spatial, B*N for temporal, B for coupled),
 so clips never attend to each other and every map gains the same leading
 axes. A single-frame image batch is the T = 1 case.
 
-The per-frame output feature is the class token after a final layer norm.
-The feed-forward half of a block (residual, layer norm, MLP) is row-wise,
-so the last block feeds forward only the class tokens the encoder returns;
-its attention still runs over every token, so its maps are the full ones.
+The per-frame output feature is the class token after a final layer norm,
+so the last block computes only the rows the encoder returns, as in CaiT's
+class attention (Touvron et al., arXiv 2103.17239). Its queries are the
+class tokens: one per frame for spatial attention and T per clip for
+coupled attention, while keys and values still span every token of the
+frame or clip. Temporal attention runs on the class slot alone. The output
+projection, the branch mix, the residual and the MLP then work on the
+(..., T, 1, d) class rows, and the last block's maps are the class-token
+rows of the full maps: (..., T, H, 1, N) spatial, (..., 1, H, T, T)
+temporal and (..., H, T, TN) coupled, whose row t is the query at t*N.
 """
 
 from __future__ import annotations
@@ -55,20 +61,37 @@ class MsaLayer(Module):
         self.wv = Affine(d, d, rng)
         self.wo = Affine(d, d, rng)
 
-    def _attend(self, z: Tensor):
-        batch, m, d = z.shape
+    def _attend(self, zq: Tensor, zkv: Tensor):
+        """Queries from zq (batch, m, d) attend over keys and values from zkv
+        (batch, n, d); returns the (batch, m, d) output and (batch, H, m, n)
+        maps."""
+        (batch, m, d), n = zq.shape, zkv.shape[1]
         h, dh = self.heads, self.d // self.heads
 
-        def split(t):
-            return T.transpose(T.reshape(t, (batch, m, h, dh)), (0, 2, 1, 3))
+        def split(t, rows):
+            return T.transpose(T.reshape(t, (batch, rows, h, dh)), (0, 2, 1, 3))
 
-        # scaling q rather than the logits keeps one (batch, H, m, m) logit
+        # scaling q rather than the logits keeps one (batch, H, m, n) logit
         # array alive instead of two
-        q = split(T.scale(self.wq(z), 1.0 / math.sqrt(dh)))
-        k, v = split(self.wk(z)), split(self.wv(z))
+        q = split(T.scale(self.wq(zq), 1.0 / math.sqrt(dh)), m)
+        k, v = split(self.wk(zkv), n), split(self.wv(zkv), n)
         out, att = T.attention_core(q, k, v)
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, m, d))
         return self.wo(out), att
+
+    def _layout(self, x: Tensor):
+        if x.ndim < 3 or x.shape[-1] != self.d:
+            raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
+        lead = x.shape[:-3]
+        return lead, math.prod(lead), x.shape[-3], x.shape[-2]
+
+    def _temporal(self, x: Tensor, lead, clips, frames, tokens):
+        swap = tuple(range(len(lead))) + tuple(len(lead) + a for a in (1, 0, 2))
+        xt = T.transpose(x, swap)
+        z = T.reshape(xt, (clips * tokens, frames, self.d))
+        y, maps = self._attend(z, z)
+        return (T.transpose(T.reshape(y, xt.shape), swap),
+                maps.reshape(lead + (tokens,) + maps.shape[1:]))
 
     def __call__(self, x: Tensor, mode: str):
         """x is (..., T, N, d); returns (y, maps) with y shaped like x and
@@ -77,32 +100,54 @@ class MsaLayer(Module):
         the batch axis of attention, so every clip attends on its own. The
         maps are read-only views of the probabilities the backward pass
         reads."""
-        if x.ndim < 3 or x.shape[-1] != self.d:
-            raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
-        lead, (frames, tokens, d) = x.shape[:-3], x.shape[-3:]
-        clips = math.prod(lead)
+        lead, clips, frames, tokens = self._layout(x)
+        d = self.d
         if mode == "spatial":
-            y, maps = self._attend(T.reshape(x, (clips * frames, tokens, d)))
+            z = T.reshape(x, (clips * frames, tokens, d))
+            y, maps = self._attend(z, z)
             return T.reshape(y, x.shape), maps.reshape(lead + (frames,) + maps.shape[1:])
         if mode == "temporal":
-            swap = tuple(range(len(lead))) + tuple(len(lead) + a for a in (1, 0, 2))
-            xt = T.transpose(x, swap)
-            y, maps = self._attend(T.reshape(xt, (clips * tokens, frames, d)))
-            return (T.transpose(T.reshape(y, xt.shape), swap),
-                    maps.reshape(lead + (tokens,) + maps.shape[1:]))
+            return self._temporal(x, lead, clips, frames, tokens)
         if mode == "coupled":
-            y, maps = self._attend(T.reshape(x, (clips, frames * tokens, d)))
+            z = T.reshape(x, (clips, frames * tokens, d))
+            y, maps = self._attend(z, z)
             return T.reshape(y, x.shape), maps.reshape(lead + maps.shape[1:])
         raise ValueError(f"unknown attention mode {mode!r}")
 
+    def class_rows(self, x: Tensor, mode: str):
+        """The rows of __call__(x, mode) at the class tokens (index 0 of N),
+        computed alone: returns y (..., T, 1, d) and the class-token rows of
+        the maps, (..., T, H, 1, N) for spatial, (..., 1, H, T, T) for
+        temporal and (..., H, T, TN) for coupled attention, whose row t is
+        the query at t*N. Spatial and coupled queries are the class tokens,
+        and their keys and values span every token of the frame or clip.
+        Temporal attention never mixes token slots, so it runs on the class
+        slot alone; x may hold only that slot (N = 1)."""
+        lead, clips, frames, tokens = self._layout(x)
+        d = self.d
+        if mode == "spatial":
+            z = T.reshape(x, (clips * frames, tokens, d))
+            y, maps = self._attend(T.take(z, [0], 1), z)
+            return (T.reshape(y, lead + (frames, 1, d)),
+                    maps.reshape(lead + (frames,) + maps.shape[1:]))
+        if mode == "temporal":
+            return self._temporal(class_slot(x), lead, clips, frames, 1)
+        if mode == "coupled":
+            q = T.reshape(T.take(x, [0], -2), (clips, frames, d))
+            y, maps = self._attend(q, T.reshape(x, (clips, frames * tokens, d)))
+            return (T.reshape(y, lead + (frames, 1, d)),
+                    maps.reshape(lead + maps.shape[1:]))
+        raise ValueError(f"unknown attention mode {mode!r}")
+
+
+def class_slot(x: Tensor) -> Tensor:
+    """The class tokens (..., T, 1, d) of x (..., T, N, d); x itself when it
+    holds nothing else."""
+    return x if x.shape[-2] == 1 else T.take(x, [0], -2)
+
 
 class SteBlock(Module):
-    """One encoder block in a chosen topology.
-
-    force_alpha, when set to a (spatial, temporal) pair of floats, replaces
-    the learned parallel_v2 gates with constants; it exists so degenerate
-    gate settings can be compared against single-branch blocks.
-    """
+    """One encoder block in a chosen topology."""
 
     def __init__(self, topology: str, d: int, heads: int,
                  rng: np.random.Generator):
@@ -124,24 +169,19 @@ class SteBlock(Module):
         self.ln_mlp = LayerNorm(d)
         self.fc1 = Affine(d, MLP_RATIO * d, rng)
         self.fc2 = Affine(MLP_RATIO * d, d, rng)
-        self.force_alpha = None
         self.last_alpha = None
 
     def _gated_mix(self, s: Tensor, t: Tensor) -> Tensor:
         """s and t are (..., T, N, d); the gates are per frame and channel,
         stored in last_alpha as (..., T, 1, d) pairs."""
         gate_shape = s.shape[:-2] + (1, s.shape[-1])
-        if self.force_alpha is not None:
-            a_s, a_t = self.force_alpha
-            self.last_alpha = (np.full(gate_shape, a_s), np.full(gate_shape, a_t))
-            return T.add(T.scale(s, float(a_s)), T.scale(t, float(a_t)))
         # a shared gate scores each branch's class token; softmax over the
         # two branches reduces to a sigmoid of the logit difference, and the
         # complement 1 - alpha_s makes the pair sum to exactly one
         rows = (math.prod(s.shape[:-2]), s.shape[-1])
 
         def cls(z):
-            return T.reshape(T.take(z, [0], -2), rows)
+            return T.reshape(class_slot(z), rows)
 
         alpha_s = T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t))))
         alpha_t = T.add_scalar(T.neg(alpha_s), 1.0)
@@ -153,44 +193,49 @@ class SteBlock(Module):
 
         return T.add(T.mul(broad(alpha_s), s), T.mul(broad(alpha_t), t))
 
-    def attend(self, x: Tensor, bypass_temporal: bool = False):
+    def attend(self, x: Tensor, bypass_temporal: bool = False,
+               class_rows: bool = False):
         """The attention half of the block: x is (..., T, N, d); returns the
         residual stream u shaped like x and the block's attention maps keyed
-        by mode."""
+        by mode. With class_rows set, u holds only the class-token rows
+        (..., T, 1, d) and the maps only the rows of those queries (see
+        MsaLayer.class_rows)."""
         maps: dict[str, np.ndarray] = {}
         self.last_alpha = None
         topo = self.topology
+        rows = class_slot(x) if class_rows else x
+        msa = MsaLayer.class_rows if class_rows else MsaLayer.__call__
 
         if topo == "spatial":
-            s, maps["spatial"] = self.msa_s(self.ln_attn(x), "spatial")
-            u = T.add(x, s)
+            s, maps["spatial"] = msa(self.msa_s, self.ln_attn(x), "spatial")
+            u = T.add(rows, s)
         elif topo == "temporal":
             if bypass_temporal:
-                u = x
+                u = rows
             else:
-                t, maps["temporal"] = self.msa_t(self.ln_attn(x), "temporal")
-                u = T.add(x, t)
+                t, maps["temporal"] = msa(self.msa_t, self.ln_attn(rows), "temporal")
+                u = T.add(rows, t)
         elif topo == "series":
-            s, maps["spatial"] = self.msa_s(self.ln_attn(x), "spatial")
-            u = T.add(x, s)
+            s, maps["spatial"] = msa(self.msa_s, self.ln_attn(x), "spatial")
+            u = T.add(rows, s)
             if not bypass_temporal:
-                t, maps["temporal"] = self.msa_t(self.ln_attn2(u), "temporal")
+                t, maps["temporal"] = msa(self.msa_t, self.ln_attn2(u), "temporal")
                 u = T.add(u, t)
         elif topo in ("parallel_v1", "parallel_v2"):
             xn = self.ln_attn(x)
-            s, maps["spatial"] = self.msa_s(xn, "spatial")
+            s, maps["spatial"] = msa(self.msa_s, xn, "spatial")
             if bypass_temporal:
                 mix = s
             else:
-                t, maps["temporal"] = self.msa_t(xn, "temporal")
+                t, maps["temporal"] = msa(self.msa_t, xn, "temporal")
                 if topo == "parallel_v1":
                     mix = T.scale(T.add(s, t), 0.5)
                 else:
                     mix = self._gated_mix(s, t)
-            u = T.add(x, mix)
+            u = T.add(rows, mix)
         else:   # coupling
-            c, maps["coupled"] = self.msa_c(self.ln_attn(x), "coupled")
-            u = T.add(x, c)
+            c, maps["coupled"] = msa(self.msa_c, self.ln_attn(x), "coupled")
+            u = T.add(rows, c)
 
         return u, maps
 
@@ -233,9 +278,12 @@ class SteEncoder(Module):
         features (..., T, d) and the attention maps of every block, which
         gain the same leading axes.
 
-        The last block attends over all tokens, so its maps equal a full
-        block call's, then feeds forward and normalizes only the class
-        tokens, the (..., T, 1, d) rows the features are read from.
+        The features are read from the class tokens alone, so the last
+        block computes only their (..., T, 1, d) rows: its attention queries
+        are the class tokens (keys and values still span every token), and
+        its maps are the class-token rows of a full block call's,
+        (..., T, H, 1, N) spatial, (..., 1, H, T, T) temporal and
+        (..., H, T, TN) coupled. Every other block returns full maps.
 
         A clip of one frame bypasses every temporal sub-layer: a single
         frame carries no temporal axis worth attending over.
@@ -261,10 +309,10 @@ class SteEncoder(Module):
         for block in self.blocks[:-1]:
             x, maps = block(x, bypass_temporal=bypass_temporal)
             all_maps.append(maps)
-        # only the class tokens leave the encoder, and everything after the
-        # last block's attention is row-wise: feed forward those rows alone
+        # only the class tokens leave the encoder: the last block computes
+        # their rows alone
         last = self.blocks[-1]
-        u, maps = last.attend(x, bypass_temporal=bypass_temporal)
+        u, maps = last.attend(x, bypass_temporal=bypass_temporal, class_rows=True)
         all_maps.append(maps)
-        cls = self.ln_final(last.feed_forward(T.take(u, [0], -2)))
+        cls = self.ln_final(last.feed_forward(u))
         return T.reshape(cls, lead + (frames, cfg.d)), all_maps

@@ -155,14 +155,16 @@ def _cmd_attn_dump(args) -> int:
         fh.write("block,branch,slot,head,query,key,weight\n")
         for b, block_maps in enumerate(result.maps):
             for branch, weights in sorted(block_maps.items()):
+                # the last block's maps hold only its class-token query
+                # rows, so a map is m queries by n keys
                 data = np.asarray(weights)
-                if branch == "coupled":      # (H, TN, TN): one slot
+                if branch == "coupled":      # (H, m, TN): one slot
                     data = data[None]
-                slots, heads, m, _ = data.shape
+                slots, heads, m, n = data.shape
                 for s in range(slots):
                     for h in range(heads):
                         for q in range(m):
-                            for k in range(m):
+                            for k in range(n):
                                 fh.write(f"{b},{branch},{s},{h},{q},{k},"
                                          f"{float(data[s, h, q, k])!r}\n")
                         if s == 0:

@@ -246,7 +246,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g))
+    return _result(a.data - b.data, (a, b),
+                   lambda g: (g, -g if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -295,7 +296,8 @@ def where(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     return _result(
         np.where(mask, a.data, b.data),
         (a, b),
-        lambda g: (np.where(mask, g, 0.0), np.where(mask, 0.0, g)),
+        lambda g: (np.where(mask, g, 0.0) if a.requires_grad else None,
+                   np.where(mask, 0.0, g) if b.requires_grad else None),
     )
 
 
@@ -378,7 +380,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the trailing axis of x, as one GEMM over the rows of
     ``x.reshape(-1, fan_in)``; the weight gradient is one GEMM over all rows
-    and the bias gradient one row sum."""
+    and the bias gradient one row sum. The VJP computes only the gradients
+    of the operands that require one."""
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise ShapeError(f"affine weight {w.shape} and bias {b.shape} disagree")
     fan_in, fan_out = w.shape
@@ -392,7 +395,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         rows = g.reshape(-1, fan_out)
         gx = (rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x.data.reshape(-1, fan_in).T @ rows, rows.sum(axis=0)
+        gw = x.data.reshape(-1, fan_in).T @ rows if w.requires_grad else None
+        return gx, gw, rows.sum(axis=0) if b.requires_grad else None
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w, b), vjp)
 

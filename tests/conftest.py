@@ -12,5 +12,6 @@ def force_bypass(monkeypatch):
         for block in encoder.blocks:
             monkeypatch.setattr(
                 block, "attend",
-                lambda x, bypass_temporal=False, block=block: SteBlock.attend(block, x, flag))
+                lambda x, bypass_temporal=False, class_rows=False, block=block:
+                SteBlock.attend(block, x, flag, class_rows))
     return force

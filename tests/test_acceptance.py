@@ -256,6 +256,18 @@ def _copy_matching_params(src: SteBlock, dst: SteBlock):
         dst_params[name].data[...] = p.data
 
 
+class _ForcedGates(SteBlock):
+    """parallel_v2 with its branch gates replaced by the constants alpha."""
+
+    def __init__(self, alpha, d, heads, rng):
+        super().__init__("parallel_v2", d, heads, rng)
+        self.alpha = alpha
+
+    def _gated_mix(self, s, t):
+        a_s, a_t = self.alpha
+        return T.add(T.scale(s, a_s), T.scale(t, a_t))
+
+
 def test_criterion_8_equivalence_degeneracies():
     rng = np.random.default_rng(8)
     d, heads, n = 16, 2, 5
@@ -267,9 +279,8 @@ def test_criterion_8_equivalence_degeneracies():
                                  np.ones((n, heads, 1, 1)))
 
     spatial = SteBlock("spatial", d, heads, np.random.default_rng(10))
-    pv2 = SteBlock("parallel_v2", d, heads, np.random.default_rng(11))
+    pv2 = _ForcedGates((1.0, 0.0), d, heads, np.random.default_rng(11))
     _copy_matching_params(spatial, pv2)
-    pv2.force_alpha = (1.0, 0.0)
     gate_gap = np.abs(pv2(multi)[0].data - spatial(multi)[0].data).max()
 
     coupling = SteBlock("coupling", d, heads, np.random.default_rng(12))

@@ -58,6 +58,19 @@ def _rand_tokens(rng, frames, tokens, d):
     return Tensor(rng.standard_normal((frames, tokens, d)))
 
 
+class ForcedGates(SteBlock):
+    """A parallel_v2 block whose branch gates are the constants alpha, so
+    degenerate gate settings can be compared against single-branch blocks."""
+
+    def __init__(self, alpha, d, heads, rng):
+        super().__init__("parallel_v2", d, heads, rng)
+        self.alpha = alpha
+
+    def _gated_mix(self, s, t):
+        a_s, a_t = self.alpha
+        return T.add(T.scale(s, a_s), T.scale(t, a_t))
+
+
 class TestMsaLayer:
     def setup_method(self):
         self.rng = np.random.default_rng(101)
@@ -276,9 +289,8 @@ class TestSteBlock:
     def test_forced_spatial_gate_equals_spatial_block(self):
         rng = np.random.default_rng(116)
         spatial = SteBlock("spatial", 8, 2, rng)
-        pv2 = SteBlock("parallel_v2", 8, 2, np.random.default_rng(117))
+        pv2 = ForcedGates((1.0, 0.0), 8, 2, np.random.default_rng(117))
         self._copy_shared_weights(spatial, pv2)
-        pv2.force_alpha = (1.0, 0.0)
         x = _rand_tokens(rng, 3, 5, 8)
         y_sp, _ = spatial(x)
         y_pv, _ = pv2(x)
@@ -287,10 +299,9 @@ class TestSteBlock:
     def test_forced_temporal_gate_equals_temporal_block(self):
         rng = np.random.default_rng(118)
         temporal = SteBlock("temporal", 8, 2, rng)
-        pv2 = SteBlock("parallel_v2", 8, 2, np.random.default_rng(119))
+        pv2 = ForcedGates((0.0, 1.0), 8, 2, np.random.default_rng(119))
         for name, p in temporal.named_params("b").items():
             pv2.named_params("b")[name].data[:] = p.data
-        pv2.force_alpha = (0.0, 1.0)
         x = _rand_tokens(rng, 3, 5, 8)
         y_t, _ = temporal(x)
         y_pv, _ = pv2(x)
@@ -497,8 +508,17 @@ def _grads_of(loss, params):
     return grads
 
 
+def _class_token_rows(mode, maps, tokens):
+    """The rows of a full map whose queries are class tokens."""
+    if mode == "spatial":        # (..., T, H, N, N): query 0 of each frame
+        return maps[..., :1, :]
+    if mode == "temporal":       # (..., N, H, T, T): slot 0
+        return maps[..., :1, :, :, :]
+    return maps[..., ::tokens, :]   # coupled (..., H, TN, TN): queries t*N
+
+
 class TestClassTokenTail:
-    """The last block feeds forward only the class tokens the encoder
+    """The last block computes only the class-token rows the encoder
     returns; these checks hold it to the full block it replaces."""
 
     @pytest.mark.parametrize("frames", [3, 1])
@@ -508,14 +528,14 @@ class TestClassTokenTail:
         cfg = RunConfig(encoder=topology, blocks=2, d=8, heads=2, hw=4, t_clip=4)
         enc = SteEncoder(cfg, rng)
         embed = Affine(CHANNELS, cfg.d, rng)
-        params = list(enc.named_params().values()) + list(
-            embed.named_params("e").values())
+        named = {**enc.named_params(), **embed.named_params("e")}
+        params = list(named.values())
         last = enc.blocks[-1]
         seen, real_attend = [], last.attend
 
-        def attend(x, bypass_temporal=False):
+        def attend(x, bypass_temporal=False, class_rows=False):
             seen.append(x)
-            return real_attend(x, bypass_temporal)
+            return real_attend(x, bypass_temporal, class_rows)
 
         monkeypatch.setattr(last, "attend", attend)
         obs = Tensor(rng.standard_normal((2, frames, cfg.hw, CHANNELS)))
@@ -527,15 +547,56 @@ class TestClassTokenTail:
 
         assert full_maps.keys() == maps[-1].keys()
         for mode, m in full_maps.items():
-            np.testing.assert_array_equal(maps[-1][mode], m)
+            want = _class_token_rows(mode, m, cfg.hw + 1)
+            assert maps[-1][mode].shape == want.shape
+            np.testing.assert_allclose(maps[-1][mode], want, rtol=0, atol=1e-12)
         assert np.abs(feats.data - full.data).max() <= 1e-12 * np.abs(full.data).max()
         coef = Tensor(rng.standard_normal(feats.shape))
         tail_grads = _grads_of(T.reduce_sum(T.mul(feats, coef)), params)
         full_grads = _grads_of(T.reduce_sum(T.mul(full, coef)), params)
-        for got, want in zip(tail_grads, full_grads):
+        scale = max(np.abs(g).max() for g in full_grads if g is not None)
+        for name, got, want in zip(named, tail_grads, full_grads):
             assert (got is None) == (want is None)
-            if want is not None:
+            if want is None:
+                continue
+            if name.endswith("wk.b"):
+                # softmax ignores a shift shared by every key of a query, so
+                # the key bias's exact gradient is zero: both sides hold
+                # rounding noise alone, which the two query layouts sum in
+                # different orders
+                assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-12 * scale
+            else:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    def test_last_block_queries_are_the_class_tokens(self, topology, monkeypatch):
+        cfg = RunConfig(encoder=topology, blocks=2, d=8, heads=2, hw=4, t_clip=3)
+        rng = np.random.default_rng(143)
+        enc = SteEncoder(cfg, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
+        shapes, real_core = [], T.attention_core
+
+        def core(q, k, v):
+            shapes.append((q.shape, k.shape))
+            return real_core(q, k, v)
+
+        monkeypatch.setattr(T, "attention_core", core)
+        clips, frames, n = 2, 3, cfg.hw + 1
+        h, dh = cfg.heads, cfg.d // cfg.heads
+        enc.encode(Tensor(rng.standard_normal((clips, frames, cfg.hw, CHANNELS))),
+                   embed)
+        # (q, k) per attention_core call: block 0 runs every query, the last
+        # block one query per class token over the same keys, and its
+        # temporal attention one slot per clip
+        spatial = [((clips * frames, h, n, dh),) * 2,
+                   ((clips * frames, h, 1, dh), (clips * frames, h, n, dh))]
+        temporal = [((clips * n, h, frames, dh),) * 2,
+                    ((clips * 1, h, frames, dh),) * 2]
+        coupled = [((clips, h, frames * n, dh),) * 2,
+                   ((clips, h, frames, dh), (clips, h, frames * n, dh))]
+        branches = {"spatial": [spatial], "temporal": [temporal],
+                    "coupling": [coupled]}.get(topology, [spatial, temporal])
+        assert shapes == ([b[0] for b in branches] + [b[1] for b in branches])
 
     @pytest.mark.parametrize("frames", [3, 1])
     @pytest.mark.parametrize("topology", TOPOLOGIES)
@@ -551,9 +612,9 @@ class TestClassTokenTail:
             mlp_inputs.append(x.shape)
             return real_mlp(x, *weights)
 
-        def attend(x, bypass_temporal=False):
+        def attend(x, bypass_temporal=False, class_rows=False):
             last_inputs.append(x)
-            return real_attend(x, bypass_temporal)
+            return real_attend(x, bypass_temporal, class_rows)
 
         monkeypatch.setattr(T, "mlp", mlp)
         monkeypatch.setattr(last, "attend", attend)
@@ -566,4 +627,6 @@ class TestClassTokenTail:
         _, full_maps = last(last_inputs[0], bypass_temporal=frames == 1)
         assert full_maps.keys() == out.maps[-1].keys()
         for mode, m in full_maps.items():
-            np.testing.assert_array_equal(out.maps[-1][mode], m)
+            np.testing.assert_allclose(out.maps[-1][mode],
+                                       _class_token_rows(mode, m, cfg.hw + 1),
+                                       rtol=0, atol=1e-12)

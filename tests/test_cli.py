@@ -167,6 +167,9 @@ class TestAblateCommand:
 
 
 class TestAttnDumpCommand:
+    # the tiny config has one block, the last, whose maps keep only the rows
+    # of its class-token queries
+
     def test_parallel_topology_maps(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "attn"
         assert main(["attn-dump", "--config", cfg_file,
@@ -174,14 +177,14 @@ class TestAttnDumpCommand:
         text = (out / "attention.csv").read_text()
         lines = text.strip().splitlines()
         assert lines[0] == "block,branch,slot,head,query,key,weight"
-        # spatial: T=4 slots x 2 heads x 5x5; temporal: N=5 slots x 2 x 4x4
-        assert len(lines) == 1 + 4 * 2 * 25 + 5 * 2 * 16
+        # spatial: T=4 slots x 2 heads x 1x5; temporal: 1 slot x 2 x 4x4
+        assert len(lines) == 1 + 4 * 2 * 1 * 5 + 1 * 2 * 4 * 4
         assert "np.float64" not in text
         for line in lines[1:6]:
             assert 0.0 <= float(line.rsplit(",", 1)[1]) <= 1.0
         for head in range(2):
             assert read_pgm(out / f"block0_spatial_slot0_head{head}.pgm") \
-                == (5, 5)
+                == (5, 1)
             assert read_pgm(out / f"block0_temporal_slot0_head{head}.pgm") \
                 == (4, 4)
 
@@ -189,9 +192,23 @@ class TestAttnDumpCommand:
         out = tmp_path / "attn"
         assert main(["attn-dump", "--config", cfg_file, "--encoder",
                      "coupling", "--out", str(out)]) == 0
-        assert read_pgm(out / "block0_coupled_slot0_head0.pgm") == (20, 20)
+        # the T=4 class-token queries over all 20 tokens
+        assert read_pgm(out / "block0_coupled_slot0_head0.pgm") == (20, 4)
         lines = (out / "attention.csv").read_text().strip().splitlines()
-        assert len(lines) == 1 + 2 * 20 * 20
+        assert len(lines) == 1 + 2 * 4 * 20
+
+    def test_earlier_blocks_dump_full_maps(self, tmp_path):
+        cfg = tmp_path / "two_blocks.cfg"
+        cfg.write_text(TINY.replace("blocks = 1", "blocks = 2"))
+        out = tmp_path / "attn"
+        assert main(["attn-dump", "--config", str(cfg), "--encoder", "spatial",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in
+                (out / "attention.csv").read_text().strip().splitlines()[1:]]
+        assert len([r for r in rows if r[0] == "0"]) == 4 * 2 * 5 * 5
+        assert len([r for r in rows if r[0] == "1"]) == 4 * 2 * 1 * 5
+        assert read_pgm(out / "block0_spatial_slot0_head0.pgm") == (5, 5)
+        assert read_pgm(out / "block1_spatial_slot0_head0.pgm") == (5, 1)
 
 
 class TestGradcheckCommand:

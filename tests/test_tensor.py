@@ -404,6 +404,34 @@ def test_mlp_skips_the_input_gradient_of_a_constant_input():
     assert x.grad is None and all(p.grad is not None for p in params)
 
 
+def test_affine_skips_the_gradients_of_a_constant_weight_and_bias():
+    rng = np.random.default_rng(29)
+    x = rand(rng, 4, 5)
+    w, b = Tensor(rng.standard_normal((5, 3))), Tensor(rng.standard_normal(3))
+    out = T.affine(x, w, b)
+    gx, gw, gb = out._vjp(np.ones(out.shape))
+    assert gx is not None and gw is None and gb is None
+
+
+def test_sub_skips_the_gradient_of_a_constant_subtrahend():
+    rng = np.random.default_rng(30)
+    a, b = rand(rng, 4, 3), Tensor(rng.standard_normal((4, 3)))
+    out = T.sub(a, b)
+    ga, gb = out._vjp(np.ones(out.shape))
+    assert gb is None
+    np.testing.assert_array_equal(ga, np.ones(out.shape))
+
+
+def test_where_skips_the_gradient_of_a_constant_branch():
+    rng = np.random.default_rng(31)
+    a, b = rand(rng, 4, 3), Tensor(np.zeros((4, 3)))
+    mask = rng.standard_normal((4, 3)) > 0.0
+    out = T.where(mask, a, b)
+    ga, gb = out._vjp(np.ones(out.shape))
+    assert gb is None
+    np.testing.assert_array_equal(ga, mask.astype(float))
+
+
 def test_attention_core_probabilities_are_read_only():
     rng = np.random.default_rng(24)
     _, probs = T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3))

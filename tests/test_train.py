@@ -71,7 +71,8 @@ class TestModelAssembly:
         out = model_forward(model, batch.obs)
         assert out.j3d.shape == (2, 4, 24, 3)
         assert out.rot.shape == (2, 4, 24, 3, 3)
-        assert out.maps[0]["spatial"].shape == (2, 4, cfg.heads, 5, 5)
+        # the only block is the last: its maps keep the class-token rows
+        assert out.maps[0]["spatial"].shape == (2, 4, cfg.heads, 1, 5)
         for c in range(2):
             one = model_forward(model, batch.obs[c])
             np.testing.assert_array_equal(out.j3d.data[c], one.j3d.data)
