@@ -1,6 +1,27 @@
 import pytest
 
+from stpose import tensor as T
 from stpose.attention import SteBlock
+
+
+class ForcedGates(SteBlock):
+    """A parallel_v2 block whose branch gates are the constants alpha, so
+    degenerate gate settings can be compared against single-branch blocks."""
+
+    def __init__(self, alpha, d, heads, rng):
+        super().__init__("parallel_v2", d, heads, rng)
+        self.alpha = alpha
+
+    def _gated_mix(self, s, t):
+        a_s, a_t = self.alpha
+        return T.add(T.scale(s, a_s), T.scale(t, a_t))
+
+
+@pytest.fixture
+def forced_gates():
+    """``forced_gates(alpha, d, heads, rng)``: a parallel_v2 block whose
+    branch gates are the constants ``alpha = (a_s, a_t)``."""
+    return ForcedGates
 
 
 @pytest.fixture

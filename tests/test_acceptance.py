@@ -256,19 +256,7 @@ def _copy_matching_params(src: SteBlock, dst: SteBlock):
         dst_params[name].data[...] = p.data
 
 
-class _ForcedGates(SteBlock):
-    """parallel_v2 with its branch gates replaced by the constants alpha."""
-
-    def __init__(self, alpha, d, heads, rng):
-        super().__init__("parallel_v2", d, heads, rng)
-        self.alpha = alpha
-
-    def _gated_mix(self, s, t):
-        a_s, a_t = self.alpha
-        return T.add(T.scale(s, a_s), T.scale(t, a_t))
-
-
-def test_criterion_8_equivalence_degeneracies():
+def test_criterion_8_equivalence_degeneracies(forced_gates):
     rng = np.random.default_rng(8)
     d, heads, n = 16, 2, 5
     single = Tensor(rng.normal(size=(1, n, d)))
@@ -279,7 +267,7 @@ def test_criterion_8_equivalence_degeneracies():
                                  np.ones((n, heads, 1, 1)))
 
     spatial = SteBlock("spatial", d, heads, np.random.default_rng(10))
-    pv2 = _ForcedGates((1.0, 0.0), d, heads, np.random.default_rng(11))
+    pv2 = forced_gates((1.0, 0.0), d, heads, np.random.default_rng(11))
     _copy_matching_params(spatial, pv2)
     gate_gap = np.abs(pv2(multi)[0].data - spatial(multi)[0].data).max()
 

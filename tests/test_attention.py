@@ -58,19 +58,6 @@ def _rand_tokens(rng, frames, tokens, d):
     return Tensor(rng.standard_normal((frames, tokens, d)))
 
 
-class ForcedGates(SteBlock):
-    """A parallel_v2 block whose branch gates are the constants alpha, so
-    degenerate gate settings can be compared against single-branch blocks."""
-
-    def __init__(self, alpha, d, heads, rng):
-        super().__init__("parallel_v2", d, heads, rng)
-        self.alpha = alpha
-
-    def _gated_mix(self, s, t):
-        a_s, a_t = self.alpha
-        return T.add(T.scale(s, a_s), T.scale(t, a_t))
-
-
 class TestMsaLayer:
     def setup_method(self):
         self.rng = np.random.default_rng(101)
@@ -286,20 +273,20 @@ class TestSteBlock:
             if name in dst_params:
                 dst_params[name].data[:] = p.data
 
-    def test_forced_spatial_gate_equals_spatial_block(self):
+    def test_forced_spatial_gate_equals_spatial_block(self, forced_gates):
         rng = np.random.default_rng(116)
         spatial = SteBlock("spatial", 8, 2, rng)
-        pv2 = ForcedGates((1.0, 0.0), 8, 2, np.random.default_rng(117))
+        pv2 = forced_gates((1.0, 0.0), 8, 2, np.random.default_rng(117))
         self._copy_shared_weights(spatial, pv2)
         x = _rand_tokens(rng, 3, 5, 8)
         y_sp, _ = spatial(x)
         y_pv, _ = pv2(x)
         assert np.abs(y_pv.data - y_sp.data).max() <= 1e-12
 
-    def test_forced_temporal_gate_equals_temporal_block(self):
+    def test_forced_temporal_gate_equals_temporal_block(self, forced_gates):
         rng = np.random.default_rng(118)
         temporal = SteBlock("temporal", 8, 2, rng)
-        pv2 = ForcedGates((0.0, 1.0), 8, 2, np.random.default_rng(119))
+        pv2 = forced_gates((0.0, 1.0), 8, 2, np.random.default_rng(119))
         for name, p in temporal.named_params("b").items():
             pv2.named_params("b")[name].data[:] = p.data
         x = _rand_tokens(rng, 3, 5, 8)
@@ -563,7 +550,7 @@ class TestClassTokenTail:
                 # softmax ignores a shift shared by every key of a query, so
                 # the key bias's exact gradient is zero: both sides hold
                 # rounding noise alone, which the two query layouts sum in
-                # different orders
+                # different orders, so no relative bound can hold for it
                 assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-12 * scale
             else:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -624,9 +611,13 @@ class TestClassTokenTail:
 
         full = (2, frames, cfg.hw + 1, cfg.d)
         assert mlp_inputs == [full] * (cfg.blocks - 1) + [(2, frames, 1, cfg.d)]
+        # the maps are the last block's own class-row maps, bit for bit, and
+        # the class-token rows of its full maps up to summation order
+        _, tail_maps = last.attend(last_inputs[0], frames == 1, class_rows=True)
         _, full_maps = last(last_inputs[0], bypass_temporal=frames == 1)
-        assert full_maps.keys() == out.maps[-1].keys()
-        for mode, m in full_maps.items():
-            np.testing.assert_allclose(out.maps[-1][mode],
-                                       _class_token_rows(mode, m, cfg.hw + 1),
+        assert tail_maps.keys() == full_maps.keys() == out.maps[-1].keys()
+        for mode, m in tail_maps.items():
+            np.testing.assert_array_equal(out.maps[-1][mode], m)
+            np.testing.assert_allclose(m, _class_token_rows(mode, full_maps[mode],
+                                                            cfg.hw + 1),
                                        rtol=0, atol=1e-12)
