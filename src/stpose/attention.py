@@ -64,19 +64,13 @@ class MsaLayer(Module):
     def _attend(self, zq: Tensor, zkv: Tensor):
         """Queries from zq (batch, m, d) attend over keys and values from zkv
         (batch, n, d); returns the (batch, m, d) output and (batch, H, m, n)
-        maps."""
-        (batch, m, d), n = zq.shape, zkv.shape[1]
-        h, dh = self.heads, self.d // self.heads
-
-        def split(t, rows):
-            return T.transpose(T.reshape(t, (batch, rows, h, dh)), (0, 2, 1, 3))
-
+        maps. The projections stay in the (batch, rows, d) layout, whose
+        channel block h is head h: tensor.attention_core splits and merges
+        the heads as strided views inside its one node."""
         # scaling q rather than the logits keeps one (batch, H, m, n) logit
         # array alive instead of two
-        q = split(T.scale(self.wq(zq), 1.0 / math.sqrt(dh)), m)
-        k, v = split(self.wk(zkv), n), split(self.wv(zkv), n)
-        out, att = T.attention_core(q, k, v)
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (batch, m, d))
+        q = T.scale(self.wq(zq), 1.0 / math.sqrt(self.d // self.heads))
+        out, att = T.attention_core(q, self.wk(zkv), self.wv(zkv), self.heads)
         return self.wo(out), att
 
     def _layout(self, x: Tensor):

@@ -90,7 +90,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     far = t(2, 3, 4, lo=0.3, hi=1.0)          # away from atan2/vecnorm kinks
     m1, m2 = t(2, 3, 5), t(5, 4)
     x4, aw, ab = t(2, 3, 2, 5), t(5, 4), t(4)
-    q, k, v = t(2, 3, 4), t(2, 5, 4), t(2, 5, 3)
+    q, k, v = t(2, 3, 4), t(2, 5, 4), t(2, 5, 6)      # two heads: dh 2, e 3
     gain, bias = t(4), t(4)
     mask = rng.random((2, 3, 4)) > 0.5
     six = t(2, 4, 6, lo=-1.0, hi=1.0)
@@ -122,7 +122,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("vecnorm", lambda: T.vecnorm(far, axis=-1), [far]),
         ("matmul", lambda: T.matmul(m1, m2), [m1, m2]),
         ("affine", lambda: T.affine(x4, aw, ab), [x4, aw, ab]),
-        ("attention_core", lambda: T.attention_core(q, k, v)[0], [q, k, v]),
+        ("attention_core", lambda: T.attention_core(q, k, v, 2)[0], [q, k, v]),
         ("layer_norm", lambda: T.layer_norm(a, gain, bias), [a, gain, bias]),
         ("mlp", lambda: T.mlp(x4, w1, b1, w2, b2), [x4, w1, b1, w2, b2]),
         ("rot6d_to_matrix", lambda: rot6d_to_matrix(six), [six]),

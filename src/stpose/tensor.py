@@ -13,10 +13,22 @@ leading batch axes, and the fused ops broadcast their parameters over the
 leading axes of their input: ``affine`` and ``mlp`` their weights and
 biases, ``layer_norm`` its gain and bias; ``attention_core`` is batched over
 the leading axes that q, k and v share.
+
+``attention_core`` is all heads of multi-head attention in one node. Its
+inputs and output keep the unsplit (..., rows, H·width) layout, head h
+owning the h-th block of channels, and it returns the (..., H, m, n)
+probabilities read-only. Each head is a strided view, so no head is split
+or merged by a copy. The softmax work walks the probability stack in tiles
+of about ``ATTENTION_TILE`` entries (512 KiB), so that each tile's logits,
+softmax and product with v, and in the VJP its logit gradient, stay in
+cache rather than streaming the whole stack through memory once per pass,
+as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
+recompute.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from typing import Sequence
@@ -182,10 +194,11 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
         raise ShapeError("concat needs at least one input")
     axis = _norm_axis(axis, ts[0].ndim)
     data = np.concatenate([t.data for t in ts], axis=axis)
-    offsets = np.cumsum([t.shape[axis] for t in ts])[:-1]
+    ends = list(itertools.accumulate(t.shape[axis] for t in ts))
+    parts = [(slice(None),) * axis + (slice(a, b),) for a, b in zip([0] + ends, ends)]
 
     def vjp(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        return tuple(g[part] for part in parts)
 
     return _result(data, tuple(ts), vjp)
 
@@ -203,10 +216,11 @@ def take(t: Tensor, indices, axis: int) -> Tensor:
         raise ShapeError(f"take needs a non-empty 1-D list of integers in [0, {n}) "
                          f"on axis {axis} of {t.shape}, got {np.ravel(idx).tolist()}")
     at = (slice(None),) * axis + (idx,)
+    repeats = len(set(idx.tolist())) < idx.size
 
     def vjp(g):
         full = np.zeros_like(t.data)
-        if np.unique(idx).size < idx.size:
+        if repeats:
             np.add.at(full, at, g)
         else:
             full[at] = g
@@ -475,34 +489,86 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out, (x, gain, bias), vjp)
 
 
-def attention_core(q: Tensor, k: Tensor, v: Tensor) -> tuple[Tensor, np.ndarray]:
-    """softmax(q kᵀ) v over the last two axes, batched over the leading axes
-    that q (..., m, dh), k (..., n, dh) and v (..., n, dv) share.
+ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
 
-    Returns the output and the (..., m, n) probabilities. The max shift, exp
-    and normalization run in place in one buffer, which the VJP keeps as its
-    only saved state and which is handed back read-only. The softmax
-    gradient reuses one (..., m, n) buffer and takes its row term from the
-    output: sum_j p_ij (g vᵀ)_ij = g_i · out_i.
+
+def _attention_tiles(batch: int, heads: int, per_map: int) -> list[tuple[slice, slice]]:
+    """(batch, head) index pairs that cover a (batch, heads, m, n) map stack
+    of per_map = m * n entries per map in tiles of about ATTENTION_TILE
+    entries: whole batch entries while one fits, else the heads of one batch
+    entry, down to a single map however large it is."""
+    entry = heads * per_map
+    if entry <= ATTENTION_TILE:
+        step = ATTENTION_TILE // max(entry, 1)
+        return [(slice(b, b + step), slice(None)) for b in range(0, batch, step)]
+    step = max(ATTENTION_TILE // per_map, 1)
+    return [(slice(b, b + 1), slice(h, h + step))
+            for b in range(batch) for h in range(0, heads, step)]
+
+
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head softmax(q kᵀ) v, batched over the leading axes that
+    q (..., m, H·dh), k (..., n, H·dh) and v (..., n, H·e) share, as one
+    node. Head h owns the h-th contiguous block of channels of each input
+    and writes the h-th block of the (..., m, H·e) output.
+
+    Returns the output and the read-only (..., H, m, n) probabilities. The
+    heads are strided views of the inputs and the output, never copies;
+    only each tile's kᵀ is copied, so the logits run the same BLAS kernel
+    as contiguous heads and the forward bits equal a head-split composite.
+    The work walks the map stack in tiles of about ATTENTION_TILE entries
+    (whole batch entries, or the heads of one when an entry is larger), and
+    each tile's logits, max shift, exp, normalisation and p·v run while it
+    is still in cache. Besides the inputs and the output, the probabilities
+    are the VJP's only saved state. The VJP walks the same tiles with one tile-sized buffer for the logit
+    gradient gs, takes the softmax row term from the output,
+    sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes gk = (qᵀ gs)ᵀ and
+    gv = (gᵀ p)ᵀ through transposed views of their head blocks.
     """
-    lead = q.shape[:-2]
-    if (q.ndim < 2 or k.shape[:-2] != lead or v.shape[:-2] != lead
-            or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]):
+    if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]
+            or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]
+            or heads < 1 or q.shape[-1] % heads or v.shape[-1] % heads):
         raise ShapeError(
-            f"attention_core needs q (..., m, d), k (..., n, d) and v (..., n, e), "
-            f"got {q.shape}, {k.shape} and {v.shape}")
-    probs = np.matmul(q.data, np.ascontiguousarray(np.swapaxes(k.data, -1, -2)))
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+            f"attention_core needs q (..., m, H·d), k (..., n, H·d) and v (..., n, H·e) "
+            f"for H = {heads} heads, got {q.shape}, {k.shape} and {v.shape}")
+    lead, m, n = q.shape[:-2], q.shape[-2], k.shape[-2]
+    batch = math.prod(lead)
+    dh, e = q.shape[-1] // heads, v.shape[-1] // heads
+
+    def split(a, rows, width):
+        # (batch, H, rows, width) view of head blocks; reshape copies only
+        # an input that is not contiguous
+        return a.reshape(batch, rows, heads, width).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q.data, m, dh), split(k.data, n, dh), split(v.data, n, e)
+    out = np.empty((batch, m, heads * e))
+    oh = split(out, m, e)
+    probs = np.empty((batch, heads, m, n))
+    tiles = _attention_tiles(batch, heads, m * n)
+    for tile in tiles:
+        p = probs[tile]
+        np.matmul(qh[tile], np.ascontiguousarray(np.swapaxes(kh[tile], -1, -2)), out=p)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[tile], out=oh[tile])
     probs.setflags(write=False)
-    out = np.matmul(probs, v.data)
 
     def vjp(g):
-        gs = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gs -= (g * out).sum(axis=-1, keepdims=True)
-        gs *= probs
-        return (np.matmul(gs, k.data), np.matmul(np.swapaxes(gs, -1, -2), q.data),
-                np.matmul(np.swapaxes(probs, -1, -2), g))
+        gh = split(g, m, e)
+        gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
+        gqh, gkh, gvh = split(gq, m, dh), split(gk, n, dh), split(gv, n, e)
+        buf = np.empty(probs[tiles[0]].size if tiles else 0)
+        for tile in tiles:
+            p = probs[tile]
+            gs = buf[:p.size].reshape(p.shape)
+            np.matmul(gh[tile], np.swapaxes(vh[tile], -1, -2), out=gs)
+            gs -= (gh[tile] * oh[tile]).sum(axis=-1, keepdims=True)
+            gs *= p
+            np.matmul(gs, kh[tile], out=gqh[tile])
+            np.matmul(np.swapaxes(qh[tile], -1, -2), gs, out=np.swapaxes(gkh[tile], -1, -2))
+            np.matmul(np.swapaxes(gh[tile], -1, -2), p, out=np.swapaxes(gvh[tile], -1, -2))
+        return gq, gk, gv
 
-    return _result(out, (q, k, v), vjp), probs
+    return (_result(out.reshape(lead + (m, heads * e)), (q, k, v), vjp),
+            probs.reshape(lead + probs.shape[1:]))

@@ -160,6 +160,13 @@ class TestMsaLayer:
                 np.testing.assert_allclose(y.data[c], y_c.data, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(maps[c], maps_c, rtol=0, atol=1e-12)
 
+    def test_heads_are_split_inside_one_attention_node(self):
+        # the input and output reshapes, the four projections, the q scale
+        # and one attention_core node: no head split or merge nodes
+        x = Tensor(self.rng.standard_normal((3, 5, 8)), requires_grad=True)
+        y, _ = self.msa(x, "spatial")
+        assert sum(1 for node in T._topo_order(y) if node._parents) == 8
+
     def test_width_must_divide_heads(self):
         with pytest.raises(ValueError, match="divisible"):
             MsaLayer(10, 3, np.random.default_rng(0))
@@ -563,24 +570,23 @@ class TestClassTokenTail:
         embed = Affine(CHANNELS, cfg.d, rng)
         shapes, real_core = [], T.attention_core
 
-        def core(q, k, v):
+        def core(q, k, v, heads):
             shapes.append((q.shape, k.shape))
-            return real_core(q, k, v)
+            return real_core(q, k, v, heads)
 
         monkeypatch.setattr(T, "attention_core", core)
-        clips, frames, n = 2, 3, cfg.hw + 1
-        h, dh = cfg.heads, cfg.d // cfg.heads
+        clips, frames, n, d = 2, 3, cfg.hw + 1, cfg.d
         enc.encode(Tensor(rng.standard_normal((clips, frames, cfg.hw, CHANNELS))),
                    embed)
-        # (q, k) per attention_core call: block 0 runs every query, the last
-        # block one query per class token over the same keys, and its
-        # temporal attention one slot per clip
-        spatial = [((clips * frames, h, n, dh),) * 2,
-                   ((clips * frames, h, 1, dh), (clips * frames, h, n, dh))]
-        temporal = [((clips * n, h, frames, dh),) * 2,
-                    ((clips * 1, h, frames, dh),) * 2]
-        coupled = [((clips, h, frames * n, dh),) * 2,
-                   ((clips, h, frames, dh), (clips, h, frames * n, dh))]
+        # (q, k) per attention_core call, heads unsplit: block 0 runs every
+        # query, the last block one query per class token over the same
+        # keys, and its temporal attention one slot per clip
+        spatial = [((clips * frames, n, d),) * 2,
+                   ((clips * frames, 1, d), (clips * frames, n, d))]
+        temporal = [((clips * n, frames, d),) * 2,
+                    ((clips * 1, frames, d),) * 2]
+        coupled = [((clips, frames * n, d),) * 2,
+                   ((clips, frames, d), (clips, frames * n, d))]
         branches = {"spatial": [spatial], "temporal": [temporal],
                     "coupling": [coupled]}.get(topology, [spatial, temporal])
         assert shapes == ([b[0] for b in branches] + [b[1] for b in branches])

@@ -2,6 +2,7 @@
 central finite differences."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -136,10 +137,10 @@ def test_matmul_batched_shape_and_errors():
 
 
 def _softmax_rows(x):
-    """attention_core's probabilities for logits x (m, n): with k = I the
-    logits q kᵀ are x itself."""
+    """attention_core's probabilities for logits x (m, n): with one head
+    and k = I the logits q kᵀ are x itself."""
     eye = Tensor(np.eye(x.shape[-1]))
-    return T.attention_core(Tensor(np.atleast_2d(x)), eye, eye)[1]
+    return T.attention_core(Tensor(np.atleast_2d(x)), eye, eye, 1)[1][0]
 
 
 def test_softmax_constant_vector_is_uniform():
@@ -206,7 +207,7 @@ def test_three_layer_composition_matches_finite_differences():
 
     def loss():
         h = _gelu_node(T.matmul(x, w1))
-        y, _ = T.attention_core(T.matmul(h, w2), eye, eye)   # row softmax
+        y, _ = T.attention_core(T.matmul(h, w2), eye, eye, 1)   # row softmax
         return T.reduce_sum(T.mul(y, c))
 
     assert fd_check(loss, [x, w1, w2], h=1e-6) < 1e-5
@@ -284,7 +285,7 @@ def test_backward_determinism():
     rng = np.random.default_rng(13)
     x = rand(rng, 3, 3)
     w = rand(rng, 3, 3)
-    loss = T.reduce_sum(T.attention_core(x, w, T.matmul(x, w))[0])
+    loss = T.reduce_sum(T.attention_core(x, w, T.matmul(x, w), 1)[0])
     loss.backward()
     g1 = x.grad.copy()
     x.clear_grad(), w.clear_grad()
@@ -320,10 +321,20 @@ def _layer_norm_composite(x, gain, bias, eps=1e-5):
                  T.expand(T.reshape(bias, pshape), x.shape))
 
 
-def _attention_composite(q, k, v):
-    perm = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    p = _softmax_node(T.matmul(q, T.transpose(k, perm)))
-    return T.matmul(p, v), p.data
+def _attention_composite(q, k, v, heads):
+    """Heads split into their own (batch, H, rows, width) arrays, attention
+    per head, heads merged back: the node chain attention_core replaced."""
+    lead, batch = q.shape[:-2], math.prod(q.shape[:-2])
+
+    def split(t):
+        rows, width = t.shape[-2:]
+        return T.transpose(T.reshape(t, (batch, rows, heads, width // heads)),
+                           (0, 2, 1, 3))
+
+    p = _softmax_node(T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))))
+    out = T.transpose(T.matmul(p, split(v)), (0, 2, 1, 3))
+    return (T.reshape(out, q.shape[:-1] + (v.shape[-1],)),
+            p.data.reshape(lead + p.shape[1:]))
 
 
 def _rel(got, want):
@@ -364,14 +375,25 @@ def test_layer_norm_matches_composite():
         assert _rel(got, want) <= 1e-12
 
 
-@pytest.mark.parametrize("shapes", [((2, 3, 5, 4), 7, 3), ((64, 4, 17, 16), 17, 16)],
-                         ids=["small", "spatial"])
-def test_attention_core_matches_composite(shapes):
-    (*lead, m, dh), n, dv = shapes
+# (lead, m, n, dh, e, heads) and the number of tiles the map stack takes:
+# small maps fit one tile, many small maps take tiles of whole batch
+# entries, and a batch entry above the tile budget takes tiles of heads,
+# one map each for a map above the budget
+@pytest.mark.parametrize("shapes, tiles", [
+    (((2, 3), 5, 7, 4, 3, 2), 1),
+    (((64,), 17, 17, 16, 16, 4), 2),
+    (((300,), 17, 17, 8, 8, 2), 3),
+    (((1,), 272, 272, 16, 16, 1), 1),
+    (((2,), 150, 150, 4, 4, 4), 4),
+], ids=["small", "spatial", "batch_tiles", "one_map_tile", "head_tiles"])
+def test_attention_core_matches_composite(shapes, tiles):
+    lead, m, n, dh, e, heads = shapes
+    assert len(T._attention_tiles(math.prod(lead), heads, m * n)) == tiles
     rng = np.random.default_rng(23)
-    q, k, v = rand(rng, *lead, m, dh), rand(rng, *lead, n, dh), rand(rng, *lead, n, dv)
-    fused, probs = T.attention_core(q, k, v)
-    composite, want_probs = _attention_composite(q, k, v)
+    q, k = rand(rng, *lead, m, heads * dh), rand(rng, *lead, n, heads * dh)
+    v = rand(rng, *lead, n, heads * e)
+    fused, probs = T.attention_core(q, k, v, heads)
+    composite, want_probs = _attention_composite(q, k, v, heads)
     np.testing.assert_array_equal(probs, want_probs)
     np.testing.assert_array_equal(fused.data, composite.data)
     for got, want in zip(_grads(fused, [q, k, v], np.random.default_rng(3)),
@@ -434,17 +456,18 @@ def test_where_skips_the_gradient_of_a_constant_branch():
 
 def test_attention_core_probabilities_are_read_only():
     rng = np.random.default_rng(24)
-    _, probs = T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3))
+    _, probs = T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 6), 2)
+    assert probs.shape == (2, 2, 3, 5)
     with pytest.raises(ValueError):
-        probs[0, 0, 0] = 1.0
+        probs[0, 0, 0, 0] = 1.0
 
 
 def _fused_cases(rng):
     return [
         (T.affine, [rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)]),
         (T.layer_norm, [rand(rng, 2, 3, 4), rand(rng, 4), rand(rng, 4)]),
-        (lambda *a: T.attention_core(*a)[0],
-         [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3)]),
+        (lambda *a: T.attention_core(*a, 2)[0],
+         [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 6)]),
         (T.mlp, [rand(rng, 2, 3, 4), rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 5),
                  rand(rng, 5)]),
     ]
@@ -472,11 +495,17 @@ def test_fused_ops_check_shapes():
     with pytest.raises(ShapeError):
         T.layer_norm(x, rand(rng, 3), rand(rng, 4))
     with pytest.raises(ShapeError):
-        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 3), rand(rng, 2, 5, 3))
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 3), rand(rng, 2, 5, 3), 1)
     with pytest.raises(ShapeError):
-        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 6, 3))
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 6, 3), 1)
     with pytest.raises(ShapeError):
-        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 1, 5, 4), rand(rng, 1, 5, 3))
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 1, 5, 4), rand(rng, 1, 5, 3), 1)
+    with pytest.raises(ShapeError, match="H = 4 heads"):   # q and k width 6
+        T.attention_core(rand(rng, 2, 3, 6), rand(rng, 2, 5, 6), rand(rng, 2, 5, 4), 4)
+    with pytest.raises(ShapeError, match="H = 2 heads"):   # v width 3
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 3), 2)
+    with pytest.raises(ShapeError, match="H = 0 heads"):
+        T.attention_core(rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4), 0)
     w1, b1, w2, b2 = rand(rng, 4, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)
     with pytest.raises(ShapeError, match="fc1"):
         T.mlp(x, w1, rand(rng, 5), w2, b2)               # fc1 bias width
@@ -534,7 +563,7 @@ def test_no_grad_records_no_parents():
     x, w = rand(rng, 2, 3), rand(rng, 3, 3)
     with T.no_grad():
         y = _chain(x, w)
-        z = T.reduce_sum(T.concat([y, T.attention_core(y, y, y)[0]], axis=0))
+        z = T.reduce_sum(T.concat([y, T.attention_core(y, y, y, 1)[0]], axis=0))
     for out in (y, z):
         assert not out.requires_grad
         assert out._parents == () and out._vjp is None
