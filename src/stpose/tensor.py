@@ -2,10 +2,9 @@
 
 Every operation eagerly computes its value with numpy and, when any input
 requires gradients, records a vector-Jacobian closure. ``Tensor.backward``
-walks the recorded graph in reverse topological order and accumulates
-gradients into the leaves; inside ``no_grad()`` nothing is recorded.
-Tensors are treated as immutable once created; only ``grad`` buffers
-mutate.
+runs each recorded node once, newest first, and then releases it, so a
+graph takes one backward; inside ``no_grad()`` nothing is recorded.
+Tensor values are immutable once created; only ``grad`` buffers mutate.
 
 Shape discipline: elementwise operations require exactly matching shapes
 (use ``expand`` for explicit broadcasting). ``matmul`` broadcasts its
@@ -28,6 +27,7 @@ recompute.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from contextlib import contextmanager
@@ -43,10 +43,15 @@ class ShapeError(ValueError):
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_creation = itertools.count()   # Tensor._seq: a parent is always older than its child
+
+
+def _released(g):
+    raise RuntimeError("an earlier backward() released this graph; build it again")
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float64)
@@ -54,6 +59,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._vjp = None
+        self._seq = next(_creation)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -80,26 +86,30 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into every reachable leaf's ``grad``.
 
-        ``self`` must be a scalar. Calling backward again on the same graph
-        adds to the previously accumulated gradients unless they are cleared.
+        ``self`` must be a scalar. The newest pending node runs next, so each
+        node runs once, after all its consumers. Then it is released, which
+        frees what its VJP saved, and a second backward through it raises
+        ``RuntimeError``. Leaf gradients add up across graphs until cleared.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
-        order = _topo_order(self)
-        pending: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
-            g = pending.pop(id(node), None)
-            if g is None:
-                continue
-            if node._vjp is None:
+        grads = {self: np.ones_like(self.data)}
+        heap = [(-self._seq, self)]
+        while heap:
+            node = heapq.heappop(heap)[1]
+            g, parents, vjp = grads.pop(node), node._parents, node._vjp
+            if vjp is None:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            node._parents, node._vjp = (), _released
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                prev = pending.get(id(parent))
-                pending[id(parent)] = pg if prev is None else prev + pg
+                prev = grads.get(parent)
+                if prev is None:
+                    heapq.heappush(heap, (-parent._seq, parent))
+                grads[parent] = pg if prev is None else prev + pg
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -128,24 +138,6 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
         out._parents = tuple(parents)
         out._vjp = vjp
     return out
-
-
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
-    visited = {id(root)}
-    stack: list[tuple[Tensor, int]] = [(root, 0)]
-    while stack:
-        node, idx = stack[-1]
-        if idx < len(node._parents):
-            stack[-1] = (node, idx + 1)
-            child = node._parents[idx]
-            if id(child) not in visited:
-                visited.add(id(child))
-                stack.append((child, 0))
-        else:
-            order.append(node)
-            stack.pop()
-    return order
 
 
 def _norm_axis(axis: int, ndim: int) -> int:

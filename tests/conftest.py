@@ -17,6 +17,29 @@ class ForcedGates(SteBlock):
         return T.add(T.scale(s, a_s), T.scale(t, a_t))
 
 
+def _recorded_nodes(root):
+    """Every recorded (non-leaf) node reachable from ``root`` through
+    ``_parents``, each once. Call it before ``backward``, which releases the
+    graph it walks."""
+    seen, stack, nodes = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes
+
+
+@pytest.fixture
+def recorded_nodes():
+    """``recorded_nodes(root)``: the recorded nodes of the graph below
+    ``root``, each once."""
+    return _recorded_nodes
+
+
 @pytest.fixture
 def forced_gates():
     """``forced_gates(alpha, d, heads, rng)``: a parallel_v2 block whose

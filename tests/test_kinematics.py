@@ -326,17 +326,17 @@ class TestLevelWiseForwardKinematics:
     @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
                                       K.reverse_tree(K.smpl_tree()), _STAR],
                              ids=["smpl", "random", "reverse", "star"])
-    def test_graph_grows_with_depth_not_joints(self, tree):
+    def test_graph_grows_with_depth_not_joints(self, tree, recorded_nodes):
         rot = Tensor(_random_pose(np.random.default_rng(5), 2), requires_grad=True)
         beta = Tensor(np.zeros((2, K.SHAPE_DIM)), requires_grad=True)
         joints = K.forward_kinematics(tree, rot, beta)
-        nodes = sum(1 for node in T._topo_order(joints) if node._parents)
-        assert nodes <= 8 * len(tree.levels)
+        assert len(recorded_nodes(joints)) <= 8 * len(tree.levels)
 
     @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
                                       K.reverse_tree(K.smpl_tree()), _STAR],
                              ids=["smpl", "random", "reverse", "star"])
-    def test_every_recorded_node_reaches_the_joints(self, tree, monkeypatch):
+    def test_every_recorded_node_reaches_the_joints(self, tree, monkeypatch,
+                                                    recorded_nodes):
         recorded = []
         real = T._result
 
@@ -350,7 +350,7 @@ class TestLevelWiseForwardKinematics:
         rot = Tensor(_random_pose(np.random.default_rng(6), 2), requires_grad=True)
         beta = Tensor(np.zeros((2, K.SHAPE_DIM)), requires_grad=True)
         joints = K.forward_kinematics(tree, rot, beta)
-        reachable = {id(node) for node in T._topo_order(joints) if node._parents}
+        reachable = {id(node) for node in recorded_nodes(joints)}
         assert {id(node) for node in recorded} == reachable
         assert len(recorded) == len(reachable)
 

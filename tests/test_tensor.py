@@ -3,6 +3,7 @@ central finite differences."""
 
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -185,15 +186,65 @@ def test_backward_rejects_non_scalar():
 
 
 def test_backward_accumulates_and_clears():
+    # a graph takes one backward, so each loss is built afresh from the leaf
     x = Tensor(np.ones(4), requires_grad=True)
-    loss = T.reduce_sum(T.mul(x, x))
-    loss.backward()
+    T.reduce_sum(T.mul(x, x)).backward()
     first = x.grad.copy()
-    loss.backward()
+    T.reduce_sum(T.mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, 2 * first)
     x.clear_grad()
-    loss.backward()
+    T.reduce_sum(T.mul(x, x)).backward()
     np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_releases_the_graph(recorded_nodes):
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    h = T.mul(x, x)
+    loss = T.reduce_sum(T.scale(h, 0.5))
+    nodes = recorded_nodes(loss)
+    loss.backward()
+    assert all(node._parents == () and node._vjp is T._released for node in nodes)
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        T.reduce_sum(T.add_scalar(h, 1.0)).backward()
+    # the refused walks added nothing to the leaf
+    np.testing.assert_array_equal(x.grad, x.data)
+
+
+def test_backward_frees_saved_activations():
+    rng = np.random.default_rng(17)
+    x, w, b = rand(rng, 4, 3), rand(rng, 3, 5), rand(rng, 5)
+
+    def build():
+        h = T.affine(x, w, b)
+        return T.reduce_sum(T.mul(h, h)), weakref.ref(h.data)
+
+    loss, activation = build()
+    assert activation() is not None
+    loss.backward()
+    assert activation() is None   # freed by reference counting, without gc.collect()
+
+
+def test_shared_node_runs_after_all_its_consumers():
+    # h feeds an early add, a take and a late mul; the root reads the late
+    # mul first, so a walk from the root meets h there before the others
+    rng = np.random.default_rng(19)
+    x0, c, d = rng.standard_normal((3, 4))
+    idx = [2, 0, 2]
+    grads = []
+    for _ in range(3):
+        x = Tensor(x0, requires_grad=True)
+        h = T.mul(x, x)
+        a = T.add(h, Tensor(c))
+        t = T.take(h, idx, 0)
+        m = T.mul(h, Tensor(d))
+        T.reduce_sum(T.concat([m, T.mul(a, a), t], 0)).backward()
+        grads.append(x.grad)
+    gh = d + 2 * (x0 * x0 + c) + np.bincount(idx, minlength=4)
+    np.testing.assert_allclose(grads[0], gh * 2 * x0, rtol=1e-14, atol=0)
+    for g in grads[1:]:
+        np.testing.assert_array_equal(g, grads[0])
 
 
 def test_three_layer_composition_matches_finite_differences():
@@ -285,12 +336,13 @@ def test_backward_determinism():
     rng = np.random.default_rng(13)
     x = rand(rng, 3, 3)
     w = rand(rng, 3, 3)
-    loss = T.reduce_sum(T.attention_core(x, w, T.matmul(x, w), 1)[0])
-    loss.backward()
-    g1 = x.grad.copy()
-    x.clear_grad(), w.clear_grad()
-    loss.backward()
-    np.testing.assert_array_equal(x.grad, g1)
+    grads = []
+    for _ in range(2):   # two fresh graphs: a graph takes one backward
+        T.reduce_sum(T.attention_core(x, w, T.matmul(x, w), 1)[0]).backward()
+        grads.append((x.grad, w.grad))
+        x.clear_grad(), w.clear_grad()
+    for g, g1 in zip(*grads):
+        np.testing.assert_array_equal(g, g1)
 
 
 # ---------------------------------------------------------------- fused ops
