@@ -177,15 +177,11 @@ class SteBlock(Module):
         def cls(z):
             return T.reshape(class_slot(z), rows)
 
-        alpha_s = T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t))))
+        alpha_s = T.reshape(T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t)))),
+                            gate_shape)
         alpha_t = T.add_scalar(T.neg(alpha_s), 1.0)
-        self.last_alpha = (alpha_s.data.reshape(gate_shape).copy(),
-                           alpha_t.data.reshape(gate_shape).copy())
-
-        def broad(a):
-            return T.expand(T.reshape(a, gate_shape), s.shape)
-
-        return T.add(T.mul(broad(alpha_s), s), T.mul(broad(alpha_t), t))
+        self.last_alpha = (alpha_s.data.copy(), alpha_t.data.copy())
+        return T.add(T.mul(s, alpha_s), T.mul(t, alpha_t))
 
     def attend(self, x: Tensor, bypass_temporal: bool = False,
                class_rows: bool = False):
@@ -292,12 +288,10 @@ class SteEncoder(Module):
         bypass_temporal = frames == 1
 
         x = patch_embed(obs)
-        token_shape = lead + (frames, cfg.hw + 1, cfg.d)
         cls = T.expand(self.cls_token, lead + (frames, 1, cfg.d))
         x = T.concat([cls, x], axis=-2)
-        x = T.add(x, T.expand(self.pos_spatial, token_shape))
-        pos_t = T.take(self.pos_temporal, range(frames), 0)
-        x = T.add(x, T.expand(pos_t, token_shape))
+        x = T.add(x, self.pos_spatial)
+        x = T.add(x, T.take(self.pos_temporal, range(frames), 0))
 
         all_maps = []
         for block in self.blocks[:-1]:

@@ -5,10 +5,11 @@ A decoded frame is an SmplParams triple: per-joint 6D rotations (24 x 6),
 shape coefficients (10), and a weak-perspective camera (3).
 
 The hierarchical decoder (KTD) regresses joints root-first down the
-kinematic tree; joint k consumes the frame feature concatenated with the
-already-predicted 6D vectors of all its ancestors, so its regressor input
-is exactly d + 6*|ancestors(k)| wide and gradients flow from children back
-into every ancestor's regressor.
+kinematic tree. The root reads the frame feature, and joint k below it
+reads its parent's input concatenated with its parent's 6D output, which
+is the feature followed by every ancestor's 6D, root first. So its
+regressor input is exactly d + 6*|ancestors(k)| wide, and gradients flow
+from children back into every ancestor's regressor.
 
 The iterative baseline refines one flat parameter vector of width
 P = 24*6 + 10 + 3 = 157: theta <- theta + F(concat(x, theta)), running a
@@ -74,20 +75,14 @@ class KtdDecoder(Module):
     def decode(self, x: Tensor) -> SmplParams:
         if x.ndim < 2 or x.shape[-1] != self.d:
             raise ShapeError(f"expected features (..., T, {self.d}), got {x.shape}")
-        omega: dict[int, Tensor] = {}
+        inputs, omega = {}, {}   # per joint: regressor input and 6D output
         for k in self.tree.topo_order:
-            ancestors = self.tree.ancestors(k)
-            head = self.joint[k]
-            want = self.d + 6 * len(ancestors)
-            if head.fan_in != want:
-                raise ShapeError(
-                    f"joint {k} regressor is {head.fan_in} wide, tree wants {want}")
-            inp = x if not ancestors else T.concat(
-                [x] + [omega[a] for a in ancestors], axis=-1)
-            omega[k] = head(inp)
-        pose = T.concat([T.reshape(omega[k], x.shape[:-1] + (1, 6))
-                         for k in range(NUM_JOINTS)], axis=-2)
-        return SmplParams(pose, self.shape(x), self.cam(x))
+            p = self.tree.parents[k]
+            inputs[k] = x if p == -1 else T.concat([inputs[p], omega[p]], axis=-1)
+            omega[k] = self.joint[k](inputs[k])
+        pose = T.concat([omega[k] for k in range(NUM_JOINTS)], axis=-1)
+        return SmplParams(T.reshape(pose, x.shape[:-1] + (NUM_JOINTS, 6)),
+                          self.shape(x), self.cam(x))
 
 
 class IterativeDecoder(Module):

@@ -26,31 +26,37 @@ class DegenerateRotationError(ValueError):
     """6D input whose Gram-Schmidt columns are too short or too parallel."""
 
 
+def _refuse_short(norms: Tensor, what: str) -> None:
+    """Raise for the first (..., 1) norm below ROT6D_EPS, naming its index."""
+    short = norms.data[..., 0] < ROT6D_EPS
+    if short.any():
+        at = tuple(int(i) for i in np.argwhere(short)[0])
+        raise DegenerateRotationError(f"6D vector {at}: {what}, norm "
+                                      f"{norms.data[at].item():.3e} below {ROT6D_EPS:.0e}")
+
+
 def rot6d_to_matrix(r: Tensor) -> Tensor:
     """Gram-Schmidt a (..., 6) tensor into proper rotations (..., 3, 3).
 
     The two packed 3-vectors become the first two columns after
     orthonormalization; the third column is their cross product.
     Raises :class:`DegenerateRotationError` when a column norm falls
-    below ``ROT6D_EPS`` instead of clamping silently.
+    below ``ROT6D_EPS`` instead of clamping silently. It names the first such
+    index over the leading axes, the joint last for a (..., 24, 6) pose.
     """
     if r.shape[-1] != 6:
         raise ShapeError(f"expected trailing extent 6, got {r.shape}")
     a1, a2 = T.take(r, [0, 1, 2], -1), T.take(r, [3, 4, 5], -1)
 
     n1 = T.vecnorm(a1, axis=-1, keepdims=True)
-    if (n1.data < ROT6D_EPS).any():
-        raise DegenerateRotationError(
-            f"first 6D column norm {n1.data.min():.3e} below {ROT6D_EPS:.0e}")
-    b1 = T.div(a1, T.expand(n1, a1.shape))
+    _refuse_short(n1, "first column too short")
+    b1 = T.div(a1, n1)
 
     dot = T.reduce_sum(T.mul(b1, a2), axis=-1, keepdims=True)
-    u2 = T.sub(a2, T.mul(b1, T.expand(dot, a2.shape)))
+    u2 = T.sub(a2, T.mul(b1, dot))
     n2 = T.vecnorm(u2, axis=-1, keepdims=True)
-    if (n2.data < ROT6D_EPS).any():
-        raise DegenerateRotationError(
-            f"second 6D column is parallel to the first within {ROT6D_EPS:.0e}")
-    b2 = T.div(u2, T.expand(n2, u2.shape))
+    _refuse_short(n2, "second column parallel to the first")
+    b2 = T.div(u2, n2)
 
     yzx, zxy = [1, 2, 0], [2, 0, 1]
     b3 = T.sub(T.mul(T.take(b1, yzx, -1), T.take(b2, zxy, -1)),
@@ -84,7 +90,7 @@ def matrix_to_axis_angle(m: Tensor) -> Tensor:
     factor = T.where(small,
                      T.add_scalar(T.scale(T.mul(theta, theta), 1.0 / 12.0), 0.5),
                      T.div(theta, safe))
-    return T.mul(w, T.expand(factor, w.shape))
+    return T.mul(w, factor)
 
 
 def project(j3d: Tensor, cam: Tensor) -> Tensor:
@@ -95,13 +101,11 @@ def project(j3d: Tensor, cam: Tensor) -> Tensor:
     lead = j3d.shape[:-2]
     if cam.shape != lead + (3,):
         raise ShapeError(f"expected cameras shaped {lead + (3,)}, got {cam.shape}")
+    cam = T.reshape(cam, lead + (1, 3))   # one row, broadcast over the joints
     s = T.take(cam, [0], -1)
     if (s.data <= 0.0).any():
         raise ValueError(f"camera scale must be positive, min {s.data.min():.3e}")
-    xy = T.take(j3d, [0, 1], -1)
-    s_e = T.expand(T.reshape(s, lead + (1, 1)), xy.shape)
-    t_e = T.expand(T.reshape(T.take(cam, [1, 2], -1), lead + (1, 2)), xy.shape)
-    return T.add(T.mul(xy, s_e), t_e)
+    return T.add(T.mul(T.take(j3d, [0, 1], -1), s), T.take(cam, [1, 2], -1))
 
 
 # -- plain-array twins -----------------------------------------------------

@@ -100,6 +100,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
                                                [0.9, -0.3, 0.2]]),
                                      requires_grad=True)
     w1, b1, w2, b2 = t(5, 6), t(6), t(6, 4), t(4)
+    col, pos_col = t(3, 1), t(3, 1, lo=0.5, hi=2.0)   # broadcast over a's (2, 3, 4)
 
     cases = [
         ("reshape", lambda: T.reshape(a, (6, 4)), [a]),
@@ -107,10 +108,10 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("concat", lambda: T.concat([a, b], axis=1), [a, b]),
         ("take", lambda: T.take(a, [3, 1, 3, 0, 3], 2), [a]),
         ("expand", lambda: T.expand(T.reshape(m2, (1, 5, 4)), (3, 5, 4)), [m2]),
-        ("add", lambda: T.add(a, b), [a, b]),
-        ("sub", lambda: T.sub(a, b), [a, b]),
-        ("mul", lambda: T.mul(a, b), [a, b]),
-        ("div", lambda: T.div(a, pos), [a, pos]),
+        ("add", lambda: T.add(a, col), [a, col]),
+        ("sub", lambda: T.sub(a, col), [a, col]),
+        ("mul", lambda: T.mul(a, col), [a, col]),
+        ("div", lambda: T.div(a, pos_col), [a, pos_col]),
         ("neg", lambda: T.neg(a), [a]),
         ("scale", lambda: T.scale(a, -1.7), [a]),
         ("add_scalar", lambda: T.add_scalar(a, 0.3), [a]),

@@ -284,9 +284,8 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
     deepest = len(tree.levels) - 1
     for depth, (level, up) in enumerate(zip(tree.levels[1:], tree.level_parents), 1):
         world_up = T.take(world, up, -3)
-        eye = T.expand(Tensor(np.eye(3)), world_up.shape)
         dev = T.add(T.take(dev, up, -3),
-                    T.matmul(T.sub(world_up, eye), T.take(bones, level, -3)))
+                    T.matmul(T.sub(world_up, Tensor(np.eye(3))), T.take(bones, level, -3)))
         devs.append(dev)
         if depth < deepest:   # no level below reads the deepest rotations
             world = T.matmul(world_up, T.take(rot, level, -3))

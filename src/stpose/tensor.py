@@ -6,12 +6,15 @@ runs each recorded node once, newest first, and then releases it, so a
 graph takes one backward; inside ``no_grad()`` nothing is recorded.
 Tensor values are immutable once created; only ``grad`` buffers mutate.
 
-Shape discipline: elementwise operations require exactly matching shapes
-(use ``expand`` for explicit broadcasting). ``matmul`` broadcasts its
-leading batch axes, and the fused ops broadcast their parameters over the
-leading axes of their input: ``affine`` and ``mlp`` their weights and
-biases, ``layer_norm`` its gain and bias; ``attention_core`` is batched over
-the leading axes that q, k and v share.
+Shape discipline: ``add``, ``sub``, ``mul`` and ``div`` broadcast their
+second operand b to the shape of the first, a: b may lack leading axes or
+hold unit axes, and each VJP sums b's gradient back over them. The rule is
+one-way, so (3, 1) against (1, 3) fails. ``where`` and ``atan2`` require
+matching shapes; ``expand`` broadcasts explicitly, for ``concat``.
+``matmul`` broadcasts its leading batch axes, and the fused ops broadcast
+their parameters over the leading axes of their input: ``affine`` and
+``mlp`` their weights and biases, ``layer_norm`` its gain and bias;
+``attention_core`` is batched over the leading axes that q, k and v share.
 
 ``attention_core`` is all heads of multi-head attention in one node. Its
 inputs and output keep the unsplit (..., rows, H·width) layout, head h
@@ -159,6 +162,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _check_broadcast(shape: tuple[int, ...], b_shape: tuple[int, ...], op: str) -> None:
+    """b_shape may lack leading axes of shape and hold 1 where shape does not."""
+    if len(b_shape) > len(shape) or any(
+            m not in (n, 1) for n, m in zip(shape[::-1], b_shape[::-1])):
+        raise ShapeError(f"{op} cannot broadcast {b_shape} to {shape}")
+
+
 # -- relayout ------------------------------------------------------------
 
 
@@ -222,19 +232,12 @@ def take(t: Tensor, indices, axis: int) -> Tensor:
 
 
 def expand(t: Tensor, shape) -> Tensor:
-    """Explicit broadcast: prepend axes and widen size-1 axes to ``shape``."""
+    """Explicit broadcast of ``t`` to ``shape``, by the rule that ``add``,
+    ``sub``, ``mul`` and ``div`` apply to their second operand."""
     shape = tuple(int(s) for s in shape)
-    if len(shape) < t.ndim:
-        raise ShapeError(f"expand cannot drop axes: {t.shape} -> {shape}")
-    lead = len(shape) - t.ndim
-    for have, want in zip(t.shape, shape[lead:]):
-        if have != want and have != 1:
-            raise ShapeError(f"cannot expand {t.shape} to {shape}")
-    try:
-        data = np.broadcast_to(t.data, shape).copy()
-    except ValueError as exc:
-        raise ShapeError(str(exc)) from None
-    return _result(data, (t,), lambda g: (_unbroadcast(g, t.shape),))
+    _check_broadcast(shape, t.shape, "expand")
+    return _result(np.broadcast_to(t.data, shape).copy(), (t,),
+                   lambda g: (_unbroadcast(g, t.shape),))
 
 
 # -- elementwise -----------------------------------------------------------
@@ -246,24 +249,26 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
-    return _result(a.data + b.data, (a, b), lambda g: (g, g))
+    _check_broadcast(a.shape, b.shape, "add")
+    return _result(a.data + b.data, (a, b), lambda g: (g, _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
+    _check_broadcast(a.shape, b.shape, "sub")
     return _result(a.data - b.data, (a, b),
-                   lambda g: (g, -g if b.requires_grad else None))
+                   lambda g: (g, -_unbroadcast(g, b.shape) if b.requires_grad else None))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    _check_broadcast(a.shape, b.shape, "mul")
+    return _result(a.data * b.data, (a, b),
+                   lambda g: (g * b.data, _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "div")
-    return _result(a.data / b.data, (a, b), lambda g: (g / b.data, -g * a.data / (b.data * b.data)))
+    _check_broadcast(a.shape, b.shape, "div")
+    return _result(a.data / b.data, (a, b), lambda g: (
+        g / b.data, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def neg(t: Tensor) -> Tensor:

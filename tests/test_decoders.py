@@ -71,10 +71,23 @@ class TestKtdStructure:
             assert got == joints + extras
 
     def test_width_mismatch_detected(self):
+        # joint 5 reads its parent's 16 + 6 * 2 wide input; the head refuses it
         dec = KtdDecoder(16, K.smpl_tree())
         dec.joint[5] = Affine(16 + 6, 6, np.random.default_rng(8))
-        with pytest.raises(ShapeError, match="tree wants"):
+        with pytest.raises(ShapeError, match="trailing extent"):
             dec.decode(Tensor(np.zeros((1, 16))))
+
+    @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
+                                      K.reverse_tree(K.smpl_tree())],
+                             ids=["smpl", "random", "reverse"])
+    def test_decode_records_two_nodes_per_joint_and_one_more(self, tree, monkeypatch,
+                                                             recorded_nodes):
+        # each joint: its head and, below the root, the concat of its parent's
+        # input and output; then one concat and one reshape for the pose
+        dec = KtdDecoder(8, tree)
+        monkeypatch.setattr(tree, "ancestors", None)   # decode never walks them
+        pose = dec.decode(Tensor(np.ones((2, 8)))).pose
+        assert len(recorded_nodes(pose)) == 2 * 24 + 1
 
     def test_feature_width_validated(self):
         dec = KtdDecoder(16, K.smpl_tree())

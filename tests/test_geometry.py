@@ -71,6 +71,18 @@ class TestRot6d:
         with pytest.raises(G.DegenerateRotationError):
             G.rot6d_to_matrix(Tensor(r6))
 
+    @pytest.mark.parametrize("column, r6", [
+        ("first column too short", [0.0, 0, 0, 0, 1.0, 0]),
+        ("second column parallel to the first", [1.0, 0, 0, 2.0, 0, 0]),
+    ], ids=["short", "parallel"])
+    def test_error_names_the_first_degenerate_vector(self, column, r6):
+        # in a (..., 24, 6) pose the last index is the joint: here joint 5
+        # of frame 1 and, later, joint 2 of frame 2
+        pose = np.tile(np.array([1.0, 0, 0, 0, 1.0, 0]), (3, 24, 1))
+        pose[1, 5] = pose[2, 2] = r6
+        with pytest.raises(G.DegenerateRotationError, match=rf"6D vector \(1, 5\): {column}"):
+            G.rot6d_to_matrix(Tensor(pose))
+
     def test_norm_just_above_threshold_accepted(self):
         r6 = np.array([2e-8, 0, 0, 0, 3.0, 0])
         m = G.rot6d_to_matrix(Tensor(r6)).data

@@ -489,11 +489,52 @@ def test_affine_skips_the_gradients_of_a_constant_weight_and_bias():
 
 def test_sub_skips_the_gradient_of_a_constant_subtrahend():
     rng = np.random.default_rng(30)
-    a, b = rand(rng, 4, 3), Tensor(rng.standard_normal((4, 3)))
-    out = T.sub(a, b)
-    ga, gb = out._vjp(np.ones(out.shape))
-    assert gb is None
-    np.testing.assert_array_equal(ga, np.ones(out.shape))
+    a = rand(rng, 4, 3)
+    for b in (Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal(3))):
+        out = T.sub(a, b)
+        ga, gb = out._vjp(np.ones(out.shape))
+        assert gb is None
+        np.testing.assert_array_equal(ga, np.ones(out.shape))
+
+
+BROADCASTING = {"add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}
+
+
+@pytest.mark.parametrize("name", sorted(BROADCASTING))
+@pytest.mark.parametrize("b_shape", [(4,), (3, 1), (1, 3, 1), (2, 1, 4)])
+def test_broadcast_second_operand_equals_its_expand_bitwise(name, b_shape):
+    # the value and both gradients are what an explicit expand of b computes
+    rng = np.random.default_rng(32)
+    op = BROADCASTING[name]
+    a = rand(rng, 2, 3, 4)
+    b = Tensor(rng.uniform(0.5, 2.0, b_shape), requires_grad=True)
+    out, composite = op(a, b), op(a, T.expand(b, a.shape))
+    assert out.shape == a.shape
+    assert np.array_equal(out.data, composite.data)
+    for got, want in zip(_grads(out, [a, b], np.random.default_rng(1)),
+                         _grads(composite, [a, b], np.random.default_rng(1))):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(BROADCASTING) + ["expand"])
+@pytest.mark.parametrize("a_shape, b_shape", [((3,), (2, 3)), ((3, 1), (1, 3)),
+                                              ((2, 3), (2, 4)), ((2, 3), (3, 3))],
+                         ids=["more_axes", "unit_axes_both_ways", "trailing_extent",
+                              "leading_extent"])
+def test_second_operand_must_broadcast_to_the_first(name, a_shape, b_shape):
+    # expand(b, a.shape) follows the same one-way rule
+    op = BROADCASTING.get(name, lambda a, b: T.expand(b, a.shape))
+    with pytest.raises(ShapeError) as err:
+        op(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+    assert str(a_shape) in str(err.value) and str(b_shape) in str(err.value)
+
+
+def test_where_and_atan2_keep_exact_shapes():
+    a, b = Tensor(np.ones((2, 3))), Tensor(np.ones(3))
+    with pytest.raises(ShapeError):
+        T.where(np.ones((2, 3), dtype=bool), a, b)
+    with pytest.raises(ShapeError):
+        T.atan2(a, b)
 
 
 def test_where_skips_the_gradient_of_a_constant_branch():

@@ -342,6 +342,25 @@ class TestBatchStep:
         assert shapes == [(3, cfg.t_clip, cfg.hw, NUM_JOINTS),
                           (3, 1, cfg.hw, NUM_JOINTS)]
 
+    def test_mixed_step_expands_only_the_class_token(self, monkeypatch):
+        # every other operand broadcasts inside add, sub, mul and div
+        built, expanded = [], []
+        real_build, real_expand = stpose.train.build_model, stpose.train.T.expand
+
+        def recording_build(cfg):
+            built.append(real_build(cfg))
+            return built[-1]
+
+        def recording_expand(t, shape):
+            expanded.append(t)
+            return real_expand(t, shape)
+
+        monkeypatch.setattr(stpose.train, "build_model", recording_build)
+        monkeypatch.setattr(stpose.train.T, "expand", recording_expand)
+        train(tiny_cfg(steps_stage1=0, steps_stage2=1))
+        cls = built[0].encoder.cls_token
+        assert len(expanded) == 2 and all(t is cls for t in expanded)   # video, image
+
     def test_image_mode_uses_one_frame(self):
         cfg = tiny_cfg()
         model = build_model(cfg)
