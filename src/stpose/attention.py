@@ -24,9 +24,10 @@ axes. A single-frame image batch is the T = 1 case.
 
 The per-frame output feature is the class token after a final layer norm,
 so the last block computes only the rows the encoder returns, as in CaiT's
-class attention (Touvron et al., arXiv 2103.17239). Its queries are the
-class tokens: one per frame for spatial attention and T per clip for
-coupled attention, while keys and values still span every token of the
+class attention (Touvron et al., arXiv 2103.17239). The encoder runs its
+blocks in one loop and calls the last one with class_rows set: its queries
+are the class tokens, one per frame for spatial attention and T per clip
+for coupled attention, while keys and values still span every token of the
 frame or clip. Temporal attention runs on the class slot alone. The output
 projection, the branch mix, the residual and the MLP then work on the
 (..., T, 1, d) class rows, and the last block's maps are the class-token
@@ -61,32 +62,6 @@ class MsaLayer(Module):
         self.wv = Affine(d, d, rng)
         self.wo = Affine(d, d, rng)
 
-    def _attend(self, zq: Tensor, zkv: Tensor):
-        """Queries from zq (batch, m, d) attend over keys and values from zkv
-        (batch, n, d); returns the (batch, m, d) output and (batch, H, m, n)
-        maps. The projections stay in the (batch, rows, d) layout, whose
-        channel block h is head h: tensor.attention_core splits and merges
-        the heads as strided views inside its one node."""
-        # scaling q rather than the logits keeps one (batch, H, m, n) logit
-        # array alive instead of two
-        q = T.scale(self.wq(zq), 1.0 / math.sqrt(self.d // self.heads))
-        out, att = T.attention_core(q, self.wk(zkv), self.wv(zkv), self.heads)
-        return self.wo(out), att
-
-    def _layout(self, x: Tensor):
-        if x.ndim < 3 or x.shape[-1] != self.d:
-            raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
-        lead = x.shape[:-3]
-        return lead, math.prod(lead), x.shape[-3], x.shape[-2]
-
-    def _temporal(self, x: Tensor, lead, clips, frames, tokens):
-        swap = tuple(range(len(lead))) + tuple(len(lead) + a for a in (1, 0, 2))
-        xt = T.transpose(x, swap)
-        z = T.reshape(xt, (clips * tokens, frames, self.d))
-        y, maps = self._attend(z, z)
-        return (T.transpose(T.reshape(y, xt.shape), swap),
-                maps.reshape(lead + (tokens,) + maps.shape[1:]))
-
     def __call__(self, x: Tensor, mode: str):
         """x is (..., T, N, d); returns (y, maps) with y shaped like x and
         maps (..., T, H, N, N) for spatial, (..., N, H, T, T) for temporal,
@@ -94,44 +69,54 @@ class MsaLayer(Module):
         the batch axis of attention, so every clip attends on its own. The
         maps are read-only views of the probabilities the backward pass
         reads."""
-        lead, clips, frames, tokens = self._layout(x)
-        d = self.d
-        if mode == "spatial":
-            z = T.reshape(x, (clips * frames, tokens, d))
-            y, maps = self._attend(z, z)
-            return T.reshape(y, x.shape), maps.reshape(lead + (frames,) + maps.shape[1:])
-        if mode == "temporal":
-            return self._temporal(x, lead, clips, frames, tokens)
-        if mode == "coupled":
-            z = T.reshape(x, (clips, frames * tokens, d))
-            y, maps = self._attend(z, z)
-            return T.reshape(y, x.shape), maps.reshape(lead + maps.shape[1:])
-        raise ValueError(f"unknown attention mode {mode!r}")
+        return self._rows(x, mode, False)
 
     def class_rows(self, x: Tensor, mode: str):
         """The rows of __call__(x, mode) at the class tokens (index 0 of N),
         computed alone: returns y (..., T, 1, d) and the class-token rows of
         the maps, (..., T, H, 1, N) for spatial, (..., 1, H, T, T) for
         temporal and (..., H, T, TN) for coupled attention, whose row t is
-        the query at t*N. Spatial and coupled queries are the class tokens,
-        and their keys and values span every token of the frame or clip.
-        Temporal attention never mixes token slots, so it runs on the class
-        slot alone; x may hold only that slot (N = 1)."""
-        lead, clips, frames, tokens = self._layout(x)
-        d = self.d
+        the query at t*N."""
+        return self._rows(x, mode, True)
+
+    def _rows(self, x: Tensor, mode: str, cls: bool):
+        """Attention over x with every token as a query, or with cls only
+        the class tokens. Spatial and coupled class queries still attend
+        over every token of the frame or clip. Temporal attention never
+        mixes token slots, so with cls it runs on the class slot alone; x
+        may hold only that slot (N = 1). The projections stay in the
+        (batch, rows, d) layout, whose channel block h is head h:
+        tensor.attention_core splits and merges the heads as strided views
+        inside its one node."""
+        if x.ndim < 3 or x.shape[-1] != self.d:
+            raise ShapeError(f"expected (..., T, N, {self.d}) input, got {x.shape}")
+        if cls and mode == "temporal":
+            x = class_slot(x)
+        lead, (frames, tokens, d) = x.shape[:-3], x.shape[-3:]
+        clips, n = math.prod(lead), len(lead)
+        swap = tuple(range(n)) + (n + 1, n, n + 2)
         if mode == "spatial":
             z = T.reshape(x, (clips * frames, tokens, d))
-            y, maps = self._attend(T.take(z, [0], 1), z)
-            return (T.reshape(y, lead + (frames, 1, d)),
-                    maps.reshape(lead + (frames,) + maps.shape[1:]))
+            q = T.take(z, [0], 1) if cls else z
+            map_lead = lead + (frames,)
+        elif mode == "temporal":
+            z = T.reshape(T.transpose(x, swap), (clips * tokens, frames, d))
+            q, map_lead = z, lead + (tokens,)
+        elif mode == "coupled":
+            z = T.reshape(x, (clips, frames * tokens, d))
+            q = T.take(z, range(0, frames * tokens, tokens), 1) if cls else z
+            map_lead = lead
+        else:
+            raise ValueError(f"unknown attention mode {mode!r}")
+        # scaling q rather than the logits keeps one (batch, H, m, n) logit
+        # array alive instead of two
+        q = T.scale(self.wq(q), 1.0 / math.sqrt(d // self.heads))
+        out, maps = T.attention_core(q, self.wk(z), self.wv(z), self.heads)
+        y = self.wo(out)
+        maps = maps.reshape(map_lead + maps.shape[1:])
         if mode == "temporal":
-            return self._temporal(class_slot(x), lead, clips, frames, 1)
-        if mode == "coupled":
-            q = T.reshape(T.take(x, [0], -2), (clips, frames, d))
-            y, maps = self._attend(q, T.reshape(x, (clips, frames * tokens, d)))
-            return (T.reshape(y, lead + (frames, 1, d)),
-                    maps.reshape(lead + maps.shape[1:]))
-        raise ValueError(f"unknown attention mode {mode!r}")
+            return T.transpose(T.reshape(y, lead + (tokens, frames, d)), swap), maps
+        return T.reshape(y, lead + (frames, 1 if cls else tokens, d)), maps
 
 
 def class_slot(x: Tensor) -> Tensor:
@@ -183,13 +168,21 @@ class SteBlock(Module):
         self.last_alpha = (alpha_s.data.copy(), alpha_t.data.copy())
         return T.add(T.mul(s, alpha_s), T.mul(t, alpha_t))
 
-    def attend(self, x: Tensor, bypass_temporal: bool = False,
-               class_rows: bool = False):
-        """The attention half of the block: x is (..., T, N, d); returns the
-        residual stream u shaped like x and the block's attention maps keyed
-        by mode. With class_rows set, u holds only the class-token rows
-        (..., T, 1, d) and the maps only the rows of those queries (see
-        MsaLayer.class_rows)."""
+    def __call__(self, x: Tensor, bypass_temporal: bool = False,
+                 class_rows: bool = False):
+        """x is (..., T, N, d); returns y shaped like x and the block's
+        attention maps keyed by mode. With class_rows set, y holds only the
+        class-token rows (..., T, 1, d) and the maps only the rows of those
+        queries (see MsaLayer.class_rows); the residuals and the MLP work
+        row by row, so they run on the class rows alone."""
+        # the attention half runs in a frame of its own, so its full-size
+        # temporaries are freed before the MLP's 4d-wide hidden layer
+        u, maps = self._attention(x, bypass_temporal, class_rows)
+        return (T.add(u, T.mlp(self.ln_mlp(u), self.fc1.w, self.fc1.b,
+                               self.fc2.w, self.fc2.b)), maps)
+
+    def _attention(self, x: Tensor, bypass_temporal: bool, class_rows: bool):
+        """The residual stream after the block's attention, and its maps."""
         maps: dict[str, np.ndarray] = {}
         self.last_alpha = None
         topo = self.topology
@@ -200,9 +193,8 @@ class SteBlock(Module):
             s, maps["spatial"] = msa(self.msa_s, self.ln_attn(x), "spatial")
             u = T.add(rows, s)
         elif topo == "temporal":
-            if bypass_temporal:
-                u = rows
-            else:
+            u = rows
+            if not bypass_temporal:
                 t, maps["temporal"] = msa(self.msa_t, self.ln_attn(rows), "temporal")
                 u = T.add(rows, t)
         elif topo == "series":
@@ -213,32 +205,19 @@ class SteBlock(Module):
                 u = T.add(u, t)
         elif topo in ("parallel_v1", "parallel_v2"):
             xn = self.ln_attn(x)
-            s, maps["spatial"] = msa(self.msa_s, xn, "spatial")
-            if bypass_temporal:
-                mix = s
-            else:
+            mix, maps["spatial"] = msa(self.msa_s, xn, "spatial")
+            if not bypass_temporal:
                 t, maps["temporal"] = msa(self.msa_t, xn, "temporal")
                 if topo == "parallel_v1":
-                    mix = T.scale(T.add(s, t), 0.5)
+                    mix = T.scale(T.add(mix, t), 0.5)
                 else:
-                    mix = self._gated_mix(s, t)
+                    mix = self._gated_mix(mix, t)
             u = T.add(rows, mix)
         else:   # coupling
             c, maps["coupled"] = msa(self.msa_c, self.ln_attn(x), "coupled")
             u = T.add(rows, c)
 
         return u, maps
-
-    def feed_forward(self, u: Tensor) -> Tensor:
-        """u + mlp(ln_mlp(u)); row-wise, so it runs on any subset of tokens."""
-        z = self.ln_mlp(u)
-        return T.add(u, T.mlp(z, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b))
-
-    def __call__(self, x: Tensor, bypass_temporal: bool = False):
-        """x is (..., T, N, d); returns y shaped like x and the block's
-        attention maps keyed by mode."""
-        u, maps = self.attend(x, bypass_temporal)
-        return self.feed_forward(u), maps
 
 
 class SteEncoder(Module):
@@ -268,10 +247,11 @@ class SteEncoder(Module):
         features (..., T, d) and the attention maps of every block, which
         gain the same leading axes.
 
-        The features are read from the class tokens alone, so the last
-        block computes only their (..., T, 1, d) rows: its attention queries
-        are the class tokens (keys and values still span every token), and
-        its maps are the class-token rows of a full block call's,
+        Every block runs in one loop. The features are read from the class
+        tokens alone, so the last block runs with class_rows set and
+        computes only their (..., T, 1, d) rows: its attention queries are
+        the class tokens (keys and values still span every token), and its
+        maps are the class-token rows of a full block call's,
         (..., T, H, 1, N) spatial, (..., 1, H, T, T) temporal and
         (..., H, T, TN) coupled. Every other block returns full maps.
 
@@ -285,7 +265,6 @@ class SteEncoder(Module):
         lead, frames = obs.shape[:-3], obs.shape[-3]
         if frames < 1 or frames > cfg.t_clip:
             raise ShapeError(f"clip length {frames} outside 1..{cfg.t_clip}")
-        bypass_temporal = frames == 1
 
         x = patch_embed(obs)
         cls = T.expand(self.cls_token, lead + (frames, 1, cfg.d))
@@ -294,13 +273,9 @@ class SteEncoder(Module):
         x = T.add(x, T.take(self.pos_temporal, range(frames), 0))
 
         all_maps = []
-        for block in self.blocks[:-1]:
-            x, maps = block(x, bypass_temporal=bypass_temporal)
+        for i, block in enumerate(self.blocks, 1):
+            # only the class tokens leave the encoder: the last block
+            # computes their rows alone
+            x, maps = block(x, frames == 1, class_rows=i == len(self.blocks))
             all_maps.append(maps)
-        # only the class tokens leave the encoder: the last block computes
-        # their rows alone
-        last = self.blocks[-1]
-        u, maps = last.attend(x, bypass_temporal=bypass_temporal, class_rows=True)
-        all_maps.append(maps)
-        cls = self.ln_final(last.feed_forward(u))
-        return T.reshape(cls, lead + (frames, cfg.d)), all_maps
+        return T.reshape(self.ln_final(x), lead + (frames, cfg.d)), all_maps

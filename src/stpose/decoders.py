@@ -112,9 +112,10 @@ class IterativeDecoder(Module):
 def smpl_forward(params: SmplParams, tree: KinematicTree):
     """Params to joints: 6D -> rotations -> forward kinematics -> projection.
 
-    Returns (J3d, J2d) shaped (..., 24, 3) and (..., 24, 2), with the
-    frame axes of ``params``.
+    Returns (rot, J3d, J2d) shaped (..., 24, 3, 3), (..., 24, 3) and
+    (..., 24, 2), with the frame axes of ``params``; rot holds the local
+    joint rotations.
     """
     rot = rot6d_to_matrix(params.pose)
     joints = forward_kinematics(tree, rot, params.shape)
-    return joints, project(joints, params.cam)
+    return rot, joints, project(joints, params.cam)

@@ -203,45 +203,6 @@ def reverse_tree(tree: KinematicTree) -> KinematicTree:
     return KinematicTree(parents, tree.template, tree.shape_basis)
 
 
-# -- tree text format --------------------------------------------------------
-
-
-def tree_to_text(tree: KinematicTree) -> str:
-    lines = []
-    for k in range(NUM_JOINTS):
-        x, y, z = (float(v) for v in tree.template[k])
-        lines.append(f"{k} {tree.parents[k]} {x!r} {y!r} {z!r}")
-    return "\n".join(lines) + "\n"
-
-
-def tree_from_text(text: str) -> KinematicTree:
-    """Parse 24 lines of "index parent x y z"; indices may appear in any
-    order but each of 0..23 exactly once. The default shape basis applies."""
-    rows = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if len(rows) != NUM_JOINTS:
-        raise ValueError(f"expected {NUM_JOINTS} tree lines, got {len(rows)}")
-    parents = [None] * NUM_JOINTS
-    template = np.zeros((NUM_JOINTS, 3))
-    for ln in rows:
-        fields = ln.split()
-        if len(fields) != 5:
-            raise ValueError(f"malformed tree line (want 5 fields): {ln!r}")
-        try:
-            k, p = int(fields[0]), int(fields[1])
-            coords = [float(f) for f in fields[2:]]
-        except ValueError as exc:
-            raise ValueError(f"malformed tree line: {ln!r}") from exc
-        if not 0 <= k < NUM_JOINTS:
-            raise ValueError(f"joint index {k} out of range")
-        if parents[k] is not None:
-            raise ValueError(f"joint {k} defined twice")
-        if not all(np.isfinite(coords)):
-            raise ValueError(f"non-finite rest position for joint {k}")
-        parents[k] = p
-        template[k] = coords
-    return KinematicTree(parents, template, _default_shape_basis())
-
-
 # -- rest pose and forward kinematics ----------------------------------------
 
 

@@ -119,7 +119,7 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
         beta[c] = clip_beta
         cam[c] = clip_cam
         params = SmplParams(Tensor(pose6d[c]), Tensor(beta[c]), Tensor(cam[c]))
-        p3, p2 = smpl_forward(params, tree)
+        _, p3, p2 = smpl_forward(params, tree)
         j3d[c], j2d[c] = p3.data, p2.data
 
         obs[c] = rasterize(j2d[c], hw)
@@ -134,8 +134,8 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
     err = np.abs(check - rebuilt).max()
     if not err < 1e-9:
         raise RuntimeError(f"6D and axis-angle labels disagree by {err:.3e}")
-    c3, c2 = smpl_forward(SmplParams(Tensor(pose6d[0]), Tensor(beta[0]),
-                                     Tensor(cam[0])), tree)
+    _, c3, c2 = smpl_forward(SmplParams(Tensor(pose6d[0]), Tensor(beta[0]),
+                                        Tensor(cam[0])), tree)
     if not (np.array_equal(c3.data, j3d[0]) and np.array_equal(c2.data, j2d[0])):
         raise RuntimeError("joint labels of clip 0 do not reproduce through "
                            "smpl_forward")

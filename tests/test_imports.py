@@ -15,8 +15,6 @@ FILES = SOURCES + sorted(ROOT.glob("tests/*.py"))
 
 # Top-level definitions that no module of stpose reads, each kept on purpose.
 UNCALLED = {
-    "tree_to_text": "tree text form, kept for the packed KTD (ROADMAP item 3)",
-    "tree_from_text": "tree text form, kept for the packed KTD (ROADMAP item 3)",
     "matrix_to_axis_angle_np": "oracle read by criterion 6 and tests/test_geometry.py",
     "is_rotation_matrix": "oracle read by tests/test_geometry.py",
 }

@@ -394,34 +394,3 @@ class TestTreeVariants:
     def test_reverse_of_random_tree_is_valid(self):
         rev = K.reverse_tree(K.random_tree(9))
         assert rev.depth(rev.root) == 0
-
-
-class TestTreeTextFormat:
-    def test_round_trip(self):
-        tree = K.random_tree(4)
-        loaded = K.tree_from_text(K.tree_to_text(tree))
-        assert loaded.parents == tree.parents
-        assert np.array_equal(loaded.template, tree.template)
-
-    def test_line_shape(self):
-        first = K.tree_to_text(K.smpl_tree()).splitlines()[0].split()
-        assert first[0] == "0" and first[1] == "-1" and len(first) == 5
-
-    def test_unsorted_lines_accepted(self):
-        text = K.tree_to_text(K.smpl_tree())
-        shuffled = "\n".join(reversed(text.splitlines())) + "\n"
-        assert K.tree_from_text(shuffled).parents == K.SMPL_PARENTS
-
-    @pytest.mark.parametrize("mutate,msg", [
-        (lambda ls: ls[:-1], "24"),
-        (lambda ls: ls + [ls[5]], "24"),
-        (lambda ls: [ls[0]] + ls[:-1], "twice"),
-        (lambda ls: ["0 -1 0 0 nan"] + ls[1:], "finite"),
-        (lambda ls: ["0 -1 0 0"] + ls[1:], "5 fields"),
-        (lambda ls: ["0 -1 a 0 0"] + ls[1:], "malformed"),
-        (lambda ls: ["0 5 0 0 0"] + ls[1:], "root"),
-    ])
-    def test_invalid_files_rejected(self, mutate, msg):
-        lines = K.tree_to_text(K.smpl_tree()).splitlines()
-        with pytest.raises(ValueError, match=msg):
-            K.tree_from_text("\n".join(mutate(lines)))

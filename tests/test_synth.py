@@ -136,7 +136,7 @@ class TestLabelConsistency:
         for c in range(batch.clips):
             params = SmplParams(Tensor(batch.gt_pose6d[c]), Tensor(batch.gt_beta[c]),
                                 Tensor(batch.gt_cam[c]))
-            j3d, j2d = smpl_forward(params, tree)
+            _, j3d, j2d = smpl_forward(params, tree)
             assert np.array_equal(j3d.data, batch.gt_j3d[c])
             assert np.array_equal(j2d.data, batch.gt_j2d[c])
 
@@ -161,10 +161,10 @@ class TestLabelConsistency:
 
         def drifting(params, tree):
             calls["n"] += 1
-            j3d, j2d = real(params, tree)
+            rot, j3d, j2d = real(params, tree)
             if calls["n"] > 3:     # the re-check after three generated clips
                 j3d = Tensor(j3d.data * (1.0 + 1e-12))
-            return j3d, j2d
+            return rot, j3d, j2d
 
         monkeypatch.setattr(synth, "smpl_forward", drifting)
         with pytest.raises(RuntimeError, match="clip 0"):

@@ -165,7 +165,7 @@ class TestSchedule:
 
 class TestStepErrors:
     def test_error_names_step_and_stage(self, monkeypatch):
-        real = stpose.train.project
+        real = stpose.train.model_forward
         calls = {"n": 0}
 
         def failing(*args):
@@ -174,7 +174,7 @@ class TestStepErrors:
                 raise ValueError("camera scale must be positive")
             return real(*args)
 
-        monkeypatch.setattr(stpose.train, "project", failing)
+        monkeypatch.setattr(stpose.train, "model_forward", failing)
         with pytest.raises(RuntimeError, match=r"step 3 \(stage 2\)") as info:
             train(tiny_cfg())
         assert isinstance(info.value.__cause__, ValueError)
