@@ -23,16 +23,33 @@ _SMALL_ANGLE = 1e-6
 
 
 class DegenerateRotationError(ValueError):
-    """6D input whose Gram-Schmidt columns are too short or too parallel."""
+    """6D input whose Gram-Schmidt columns are too short or too parallel.
+
+    ``index`` is the failing vector's index over the input's leading axes,
+    ``what`` says which column failed and ``norm`` is that column's norm.
+    """
+
+    def __init__(self, index: tuple, what: str, norm: float):
+        super().__init__(f"6D vector {index}: {what}, norm {norm:.3e} "
+                         f"below {ROT6D_EPS:.0e}")
+        self.index, self.what, self.norm = index, what, norm
 
 
-def _refuse_short(norms: Tensor, what: str) -> None:
+def _refuse_short(norms: np.ndarray, what: str) -> None:
     """Raise for the first (..., 1) norm below ROT6D_EPS, naming its index."""
-    short = norms.data[..., 0] < ROT6D_EPS
+    short = norms[..., 0] < ROT6D_EPS
     if short.any():
         at = tuple(int(i) for i in np.argwhere(short)[0])
-        raise DegenerateRotationError(f"6D vector {at}: {what}, norm "
-                                      f"{norms.data[at].item():.3e} below {ROT6D_EPS:.0e}")
+        raise DegenerateRotationError(at, what, norms[at].item())
+
+
+_YZX, _ZXY = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis."""
+    return (np.take(a, _YZX, axis=-1) * np.take(b, _ZXY, axis=-1)
+            - np.take(a, _ZXY, axis=-1) * np.take(b, _YZX, axis=-1))
 
 
 def rot6d_to_matrix(r: Tensor) -> Tensor:
@@ -43,26 +60,36 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
     Raises :class:`DegenerateRotationError` when a column norm falls
     below ``ROT6D_EPS`` instead of clamping silently. It names the first such
     index over the leading axes, the joint last for a (..., 24, 6) pose.
+
+    One graph node. The forward keeps the op order of the composite of
+    tensor ops it replaced, so its bits equal that composite's; the VJP
+    runs Gram-Schmidt backwards from the saved columns and norms.
     """
     if r.shape[-1] != 6:
         raise ShapeError(f"expected trailing extent 6, got {r.shape}")
-    a1, a2 = T.take(r, [0, 1, 2], -1), T.take(r, [3, 4, 5], -1)
+    a1, a2 = np.take(r.data, [0, 1, 2], axis=-1), np.take(r.data, [3, 4, 5], axis=-1)
 
-    n1 = T.vecnorm(a1, axis=-1, keepdims=True)
+    n1 = np.sqrt((a1 * a1).sum(axis=-1, keepdims=True))
     _refuse_short(n1, "first column too short")
-    b1 = T.div(a1, n1)
+    b1 = a1 / n1
 
-    dot = T.reduce_sum(T.mul(b1, a2), axis=-1, keepdims=True)
-    u2 = T.sub(a2, T.mul(b1, dot))
-    n2 = T.vecnorm(u2, axis=-1, keepdims=True)
+    dot = (b1 * a2).sum(axis=-1, keepdims=True)
+    u2 = a2 - b1 * dot
+    n2 = np.sqrt((u2 * u2).sum(axis=-1, keepdims=True))
     _refuse_short(n2, "second column parallel to the first")
-    b2 = T.div(u2, n2)
+    b2 = u2 / n2
 
-    yzx, zxy = [1, 2, 0], [2, 0, 1]
-    b3 = T.sub(T.mul(T.take(b1, yzx, -1), T.take(b2, zxy, -1)),
-               T.mul(T.take(b1, zxy, -1), T.take(b2, yzx, -1)))   # b1 x b2
-    cols = [T.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)]
-    return T.concat(cols, axis=-1)
+    def vjp(g):
+        gb3 = g[..., 2]
+        gb1 = g[..., 0] + _cross(b2, gb3)                 # b3 = b1 x b2
+        gb2 = g[..., 1] + _cross(gb3, b1)
+        gu2 = (gb2 - b2 * (b2 * gb2).sum(axis=-1, keepdims=True)) / n2
+        gdot = -(gu2 * b1).sum(axis=-1, keepdims=True)   # u2 = a2 - b1 (b1 . a2)
+        gb1 += a2 * gdot - gu2 * dot
+        ga1 = (gb1 - b1 * (b1 * gb1).sum(axis=-1, keepdims=True)) / n1
+        return (np.concatenate([ga1, gu2 + b1 * gdot], axis=-1),)
+
+    return T._result(np.stack([b1, b2, _cross(b1, b2)], axis=-1), (r,), vjp)
 
 
 def matrix_to_axis_angle(m: Tensor) -> Tensor:

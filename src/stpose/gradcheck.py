@@ -75,10 +75,12 @@ def _weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
 
 
 def op_checks(seed: int = 0) -> list[CheckResult]:
-    """One finite-difference check per differentiable tensor/geometry op."""
+    """One finite-difference check per differentiable tensor, geometry and
+    kinematics op."""
     from . import tensor as T
     from .geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle,
                            project, rot6d_to_matrix)
+    from .kinematics import NUM_JOINTS, SHAPE_DIM, forward_kinematics, smpl_tree
 
     rng = np.random.default_rng(seed)
 
@@ -88,7 +90,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     a, b = t(2, 3, 4), t(2, 3, 4)
     pos = t(2, 3, 4, lo=0.5, hi=2.0)
     far = t(2, 3, 4, lo=0.3, hi=1.0)          # away from atan2/vecnorm kinks
-    m1, m2 = t(2, 3, 5), t(5, 4)
+    m2 = t(5, 4)
     x4, aw, ab = t(2, 3, 2, 5), t(5, 4), t(4)
     q, k, v = t(2, 3, 4), t(2, 5, 4), t(2, 5, 6)      # two heads: dh 2, e 3
     gain, bias = t(4), t(4)
@@ -96,6 +98,9 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     six = t(2, 4, 6, lo=-1.0, hi=1.0)
     rot = Tensor(axis_angle_to_matrix_np(rng.uniform(-0.5, 0.5, (2, 4, 3))),
                  requires_grad=True)
+    pose = Tensor(axis_angle_to_matrix_np(rng.uniform(-0.5, 0.5, (2, NUM_JOINTS, 3))),
+                  requires_grad=True)
+    beta, tree = t(2, SHAPE_DIM), smpl_tree()
     joints, cam = t(2, 5, 3), Tensor(np.array([[1.2, 0.1, -0.2],
                                                [0.9, -0.3, 0.2]]),
                                      requires_grad=True)
@@ -119,15 +124,14 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("atan2", lambda: T.atan2(far, pos), [far, pos]),
         ("where", lambda: T.where(mask, a, b), [a, b]),
         ("reduce_sum", lambda: T.reduce_sum(a, axis=1, keepdims=True), [a]),
-        ("reduce_mean", lambda: T.reduce_mean(a, axis=(0, 2)), [a]),
         ("vecnorm", lambda: T.vecnorm(far, axis=-1), [far]),
-        ("matmul", lambda: T.matmul(m1, m2), [m1, m2]),
         ("affine", lambda: T.affine(x4, aw, ab), [x4, aw, ab]),
         ("attention_core", lambda: T.attention_core(q, k, v, 2)[0], [q, k, v]),
         ("layer_norm", lambda: T.layer_norm(a, gain, bias), [a, gain, bias]),
         ("mlp", lambda: T.mlp(x4, w1, b1, w2, b2), [x4, w1, b1, w2, b2]),
         ("rot6d_to_matrix", lambda: rot6d_to_matrix(six), [six]),
         ("matrix_to_axis_angle", lambda: matrix_to_axis_angle(rot), [rot]),
+        ("forward_kinematics", lambda: forward_kinematics(tree, pose, beta), [pose, beta]),
         ("project", lambda: project(joints, cam), [joints, cam]),
     ]
 

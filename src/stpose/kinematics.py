@@ -224,7 +224,13 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
     """Pose the body: rot is (..., 24, 3, 3) local rotations, beta (..., 10)
     with the same leading axes, one body per index of them.
 
-    Returns the posed joints, (..., 24, 3).
+    Returns the posed joints, (..., 24, 3). The rest pose comes from
+    :func:`rest_joints`; posing it down the tree is one graph node. Its
+    forward sweeps the tree levels root first, posing a whole level per
+    step in the op order of the level-at-a-time composite it replaced, so
+    its bits equal that composite's. Its VJP sweeps the levels leaf first
+    and sums each level's gradients into the level above with one product
+    by that level's 0/1 parent matrix.
     """
     if rot.ndim < 3 or rot.shape[-3:] != (NUM_JOINTS, 3, 3):
         raise ShapeError(f"rotations must be (..., {NUM_JOINTS}, 3, 3), got {rot.shape}")
@@ -235,21 +241,52 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
     # the joint axis is -3 of rotations, bones and deviations, -2 of rest
     rest = rest_joints(tree, beta)
     base = [k if p == -1 else p for k, p in enumerate(tree.parents)]
-    bones = T.reshape(T.sub(rest, T.take(rest, base, -2)), lead + (NUM_JOINTS, 3, 1))
+    bones = (rest.data - np.take(rest.data, base, axis=-2)).reshape(lead + (NUM_JOINTS, 3, 1))
 
     # one step per tree level: gather the parents' world rotations and
     # deviations from the level above, then pose the whole level at once
-    world = T.take(rot, tree.levels[0], -3)
-    dev = Tensor(np.zeros(lead + (1, 3, 1)))
-    devs = [dev]
-    deepest = len(tree.levels) - 1
-    for depth, (level, up) in enumerate(zip(tree.levels[1:], tree.level_parents), 1):
-        world_up = T.take(world, up, -3)
-        dev = T.add(T.take(dev, up, -3),
-                    T.matmul(T.sub(world_up, Tensor(np.eye(3))), T.take(bones, level, -3)))
-        devs.append(dev)
+    levels, ups, deepest = tree.levels, tree.level_parents, len(tree.levels) - 1
+    world = np.take(rot.data, levels[0], axis=-3)
+    dev = np.zeros(lead + (1, 3, 1))
+    devs = np.zeros(lead + (NUM_JOINTS, 3, 1))   # in joint order; the root's stays 0
+    world_ups = []
+    for depth, (level, up) in enumerate(zip(levels[1:], ups), 1):
+        world_up = np.take(world, up, axis=-3)
+        dev = np.take(dev, up, axis=-3) + np.matmul(world_up - np.eye(3),
+                                                    np.take(bones, level, axis=-3))
+        devs[..., level, :, :] = dev
         if depth < deepest:   # no level below reads the deepest rotations
-            world = T.matmul(world_up, T.take(rot, level, -3))
-    # the levels concatenate to topo_order; put the joints back in index order
-    dev = T.take(T.concat(devs, axis=-3), np.argsort(tree.topo_order), -3)
-    return T.add(rest, T.reshape(dev, lead + (NUM_JOINTS, 3)))
+            world = np.matmul(world_up, np.take(rot.data, level, axis=-3))
+        world_ups.append(world_up)
+
+    def vjp(g):
+        g_devs = g.reshape(lead + (NUM_JOINTS, 3, 1))
+        g_rot = np.zeros(rot.shape)
+        g_bones = np.zeros(lead + (NUM_JOINTS, 3, 1))
+        g_world = g_dev = None   # from the level below, at this level's joints
+        for depth in range(deepest, 0, -1):
+            level, up, world_up = levels[depth], ups[depth - 1], world_ups[depth - 1]
+            g_d = np.take(g_devs, level, axis=-3)
+            if g_dev is not None:
+                g_d += g_dev
+            up_t = np.swapaxes(world_up, -1, -2)
+            g_bones[..., level, :, :] = np.matmul(up_t, g_d) - g_d
+            g_up = g_d * np.swapaxes(np.take(bones, level, axis=-3), -1, -2)
+            if g_world is not None:
+                local = np.take(rot.data, level, axis=-3)
+                g_up += np.matmul(g_world, np.swapaxes(local, -1, -2))
+                g_rot[..., level, :, :] = np.matmul(up_t, g_world)
+            # sum each joint's gradients into its parent, one level up
+            above = len(levels[depth - 1])
+            parent = np.zeros((above, len(level)))
+            parent[up, range(len(level))] = 1.0
+            both = np.concatenate([g_up, g_d], axis=-1).reshape(lead + (len(level), 12))
+            both = (parent @ both).reshape(lead + (above, 3, 4))
+            g_world, g_dev = both[..., :3], both[..., 3:]
+        g_rot[..., levels[0], :, :] = g_world
+        # bones = D rest with D = I - (each joint's parent row), 0 at the root
+        bone_of = np.eye(NUM_JOINTS)
+        bone_of[range(NUM_JOINTS), base] -= 1.0
+        return g_rot, g + bone_of.T @ g_bones.reshape(lead + (NUM_JOINTS, 3))
+
+    return T._result(rest.data + devs.reshape(lead + (NUM_JOINTS, 3)), (rot, rest), vjp)

@@ -10,11 +10,11 @@ Shape discipline: ``add``, ``sub``, ``mul`` and ``div`` broadcast their
 second operand b to the shape of the first, a: b may lack leading axes or
 hold unit axes, and each VJP sums b's gradient back over them. The rule is
 one-way, so (3, 1) against (1, 3) fails. ``where`` and ``atan2`` require
-matching shapes; ``expand`` broadcasts explicitly, for ``concat``.
-``matmul`` broadcasts its leading batch axes, and the fused ops broadcast
-their parameters over the leading axes of their input: ``affine`` and
-``mlp`` their weights and biases, ``layer_norm`` its gain and bias;
-``attention_core`` is batched over the leading axes that q, k and v share.
+matching shapes; ``expand`` broadcasts explicitly, for ``concat``. The
+fused ops broadcast their parameters over the leading axes of their input:
+``affine`` and ``mlp`` their weights and biases, ``layer_norm`` its gain
+and bias; ``attention_core`` is batched over the leading axes that q, k
+and v share.
 
 ``attention_core`` is all heads of multi-head attention in one node. Its
 inputs and output keep the unsplit (..., rows, H·width) layout, head h
@@ -335,19 +335,6 @@ def reduce_sum(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(data, (t,), vjp)
 
 
-def reduce_mean(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _axis_tuple(axis, t.ndim)
-    count = int(np.prod([t.shape[a] for a in axes])) if axes else 1
-    data = t.data.mean(axis=axes, keepdims=keepdims)
-
-    def vjp(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        return (np.broadcast_to(g / count, t.shape).copy(),)
-
-    return _result(data, (t,), vjp)
-
-
 def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Euclidean norm along one axis.
 
@@ -367,25 +354,6 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 # -- linear algebra --------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product batched over (broadcastable) leading axes."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul operands must have rank >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"inner extents disagree: {a.shape} @ {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise ShapeError(str(exc)) from None
-
-    def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return (ga, gb)
-
-    return _result(data, (a, b), vjp)
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

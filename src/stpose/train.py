@@ -2,9 +2,10 @@
 
 A model is patch embedding + encoder + decoder over one kinematic tree.
 Training overfits synthetic clips generated from the run seed: stage 1
-sees single frames (temporal attention bypassed), stage 2 alternates full
-clips with single frames at a configurable ratio. Everything downstream of
-the seed is deterministic, so a config fully reproduces a run.
+sees single frames (temporal attention bypassed), stage 2 sees full clips
+and single frames in the same step, weighted at a configurable ratio.
+Everything downstream of the seed is deterministic, so a config fully
+reproduces a run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .decoders import IterativeDecoder, KtdDecoder, SmplParams
 # smpl_forward it finds (for evaluate, which runs no backward) and again at
 # each backward, so training through that name would count them twice
 from .decoders import smpl_forward as params_to_joints
-from .geometry import matrix_to_axis_angle
+from .geometry import DegenerateRotationError, matrix_to_axis_angle
 from .kinematics import (NUM_JOINTS, KinematicTree, random_tree, reverse_tree,
                          smpl_tree)
 from .layers import Affine, Module
@@ -78,17 +79,23 @@ class ForwardOut(NamedTuple):
     maps: list
 
 
-def model_forward(model: Model, obs: np.ndarray) -> ForwardOut:
+def model_forward(model: Model, *obs: np.ndarray) -> ForwardOut:
     """Full chain: observations -> features -> parameters -> joints.
 
-    obs is (..., T, hw, 24), one clip per index of the leading axes; every
-    output keeps the (..., T) axes of the clips' frames.
+    Each obs is (..., T_i, hw, 24), one clip per index of the leading axes,
+    which every obs shares. Each obs is encoded on its own, so a one-frame
+    obs bypasses temporal attention; their features join on the frame axis,
+    and everything after the encoder runs once over the T_1 + T_2 + ...
+    frames. Every output keeps those (..., T) axes; ``maps`` lists each
+    encoder pass's blocks in turn.
     """
-    feats, maps = model.encoder.encode(
-        Tensor(np.asarray(obs, dtype=np.float64)), model.patch_embed)
+    encoded = [model.encoder.encode(Tensor(np.asarray(o, dtype=np.float64)),
+                                    model.patch_embed) for o in obs]
+    feats = [f for f, _ in encoded]
+    feats = feats[0] if len(feats) == 1 else T.concat(feats, axis=-2)
     params = model.decoder.decode(feats)
     rot, j3d, j2d = params_to_joints(params, model.tree)
-    return ForwardOut(params, j3d, j2d, rot, maps)
+    return ForwardOut(params, j3d, j2d, rot, [m for _, maps in encoded for m in maps])
 
 
 @dataclass
@@ -146,31 +153,43 @@ def _check_grads(params: dict, step: int):
                 f"non-finite gradient at step {step}: {name}")
 
 
-def batch_step(model: Model, batch: ClipBatch, clips,
-               frame=None) -> LossReport:
-    """Mean over the given clips of each clip's frame-mean loss, as one
-    graph, weighted by ``model.cfg``; ``frame`` picks one frame per clip
-    (image mode, T = 1), ``None`` feeds whole clips (video mode)."""
-    pick = (np.asarray(clips),
-            slice(None) if frame is None else slice(frame, frame + 1))
-    out = model_forward(model, batch.obs[pick])
+def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
+               ratio=1.0) -> LossReport:
+    """One graph over the given clips, weighted by ``model.cfg``: each loss
+    term is the mean over clips of a weighted sum over frames.
+
+    ``frame=None`` feeds whole clips (video mode), each frame weighted 1/T.
+    Otherwise frame ``frame`` of each clip goes in alone, with temporal
+    attention bypassed, weighted ``ratio`` (image mode). With ``ratio < 1``
+    the whole clips go in beside it, their frames weighted (1 - ratio)/T:
+    a mixed step, whose clips and frames are encoded apart and then share
+    one decode, kinematics pass and loss over T + 1 frames per clip.
+
+    A :class:`DegenerateRotationError` is re-raised naming the clip and
+    the frame of ``batch``, not the slot they had in the step.
+    """
+    clips = np.asarray(clips)
+    spans = []   # (frames, weight of each) per encoder pass
+    if frame is None or ratio < 1.0:
+        share = 1.0 if frame is None else 1.0 - ratio
+        spans.append((np.arange(batch.frames), share / batch.frames))
+    if frame is not None:
+        spans.append((np.array([frame]), ratio))
+    frames = np.concatenate([f for f, _ in spans])
+    weights = np.concatenate([np.full(f.size, w) for f, w in spans])
+    try:
+        out = model_forward(model, *(batch.obs[np.ix_(clips, f)] for f, _ in spans))
+    except DegenerateRotationError as exc:
+        clip, slot, *rest = exc.index
+        raise DegenerateRotationError(
+            (int(clips[clip]), int(frames[slot]), *rest), exc.what, exc.norm) from None
     theta = T.reshape(matrix_to_axis_angle(out.rot),
                       out.rot.shape[:-3] + (NUM_JOINTS * 3,))
+    pick = np.ix_(clips, frames)
     return total_loss(out.j3d, out.j2d, theta, out.params.shape,
                       batch.gt_j3d[pick], batch.gt_j2d[pick],
                       batch.gt_theta[pick], batch.gt_beta[pick], model.cfg,
-                      has_3d=batch.has_3d[pick[0]])
-
-
-def _blend_reports(video: LossReport, image: LossReport,
-                   ratio: float) -> LossReport:
-    w_v, w_i = 1.0 - ratio, ratio
-    total = T.add(T.scale(video.total, w_v), T.scale(image.total, w_i))
-    return LossReport(total,
-                      w_v * video.l_3d + w_i * image.l_3d,
-                      w_v * video.l_2d + w_i * image.l_2d,
-                      w_v * video.l_smpl + w_i * image.l_smpl,
-                      w_v * video.l_norm + w_i * image.l_norm)
+                      has_3d=batch.has_3d[clips], frame_weights=weights)
 
 
 def train(cfg: RunConfig, out_dir=None) -> TrainResult:
@@ -178,8 +197,10 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
 
     Stage 1 (first ``steps_stage1`` steps) rotates through single frames
     with temporal attention bypassed. Stage 2 feeds mixed batches: whole
-    clips plus single frames, blended at ``stage2_image_ratio``. Writes
-    config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is given.
+    clips plus one rotating frame of each, the frame weighted
+    ``stage2_image_ratio`` and the clip (1 - ratio), as one graph with one
+    loss (see :func:`batch_step`). Writes config.txt, loss_log.csv, and
+    final.ckpt when ``out_dir`` is given.
     An error in a step's forward or backward pass is re-raised as a
     RuntimeError that names the step and the stage.
     """
@@ -196,30 +217,22 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     history = []
     all_clips = range(batch.clips)
     image_step = 0
-    ratio = cfg.stage2_image_ratio
     for step in range(cfg.total_steps):
         stage = 1 if step < cfg.steps_stage1 else 2
-        frame = image_step % batch.frames
+        # stage 1 feeds single frames only; stage 2 feeds whole clips and
+        # single frames in the same step, at a weight fixed by the config,
+        # so the objective is the same from step to step
+        ratio = 1.0 if stage == 1 else cfg.stage2_image_ratio
+        frame = image_step % batch.frames if ratio > 0.0 else None
         try:
-            if stage == 1 or ratio == 1.0:
-                # image steps: one rotating frame per clip, temporal bypass
-                report = batch_step(model, batch, all_clips, frame=frame)
-                image_step += 1
-            elif ratio == 0.0:
-                report = batch_step(model, batch, all_clips)
-            else:
-                # mixed batch: whole clips and single frames in the same
-                # step, weighted by the configured ratio, so the objective
-                # is the same from step to step
-                video = batch_step(model, batch, all_clips)
-                image = batch_step(model, batch, all_clips, frame=frame)
-                image_step += 1
-                report = _blend_reports(video, image, ratio)
+            report = batch_step(model, batch, all_clips, frame, ratio)
             opt.zero_grad()
             report.total.backward()
         except Exception as exc:
             raise RuntimeError(f"training failed at step {step} (stage "
                                f"{stage}): {exc}") from exc
+        if frame is not None:
+            image_step += 1
         _check_finite(report, step)
         _check_grads(params, step)
         opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)

@@ -30,6 +30,20 @@ def _rot6d_oracle(r6: np.ndarray) -> np.ndarray:
     return np.column_stack([q[:, 0], q[:, 1], b3])
 
 
+def _rot6d_composite(r):
+    """Gram-Schmidt as the composite of tensor ops that the one-node
+    rot6d_to_matrix replaced, kept as its reference."""
+    a1, a2 = T.take(r, [0, 1, 2], -1), T.take(r, [3, 4, 5], -1)
+    b1 = T.div(a1, T.vecnorm(a1, axis=-1, keepdims=True))
+    dot = T.reduce_sum(T.mul(b1, a2), axis=-1, keepdims=True)
+    u2 = T.sub(a2, T.mul(b1, dot))
+    b2 = T.div(u2, T.vecnorm(u2, axis=-1, keepdims=True))
+    yzx, zxy = [1, 2, 0], [2, 0, 1]
+    b3 = T.sub(T.mul(T.take(b1, yzx, -1), T.take(b2, zxy, -1)),
+               T.mul(T.take(b1, zxy, -1), T.take(b2, yzx, -1)))
+    return T.concat([T.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)], axis=-1)
+
+
 class TestRot6d:
     def test_matches_qr_oracle(self):
         rng = np.random.default_rng(11)
@@ -82,6 +96,24 @@ class TestRot6d:
         pose[1, 5] = pose[2, 2] = r6
         with pytest.raises(G.DegenerateRotationError, match=rf"6D vector \(1, 5\): {column}"):
             G.rot6d_to_matrix(Tensor(pose))
+
+    @pytest.mark.parametrize("lead", [(6,), (2, 1, 24), (2, 3, 24)],
+                             ids=["rows", "T1", "T3"])
+    def test_one_node_matches_composite(self, lead, recorded_nodes):
+        rng = np.random.default_rng(17)
+        r6 = Tensor(_rand(rng, *lead, 6), requires_grad=True)
+        coef = Tensor(_rand(rng, *lead, 3, 3))
+        runs = []
+        for op in (G.rot6d_to_matrix, _rot6d_composite):
+            m = op(r6)
+            runs.append((m.data, len(recorded_nodes(m))))
+            T.reduce_sum(T.mul(m, coef)).backward()
+            runs[-1] += (r6.grad,)
+            r6.clear_grad()
+        (fused, nodes, got), (composite, _, want) = runs
+        assert nodes == 1
+        np.testing.assert_array_equal(fused, composite)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_norm_just_above_threshold_accepted(self):
         r6 = np.array([2e-8, 0, 0, 0, 3.0, 0])

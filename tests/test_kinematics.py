@@ -261,25 +261,33 @@ class TestClipAxes:
             assert np.array_equal(rest[c], K.rest_joints(tree, Tensor(beta[c])).data)
 
 
+def _matmul_node(a, b):
+    """Batched matrix product as one node, for the per-joint oracle; a and
+    b share their leading axes."""
+    return T._result(np.matmul(a.data, b.data), (a, b), lambda g: (
+        np.matmul(g, np.swapaxes(b.data, -1, -2)), np.matmul(np.swapaxes(a.data, -1, -2), g)))
+
+
 def _fk_per_joint(tree, rot, beta):
     """Forward kinematics one joint at a time in topo_order, with the same
-    deviation form: the reference for the level-at-a-time values."""
-    frames = rot.shape[0]
+    deviation form, as a composite of tensor ops over any leading axes: the
+    reference for the values and gradients of the one-node posing."""
+    lead = rot.shape[:-3]
     rest = K.rest_joints(tree, beta)
-    eye = T.expand(Tensor(np.eye(3)), (frames, 3, 3))
+    eye = Tensor(np.eye(3))
     j, world, dev, pos = {}, {}, {}, {}
     for k in tree.topo_order:
-        j[k] = T.reshape(T.take(rest, [k], 1), (frames, 3, 1))
-        r_k = T.reshape(T.take(rot, [k], 1), (frames, 3, 3))
+        j[k] = T.reshape(T.take(rest, [k], -2), lead + (3, 1))
+        r_k = T.reshape(T.take(rot, [k], -3), lead + (3, 3))
         if k == tree.root:
-            world[k], dev[k] = r_k, Tensor(np.zeros((frames, 3, 1)))
+            world[k], dev[k] = r_k, Tensor(np.zeros(lead + (3, 1)))
         else:
             p = tree.parents[k]
-            world[k] = T.matmul(world[p], r_k)
-            dev[k] = T.add(dev[p], T.matmul(T.sub(world[p], eye), T.sub(j[k], j[p])))
+            world[k] = _matmul_node(world[p], r_k)
+            dev[k] = T.add(dev[p], _matmul_node(T.sub(world[p], eye), T.sub(j[k], j[p])))
         pos[k] = T.add(j[k], dev[k])
-    return T.concat([T.reshape(pos[k], (frames, 1, 3)) for k in range(K.NUM_JOINTS)],
-                    axis=1)
+    return T.concat([T.reshape(pos[k], lead + (1, 3)) for k in range(K.NUM_JOINTS)],
+                    axis=-2)
 
 
 def _make_tree(kind):
@@ -320,6 +328,30 @@ class TestLevelWiseForwardKinematics:
             runs.append((joints.data, rot.grad, beta.grad))
         (got, g_rot, g_beta), (want, w_rot, w_beta) = runs
         assert np.array_equal(got, want)
+        for g, w in ((g_rot, w_rot), (g_beta, w_beta)):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    @pytest.mark.parametrize("lead", [(2, 1), (2, 3)], ids=["T1", "T3"])
+    @pytest.mark.parametrize("tree_kind", ["smpl", 3, "reverse"],
+                             ids=["smpl", "random", "reverse"])
+    def test_posing_node_matches_per_joint_composite(self, tree_kind, lead,
+                                                     recorded_nodes):
+        tree = _make_tree(tree_kind)
+        rng = np.random.default_rng(78)
+        rot = Tensor(_random_pose(rng, 2 * lead[1]).reshape(lead + (K.NUM_JOINTS, 3, 3)),
+                     requires_grad=True)
+        beta = Tensor(rng.standard_normal(lead + (K.SHAPE_DIM,)), requires_grad=True)
+        coef = Tensor(rng.standard_normal(lead + (K.NUM_JOINTS, 3)))
+        runs = []
+        for fk in (K.forward_kinematics, _fk_per_joint):
+            joints = fk(tree, rot, beta)
+            runs.append((joints, len(recorded_nodes(joints))))
+            T.reduce_sum(T.mul(joints, coef)).backward()
+            runs[-1] += (rot.grad, beta.grad)
+            rot.clear_grad(), beta.clear_grad()
+        (fused, nodes, g_rot, g_beta), (composite, _, w_rot, w_beta) = runs
+        assert nodes == 4   # the posing, after rest_joints' reshape, affine, reshape
+        np.testing.assert_array_equal(fused.data, composite.data)
         for g, w in ((g_rot, w_rot), (g_beta, w_beta)):
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 

@@ -154,11 +154,15 @@ class TestTotalLoss:
         assert clips[1].l_3d == clips[1].l_smpl == 0.0
 
     def test_frames_must_split_into_clips(self):
-        """has_3d names one flag per clip, shaped like the clip axes."""
+        """has_3d names one flag per clip, shaped like the clip axes, and
+        frame_weights one weight per frame."""
         rng = np.random.default_rng(209)
         gt = _gt_like(rng, frames=3)
         with pytest.raises(ShapeError, match=r"\(2,\).*clips \(\)"):
             _loss_args(gt, gt, RunConfig(), has_3d=np.array([True, True]))
+        with pytest.raises(ShapeError, match=r"\(2,\).*3 frames"):
+            total_loss(*(Tensor(a) for a in gt), *gt, cfg=RunConfig(),
+                       frame_weights=[0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [dict(w_3d=-1.0), dict(w_norm=float("nan")),
                                      dict(w_2d=float("inf"))])

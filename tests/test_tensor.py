@@ -35,6 +35,18 @@ def _sqrt_node(t):
     return T._result(out, (t,), lambda g: (g * 0.5 / out,))
 
 
+def _matmul_node(a, b):
+    """Matrix product batched over broadcast leading axes as one node, for
+    the affine and attention oracles."""
+    return T._result(np.matmul(a.data, b.data), (a, b), lambda g: (
+        T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape),
+        T._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
+
+
+def _no_bias(width):
+    return Tensor(np.zeros(width))
+
+
 # ---------------------------------------------------------------- relayout
 
 
@@ -101,37 +113,6 @@ def test_take_refuses_bad_indices(indices):
     x = Tensor(np.zeros((4, 5)))
     with pytest.raises(ShapeError, match=r"axis 1 of \(4, 5\)"):
         T.take(x, indices, -1)
-
-
-# ---------------------------------------------------------------- matmul
-
-
-def test_matmul_identity():
-    rng = np.random.default_rng(2)
-    a = Tensor(rng.standard_normal((4, 4)))
-    out = T.matmul(a, Tensor(np.eye(4)))
-    np.testing.assert_array_equal(out.data, a.data)
-
-
-def test_matmul_against_triple_loop():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((3, 5))
-    b = rng.standard_normal((5, 2))
-    want = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(5):
-                want[i, j] += a[i, k] * b[k, j]
-    got = T.matmul(Tensor(a), Tensor(b)).data
-    assert np.abs(got - want).max() < 1e-12
-
-
-def test_matmul_batched_shape_and_errors():
-    a = Tensor(np.zeros((2, 3, 4)))
-    b = Tensor(np.zeros((2, 4, 4)))
-    assert T.matmul(a, b).shape == (2, 3, 4)
-    with pytest.raises(ShapeError):
-        T.matmul(a, Tensor(np.zeros((2, 3, 4))))
 
 
 # ------------------------------------------ softmax inside attention_core
@@ -257,8 +238,8 @@ def test_three_layer_composition_matches_finite_differences():
     eye = Tensor(np.eye(3))
 
     def loss():
-        h = _gelu_node(T.matmul(x, w1))
-        y, _ = T.attention_core(T.matmul(h, w2), eye, eye, 1)   # row softmax
+        h = _gelu_node(T.affine(x, w1, _no_bias(5)))
+        y, _ = T.attention_core(T.affine(h, w2, _no_bias(3)), eye, eye, 1)   # row softmax
         return T.reduce_sum(T.mul(y, c))
 
     assert fd_check(loss, [x, w1, w2], h=1e-6) < 1e-5
@@ -270,7 +251,6 @@ OPS = {
     "mul": lambda a, b: T.mul(a, b),
     "div": lambda a, b: T.div(a, T.add_scalar(T.mul(b, b), 0.5)),
     "atan2": lambda a, b: T.atan2(a, b),
-    "matmul2": lambda a, b: T.matmul(a, T.transpose(b, (1, 0))),
 }
 
 
@@ -294,7 +274,6 @@ UNARY = {
     "transpose": lambda t: T.transpose(t, (1, 0)),
     "slice": lambda t: T.take(t, range(1, 3), 1),
     "take_repeated": lambda t: T.take(t, [3, 1, 3, 0], 1),
-    "mean": lambda t: T.reduce_mean(t, axis=0, keepdims=True),
     "sum_all": lambda t: T.reduce_sum(t),
     "vecnorm": lambda t: T.vecnorm(t, axis=-1),
     "expand": lambda t: T.expand(T.reshape(t, (3, 1, 4)), (2, 3, 5, 4)),
@@ -338,7 +317,7 @@ def test_backward_determinism():
     w = rand(rng, 3, 3)
     grads = []
     for _ in range(2):   # two fresh graphs: a graph takes one backward
-        T.reduce_sum(T.attention_core(x, w, T.matmul(x, w), 1)[0]).backward()
+        T.reduce_sum(T.attention_core(x, w, T.affine(x, w, _no_bias(3)), 1)[0]).backward()
         grads.append((x.grad, w.grad))
         x.clear_grad(), w.clear_grad()
     for g, g1 in zip(*grads):
@@ -347,8 +326,8 @@ def test_backward_determinism():
 
 # ---------------------------------------------------------------- fused ops
 # Each fused op against the composite it replaced, built from the remaining
-# primitives; the deleted softmax, GELU and sqrt ops are kept as one-node
-# oracles.
+# primitives; the deleted softmax, GELU, sqrt and matmul ops are kept as
+# one-node oracles.
 
 
 def _softmax_node(t):
@@ -359,14 +338,17 @@ def _softmax_node(t):
 
 
 def _affine_composite(x, w, b):
-    y = T.matmul(x, w)
+    y = _matmul_node(x, w)
     return T.add(y, T.expand(T.reshape(b, (1,) * (y.ndim - 1) + b.shape), y.shape))
 
 
 def _layer_norm_composite(x, gain, bias, eps=1e-5):
-    mu = T.reduce_mean(x, axis=-1, keepdims=True)
+    def mean(t):   # numpy's mean: the sum, then one division by the count
+        return T.div(T.reduce_sum(t, axis=-1, keepdims=True), Tensor(float(t.shape[-1])))
+
+    mu = mean(x)
     xc = T.sub(x, T.expand(mu, x.shape))
-    var = T.reduce_mean(T.mul(xc, xc), axis=-1, keepdims=True)
+    var = mean(T.mul(xc, xc))
     xhat = T.div(xc, T.expand(_sqrt_node(T.add_scalar(var, eps)), x.shape))
     pshape = (1,) * (x.ndim - 1) + gain.shape
     return T.add(T.mul(xhat, T.expand(T.reshape(gain, pshape), x.shape)),
@@ -383,8 +365,8 @@ def _attention_composite(q, k, v, heads):
         return T.transpose(T.reshape(t, (batch, rows, heads, width // heads)),
                            (0, 2, 1, 3))
 
-    p = _softmax_node(T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2))))
-    out = T.transpose(T.matmul(p, split(v)), (0, 2, 1, 3))
+    p = _softmax_node(_matmul_node(split(q), T.transpose(split(k), (0, 1, 3, 2))))
+    out = T.transpose(_matmul_node(p, split(v)), (0, 2, 1, 3))
     return (T.reshape(out, q.shape[:-1] + (v.shape[-1],)),
             p.data.reshape(lead + p.shape[1:]))
 
@@ -647,7 +629,7 @@ def test_every_public_op_runs_in_training_and_evaluation(monkeypatch):
 
 
 def _chain(x, w):
-    return T.layer_norm(_gelu_node(T.matmul(x, w)), Tensor(np.ones(3)),
+    return T.layer_norm(_gelu_node(T.affine(x, w, _no_bias(3))), Tensor(np.ones(3)),
                         Tensor(np.zeros(3)))
 
 
@@ -661,7 +643,7 @@ def test_no_grad_records_no_parents():
         assert not out.requires_grad
         assert out._parents == () and out._vjp is None
     assert T.reduce_sum(y)._parents == ()   # constant inputs stay constant
-    assert T.reduce_sum(T.matmul(x, w)).requires_grad   # recording resumes
+    assert T.reduce_sum(T.affine(x, w, _no_bias(3))).requires_grad   # recording resumes
 
 
 def test_no_grad_values_match_recorded_bitwise():

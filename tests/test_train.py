@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stpose.train
+from stpose import tensor as T
 from stpose.attention import SteEncoder
 from stpose.checkpoint import load_checkpoint, restore_params
 from stpose.config import RunConfig
-from stpose.decoders import SmplParams
+from stpose.decoders import KtdDecoder, SmplParams
 from stpose.kinematics import NUM_JOINTS
 from stpose.layers import Affine, Module
 from stpose.losses import LossReport
@@ -19,7 +20,7 @@ from stpose.tensor import Tensor
 from stpose.train import (ABLATION_NOTE, EVAL_COLUMNS, ablate,
                           ablation_configs, batch_step, build_model,
                           build_tree, evaluate, lr_factor, model_forward,
-                          train, _blend_reports, _check_finite)
+                          train, _check_finite)
 from stpose.synth import synth_generate
 
 
@@ -170,7 +171,7 @@ class TestStepErrors:
 
         def failing(*args):
             calls["n"] += 1
-            if calls["n"] == 5:    # steps 0 and 1 make one call, then two
+            if calls["n"] == 4:    # one call per step, mixed steps included
                 raise ValueError("camera scale must be positive")
             return real(*args)
 
@@ -180,6 +181,27 @@ class TestStepErrors:
         assert isinstance(info.value.__cause__, ValueError)
         assert "camera scale" in str(info.value)
 
+    @pytest.mark.parametrize("step, frame", [(1, 1), (2, 2)], ids=["image", "mixed"])
+    def test_degenerate_rotation_names_the_clip_frame(self, monkeypatch, step, frame):
+        # step 1 feeds frame 1 alone; step 2 is mixed, and its frame 2 sits
+        # in the extra slot T = 4 behind the clip's own frames
+        real, calls = KtdDecoder.decode, []
+
+        def degenerate(decoder, x):
+            params = real(decoder, x)
+            calls.append(x.shape)
+            if len(calls) - 1 == step:
+                pose = params.pose.data.copy()
+                pose[1, -1, 5] = 0.0      # clip 1, last slot, joint 5
+                params = params._replace(pose=Tensor(pose))
+            return params
+
+        monkeypatch.setattr(KtdDecoder, "decode", degenerate)
+        with pytest.raises(RuntimeError, match=rf"step {step} \(stage {step}\): 6D "
+                           rf"vector \(1, {frame}, 5\): first column too short"):
+            train(tiny_cfg(steps_stage1=2, steps_stage2=1))
+        assert calls[step][-2] == (1 if step == 1 else 4 + 1)
+
     def test_backward_error_names_step(self, monkeypatch):
         def failing(self):
             raise FloatingPointError("overflow in backward")
@@ -188,6 +210,36 @@ class TestStepErrors:
         with pytest.raises(RuntimeError, match=r"step 0 \(stage 1\)") as info:
             train(tiny_cfg())
         assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+class TestStepBudget:
+    # op nodes of tiny_cfg's mixed stage-2 step: it recorded 474 when the
+    # clips and the frames each ran their own post-encoder chain
+    OP_NODES = 177
+
+    def test_mixed_step_runs_one_post_encoder_chain(self, monkeypatch,
+                                                    recorded_nodes):
+        calls, nodes = [], []
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        real_backward = Tensor.backward
+
+        def counting_backward(loss):
+            nodes.append(len(recorded_nodes(loss)))
+            real_backward(loss)
+
+        monkeypatch.setattr(KtdDecoder, "decode", counted("decode", KtdDecoder.decode))
+        for name in ("params_to_joints", "total_loss"):
+            monkeypatch.setattr(stpose.train, name, counted(name, getattr(stpose.train, name)))
+        monkeypatch.setattr(Tensor, "backward", counting_backward)
+        train(tiny_cfg(steps_stage1=0, steps_stage2=1))
+        assert sorted(calls) == ["decode", "params_to_joints", "total_loss"]
+        assert len(nodes) == 1 and nodes[0] <= self.OP_NODES
 
 
 class TestFiniteGuard:
@@ -202,7 +254,7 @@ class TestFiniteGuard:
             _check_finite(report, 0)
 
     def test_train_aborts_on_non_finite(self, monkeypatch):
-        def bad_step(model, batch, clips, frame=None):
+        def bad_step(model, batch, clips, frame=None, ratio=1.0):
             return LossReport(Tensor(np.array(np.nan)), 0.0, 0.0, 0.0, 0.0)
         monkeypatch.setattr(stpose.train, "batch_step", bad_step)
         with pytest.raises(RuntimeError, match="non-finite loss at step 0"):
@@ -387,13 +439,44 @@ class TestBatchStep:
         assert rep.l_smpl > 0.0 and zeroed.l_smpl == 0.0
         assert (zeroed.l_3d, zeroed.l_2d) == (rep.l_3d, rep.l_2d)
 
-    def test_blend_reports(self):
-        a = LossReport(Tensor(np.array(4.0)), 1.0, 2.0, 3.0, 4.0)
-        b = LossReport(Tensor(np.array(8.0)), 5.0, 6.0, 7.0, 8.0)
-        mix = _blend_reports(a, b, 0.25)
-        assert mix.value() == 0.75 * 4.0 + 0.25 * 8.0
-        assert mix.l_3d == 0.75 * 1.0 + 0.25 * 5.0
-        assert mix.l_norm == 0.75 * 4.0 + 0.25 * 8.0
+    @pytest.mark.parametrize("decoder", ["ktd", "iterative"])
+    def test_mixed_step_equals_the_blend_of_two_chains(self, decoder):
+        # one graph over T + 1 frames per clip against (1 - r) video + r image
+        # built from two single-chain steps, with a 2D-only clip
+        cfg, ratio, frame = tiny_cfg(decoder=decoder), 0.3, 2
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 2, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        batch.has_3d[:] = (True, False)
+        params = model.named_params()
+
+        def run(step):
+            for p in params.values():
+                p.clear_grad()
+            report = step()
+            report.total.backward()
+            return report, {n: p.grad for n, p in params.items()}
+
+        mixed, got = run(lambda: batch_step(model, batch, range(2), frame, ratio))
+
+        def blend():
+            video = batch_step(model, batch, range(2))
+            image = batch_step(model, batch, range(2), frame=frame)
+            terms = [(1.0 - ratio) * getattr(video, t) + ratio * getattr(image, t)
+                     for t in ("l_3d", "l_2d", "l_smpl", "l_norm")]
+            total = T.add(T.scale(video.total, 1.0 - ratio),
+                          T.scale(image.total, ratio))
+            return LossReport(total, *terms)
+
+        blended, want = run(blend)
+        assert mixed.value() == pytest.approx(blended.value(), rel=1e-12)
+        for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
+            assert getattr(mixed, term) == pytest.approx(getattr(blended, term),
+                                                         rel=1e-12), term
+        assert mixed.l_3d > 0.0
+        for name in want:
+            scale = np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
 
     def test_2d_only_batch_drops_3d_terms(self):
         result = train(tiny_cfg(p_2d_only=1.0, steps_stage1=1,
