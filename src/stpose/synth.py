@@ -74,7 +74,7 @@ def rasterize(j2d: np.ndarray, hw: int) -> np.ndarray:
     return bump.reshape(j2d.shape[0], NUM_JOINTS, hw).transpose(0, 2, 1)
 
 
-def _trajectory(rng: np.random.Generator, frames: int, amp_scale: float) -> np.ndarray:
+def _trajectory(rng: np.random.Generator, frames: int) -> np.ndarray:
     """(frames, 24, 3) axis-angle curves, sum of <= 3 sinusoids per axis."""
     t = np.arange(frames)[:, None, None, None]
     waves = rng.integers(1, 4, size=(NUM_JOINTS, 3))
@@ -85,13 +85,12 @@ def _trajectory(rng: np.random.Generator, frames: int, amp_scale: float) -> np.n
     amps *= np.where(total > 0, target / np.maximum(total, 1e-12), 0.0)
     freq = rng.uniform(0.2, 1.5, size=(3, NUM_JOINTS, 3))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(3, NUM_JOINTS, 3))
-    curves = (amps * np.sin(freq * t + phase)).sum(axis=1)
-    return amp_scale * curves
+    return (amps * np.sin(freq * t + phase)).sum(axis=1)
 
 
 def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
                    noise_std: float = 0.01, tree: KinematicTree = None,
-                   amp_scale: float = 1.0, p_2d_only: float = 0.0) -> ClipBatch:
+                   p_2d_only: float = 0.0) -> ClipBatch:
     """Generate `count` clips of `frames` frames each. Same seed, same
     arguments -> bitwise identical batch."""
     if count < 1 or frames < 1:
@@ -108,7 +107,7 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
     j2d = np.zeros((count, frames, NUM_JOINTS, 2))
 
     for c in range(count):
-        aa = _trajectory(rng, frames, amp_scale)
+        aa = _trajectory(rng, frames)
         rot = axis_angle_to_matrix_np(aa)
         clip_beta = rng.normal(0.0, 0.5, SHAPE_DIM)
         scale = max(CAMERA_SCALE + rng.normal(0.0, CAMERA_JITTER), 0.2)

@@ -26,6 +26,18 @@ softmax and product with v, and in the VJP its logit gradient, stay in
 cache rather than streaming the whole stack through memory once per pass,
 as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
+
+``attention_core`` and ``mlp``, forward and VJP, and the VJPs of
+``affine`` and ``layer_norm`` run their work as two shards once it covers
+``SHARD_MIN`` entries (two tiles); smaller work runs as one, exactly as
+before. Attention splits its (batch, head) map stack in halves that each
+walk their own tiles; the others split their rows, and add the two
+shards' weight and bias gradients in shard order. Shard 0 runs inline and
+shard 1 on one helper thread, started by the first call that shards,
+while numpy releases the interpreter lock inside each BLAS call, ufunc and
+reduction. Only the array shapes fix the split, so the bits do not depend
+on the CPU count: with one CPU, shard 1 runs inline after shard 0. BLAS
+itself stays at one thread per call; there is no option.
 """
 
 from __future__ import annotations
@@ -33,8 +45,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -353,6 +368,80 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _result(n if keepdims else n.squeeze(axis), (t,), vjp)
 
 
+# -- two shards ------------------------------------------------------------
+
+
+ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
+SHARD_MIN = 2 * ATTENTION_TILE   # entries a kernel's work must cover before it splits in two
+# Row splits fall on a multiple of every GEMM micro-kernel row count in
+# common BLAS builds (4 to 24), so each row stays in the kernel block it
+# has in the unsplit GEMM. On OpenBLAS 0.3.31 that kept the bits of all but
+# 4 of 304 random GEMM shapes; splitting at the exact half changed 104 of 300.
+_ROW_ALIGN = 48
+
+_helper: tuple[int, ThreadPoolExecutor] | None = None   # (pid, pool) that runs shard 1
+_helper_lock = threading.Lock()
+
+
+def _helper_cpus() -> int:
+    """CPUs this process may run on. With fewer than two, shard 1 runs
+    inline after shard 0."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The one helper thread's pool, started on first use. A forked child
+    does not inherit the parent's thread, so it starts its own."""
+    global _helper
+    with _helper_lock:
+        if _helper is None or _helper[0] != os.getpid():
+            _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="stpose-shard"))
+        return _helper[1]
+
+
+def _sharded(kernel: Callable, shards: Sequence) -> list:
+    """``[kernel(shard) for shard in shards]`` for one or two shards that
+    write disjoint memory. Shard 0 runs inline. Shard 1 runs on the helper
+    thread when this process may use two CPUs, under the caller's numpy
+    error state (numpy keeps it per thread), else inline after shard 0.
+    Both have stopped before this returns or raises, and an exception in
+    either reaches the caller with its own type."""
+    if len(shards) == 1 or _helper_cpus() < 2:
+        return [kernel(shard) for shard in shards]
+    errors, call = np.geterr(), np.geterrcall()
+
+    def second():
+        with np.errstate(call=call, **errors):
+            return kernel(shards[1])
+
+    future = _helper_pool().submit(second)
+    try:
+        first = kernel(shards[0])
+    finally:
+        future.exception()   # waits for shard 1 even when shard 0 raised
+    return [first, future.result()]
+
+
+def _summed(partials: list) -> tuple:
+    """Each shard's partial gradients added up in shard order; a gradient
+    that is None stays None."""
+    if len(partials) == 1:
+        return partials[0]
+    return tuple(None if a is None else a + b for a, b in zip(*partials))
+
+
+def _row_shards(rows: int, width: int) -> list[slice]:
+    """All rows of a (rows, width) kernel as one slice or, once rows * width
+    reaches SHARD_MIN entries, as two of about half each, split at the
+    multiple of _ROW_ALIGN rows nearest the middle."""
+    mid = _ROW_ALIGN * ((rows + _ROW_ALIGN) // (2 * _ROW_ALIGN))
+    if rows * width < SHARD_MIN or not 0 < mid < rows:
+        return [slice(0, rows)]
+    return [slice(0, mid), slice(mid, rows)]
+
+
 # -- linear algebra --------------------------------------------------------
 
 
@@ -360,7 +449,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the trailing axis of x, as one GEMM over the rows of
     ``x.reshape(-1, fan_in)``; the weight gradient is one GEMM over all rows
     and the bias gradient one row sum. The VJP computes only the gradients
-    of the operands that require one."""
+    of the operands that require one. Once rows * (fan_in + fan_out)
+    reaches SHARD_MIN entries, the VJP runs its rows as two shards, as
+    ``mlp`` does."""
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise ShapeError(f"affine weight {w.shape} and bias {b.shape} disagree")
     fan_in, fan_out = w.shape
@@ -372,10 +463,17 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y += b.data
 
     def vjp(g):
-        rows = g.reshape(-1, fan_out)
-        gx = (rows @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        gw = x.data.reshape(-1, fan_in).T @ rows if w.requires_grad else None
-        return gx, gw, rows.sum(axis=0) if b.requires_grad else None
+        gy, xr = g.reshape(-1, fan_out), x.data.reshape(-1, fan_in)
+        gx = np.empty(xr.shape) if x.requires_grad else None
+
+        def backward(r):
+            if gx is not None:
+                np.matmul(gy[r], w.data.T, out=gx[r])
+            return (xr[r].T @ gy[r] if w.requires_grad else None,
+                    gy[r].sum(axis=0) if b.requires_grad else None)
+
+        gw, gb = _summed(_sharded(backward, _row_shards(len(gy), fan_in + fan_out)))
+        return None if gx is None else gx.reshape(x.shape), gw, gb
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w, b), vjp)
 
@@ -388,7 +486,10 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     bits equal that composite's. The VJP keeps only the pre-activation h
     and Φ (it recomputes h * Φ for the fc2 weight gradient), builds the
     GELU derivative Φ + h * pdf(h) in one buffer and runs one GEMM per
-    gradient.
+    gradient. Once rows * hidden reaches SHARD_MIN entries, the rows run as
+    two shards: each writes its rows of h, Φ, the output and the input
+    gradient, and the weight and bias gradients are the two shards'
+    partial sums added in shard order.
     """
     for w, b, name in ((w1, b1, "fc1"), (w2, b2, "fc2")):
         if w.ndim != 2 or b.shape != (w.shape[1],):
@@ -400,28 +501,44 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp expects rank >= 2 input with trailing extent {fan_in}, "
                          f"got {x.shape}")
     rows = x.data.reshape(-1, fan_in)
-    h = rows @ w1.data
-    h += b1.data
-    phi = h * _INV_SQRT2
-    erf(phi, out=phi)
-    phi += 1.0
-    phi *= 0.5
-    y = (h * phi) @ w2.data
-    y += b2.data
+    h, phi = np.empty((len(rows), hidden)), np.empty((len(rows), hidden))
+    y = np.empty((len(rows), fan_out))
+    shards = _row_shards(len(rows), hidden)
+
+    def forward(r):
+        hr, pr = h[r], phi[r]
+        np.matmul(rows[r], w1.data, out=hr)
+        hr += b1.data
+        np.multiply(hr, _INV_SQRT2, out=pr)
+        erf(pr, out=pr)
+        pr += 1.0
+        pr *= 0.5
+        np.matmul(hr * pr, w2.data, out=y[r])
+        y[r] += b2.data
+
+    _sharded(forward, shards)
 
     def vjp(g):
         g = g.reshape(-1, fan_out)
-        gw2 = (h * phi).T @ g
-        gh = g @ w2.data.T
-        dphi = h * h
-        dphi *= -0.5
-        np.exp(dphi, out=dphi)
-        dphi *= _INV_SQRT2PI
-        dphi *= h
-        dphi += phi
-        gh *= dphi
-        gx = (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, rows.T @ gh, gh.sum(axis=0), gw2, g.sum(axis=0)
+        gx = np.empty(rows.shape) if x.requires_grad else None
+
+        def backward(r):
+            gr, hr, pr = g[r], h[r], phi[r]
+            gw2 = (hr * pr).T @ gr
+            gh = gr @ w2.data.T
+            dphi = hr * hr
+            dphi *= -0.5
+            np.exp(dphi, out=dphi)
+            dphi *= _INV_SQRT2PI
+            dphi *= hr
+            dphi += pr
+            gh *= dphi
+            if gx is not None:
+                np.matmul(gh, w1.data.T, out=gx[r])
+            return rows[r].T @ gh, gh.sum(axis=0), gw2, gr.sum(axis=0)
+
+        return (None if gx is None else gx.reshape(x.shape),
+                *_summed(_sharded(backward, shards)))
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w1, b1, w2, b2), vjp)
 
@@ -430,7 +547,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The VJP keeps only the normalized input and the per-row std:
-    gx = (gx̂ - mean(gx̂) - x̂ mean(gx̂ x̂)) / std with gx̂ = g * gain.
+    gx = (gx̂ - mean(gx̂) - x̂ mean(gx̂ x̂)) / std with gx̂ = g * gain. Once
+    rows * d reaches SHARD_MIN entries, it runs its rows as two shards, as
+    ``mlp`` does.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -442,33 +561,55 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out += bias.data
 
     def vjp(g):
-        gxhat = g * gain.data
-        p = g * xhat
-        gg = p.reshape(-1, d).sum(axis=0)
-        p *= gain.data
-        gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
-        gx -= xhat * p.mean(axis=-1, keepdims=True)
-        gx /= std
-        return gx, gg, g.reshape(-1, d).sum(axis=0)
+        g, xh, sd = g.reshape(-1, d), xhat.reshape(-1, d), std.reshape(-1, 1)
+        gx = np.empty(g.shape)
+
+        def backward(r):
+            gxhat = g[r] * gain.data
+            p = g[r] * xh[r]
+            gg = p.sum(axis=0)
+            p *= gain.data
+            np.subtract(gxhat, gxhat.mean(axis=-1, keepdims=True), out=gx[r])
+            gx[r] -= xh[r] * p.mean(axis=-1, keepdims=True)
+            gx[r] /= sd[r]
+            return gg, g[r].sum(axis=0)
+
+        gg, gb = _summed(_sharded(backward, _row_shards(len(g), d)))
+        return gx.reshape(x.shape), gg, gb
 
     return _result(out, (x, gain, bias), vjp)
 
 
-ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
-
-
-def _attention_tiles(batch: int, heads: int, per_map: int) -> list[tuple[slice, slice]]:
-    """(batch, head) index pairs that cover a (batch, heads, m, n) map stack
-    of per_map = m * n entries per map in tiles of about ATTENTION_TILE
-    entries: whole batch entries while one fits, else the heads of one batch
-    entry, down to a single map however large it is."""
-    entry = heads * per_map
+def _attention_tiles(batch: range, heads: range, per_map: int) -> list[tuple[slice, slice]]:
+    """(batch, head) index pairs that cover the maps of ``batch`` x ``heads``
+    of a (batch, heads, m, n) stack of per_map = m * n entries per map in
+    tiles of about ATTENTION_TILE entries: whole batch entries while one
+    fits, else the heads of one batch entry, down to a single map however
+    large it is."""
+    entry = len(heads) * per_map
     if entry <= ATTENTION_TILE:
         step = ATTENTION_TILE // max(entry, 1)
-        return [(slice(b, b + step), slice(None)) for b in range(0, batch, step)]
+        return [(slice(b, min(b + step, batch.stop)), slice(heads.start, heads.stop))
+                for b in batch[::step]]
     step = max(ATTENTION_TILE // per_map, 1)
-    return [(slice(b, b + 1), slice(h, h + step))
-            for b in range(batch) for h in range(0, heads, step)]
+    return [(slice(b, b + 1), slice(h, min(h + step, heads.stop)))
+            for b in batch for h in heads[::step]]
+
+
+def _attention_shards(batch: int, heads: int, per_map: int) -> list[list[tuple[slice, slice]]]:
+    """The tiles of a (batch, heads, m, n) map stack as one shard or, once
+    the stack holds SHARD_MIN entries, as two of about equal work: the two
+    halves of the batch entries, or of the heads of a single entry. Each
+    shard tiles its own half."""
+    if batch * heads * per_map < SHARD_MIN or batch * heads < 2:
+        return [_attention_tiles(range(batch), range(heads), per_map)]
+    if batch > 1:
+        mid = (batch + 1) // 2
+        return [_attention_tiles(range(mid), range(heads), per_map),
+                _attention_tiles(range(mid, batch), range(heads), per_map)]
+    mid = (heads + 1) // 2
+    return [_attention_tiles(range(1), range(mid), per_map),
+            _attention_tiles(range(1), range(mid, heads), per_map)]
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -485,10 +626,13 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     (whole batch entries, or the heads of one when an entry is larger), and
     each tile's logits, max shift, exp, normalisation and p·v run while it
     is still in cache. Besides the inputs and the output, the probabilities
-    are the VJP's only saved state. The VJP walks the same tiles with one tile-sized buffer for the logit
-    gradient gs, takes the softmax row term from the output,
-    sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes gk = (qᵀ gs)ᵀ and
-    gv = (gᵀ p)ᵀ through transposed views of their head blocks.
+    are the VJP's only saved state. The VJP walks the same tiles with one
+    tile-sized buffer for the logit gradient gs, takes the softmax row term
+    from the output, sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes
+    gk = (qᵀ gs)ᵀ and gv = (gᵀ p)ᵀ through transposed views of their head
+    blocks. A stack of SHARD_MIN entries or more runs as two shards, each
+    with its own tiles and gs buffer; a map's bits do not depend on how
+    maps are grouped.
     """
     if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]
             or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]
@@ -509,30 +653,40 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     out = np.empty((batch, m, heads * e))
     oh = split(out, m, e)
     probs = np.empty((batch, heads, m, n))
-    tiles = _attention_tiles(batch, heads, m * n)
-    for tile in tiles:
-        p = probs[tile]
-        np.matmul(qh[tile], np.ascontiguousarray(np.swapaxes(kh[tile], -1, -2)), out=p)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        np.matmul(p, vh[tile], out=oh[tile])
+    shards = _attention_shards(batch, heads, m * n)
+
+    def forward(tiles):
+        for tile in tiles:
+            p = probs[tile]
+            np.matmul(qh[tile], np.ascontiguousarray(np.swapaxes(kh[tile], -1, -2)), out=p)
+            p -= p.max(axis=-1, keepdims=True)
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            np.matmul(p, vh[tile], out=oh[tile])
+
+    _sharded(forward, shards)
     probs.setflags(write=False)
 
     def vjp(g):
         gh = split(g, m, e)
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         gqh, gkh, gvh = split(gq, m, dh), split(gk, n, dh), split(gv, n, e)
-        buf = np.empty(probs[tiles[0]].size if tiles else 0)
-        for tile in tiles:
-            p = probs[tile]
-            gs = buf[:p.size].reshape(p.shape)
-            np.matmul(gh[tile], np.swapaxes(vh[tile], -1, -2), out=gs)
-            gs -= (gh[tile] * oh[tile]).sum(axis=-1, keepdims=True)
-            gs *= p
-            np.matmul(gs, kh[tile], out=gqh[tile])
-            np.matmul(np.swapaxes(qh[tile], -1, -2), gs, out=np.swapaxes(gkh[tile], -1, -2))
-            np.matmul(np.swapaxes(gh[tile], -1, -2), p, out=np.swapaxes(gvh[tile], -1, -2))
+
+        def backward(tiles):
+            buf = np.empty(probs[tiles[0]].size if tiles else 0)
+            for tile in tiles:
+                p = probs[tile]
+                gs = buf[:p.size].reshape(p.shape)
+                np.matmul(gh[tile], np.swapaxes(vh[tile], -1, -2), out=gs)
+                gs -= (gh[tile] * oh[tile]).sum(axis=-1, keepdims=True)
+                gs *= p
+                np.matmul(gs, kh[tile], out=gqh[tile])
+                np.matmul(np.swapaxes(qh[tile], -1, -2), gs,
+                          out=np.swapaxes(gkh[tile], -1, -2))
+                np.matmul(np.swapaxes(gh[tile], -1, -2), p,
+                          out=np.swapaxes(gvh[tile], -1, -2))
+
+        _sharded(backward, shards)
         return gq, gk, gv
 
     return (_result(out.reshape(lead + (m, heads * e)), (q, k, v), vjp),

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 
 from stpose import tensor as T
@@ -62,3 +64,18 @@ def force_bypass(monkeypatch):
             forced = type("ForcedBypass", (type(block),), {"__call__": call})
             monkeypatch.setattr(block, "__class__", forced)
     return force
+
+
+@pytest.fixture
+def inline_shards(monkeypatch):
+    """For the test, shard 1 of every sharded kernel runs on the helper
+    thread, whatever the CPU count; inside ``with inline_shards():`` it
+    runs inline after shard 0 instead, as on a one-CPU machine."""
+    monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+
+    @contextmanager
+    def inline():
+        with monkeypatch.context() as patch:
+            patch.setattr(T, "_helper_cpus", lambda: 1)
+            yield
+    return inline

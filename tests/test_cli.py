@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stpose
 from stpose.cli import main
 from stpose.kinematics import random_tree
 from stpose.synth import synth_generate
@@ -94,6 +100,24 @@ class TestTrainCommand:
         assert err.startswith("error:")
         assert "steps_stage1" in err and "steps_stage2" in err
         assert not (out / "final.ckpt").exists()
+
+
+    def test_sharded_run_exits_promptly(self, tmp_path):
+        # block 0's coupled maps (4, 2, 136, 136) reach tensor.SHARD_MIN, so
+        # attention runs shard 1 on the helper thread, which must not keep
+        # the interpreter alive after main returns
+        cfg = tmp_path / "sharded.cfg"
+        cfg.write_text(TINY.replace("blocks = 1", "encoder = coupling\nblocks = 2")
+                       .replace("hw = 4", "hw = 16").replace("t_clip = 4", "t_clip = 8")
+                       .replace("clips = 2", "clips = 4")
+                       .replace("steps_stage1 = 1", "steps_stage1 = 0"))
+        env = {**os.environ, "PYTHONPATH": str(Path(stpose.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "stpose.cli", "train", "--config", str(cfg),
+             "--out", str(tmp_path / "run")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "final loss" in done.stdout
 
 
 class TestEvalCommand:

@@ -3,6 +3,11 @@ central finite differences."""
 
 import inspect
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -409,20 +414,21 @@ def test_layer_norm_matches_composite():
         assert _rel(got, want) <= 1e-12
 
 
-# (lead, m, n, dh, e, heads) and the number of tiles the map stack takes:
-# small maps fit one tile, many small maps take tiles of whole batch
-# entries, and a batch entry above the tile budget takes tiles of heads,
-# one map each for a map above the budget
+# (lead, m, n, dh, e, heads) and the number of tiles of each shard of the
+# map stack: small maps fit one tile, many small maps take tiles of whole
+# batch entries, and a batch entry above the tile budget takes tiles of
+# heads, one map each for a map above the budget; a stack of SHARD_MIN
+# entries or more splits in two halves that each tile their own maps
 @pytest.mark.parametrize("shapes, tiles", [
-    (((2, 3), 5, 7, 4, 3, 2), 1),
-    (((64,), 17, 17, 16, 16, 4), 2),
-    (((300,), 17, 17, 8, 8, 2), 3),
-    (((1,), 272, 272, 16, 16, 1), 1),
-    (((2,), 150, 150, 4, 4, 4), 4),
+    (((2, 3), 5, 7, 4, 3, 2), [1]),
+    (((64,), 17, 17, 16, 16, 4), [2]),
+    (((300,), 17, 17, 8, 8, 2), [2, 2]),
+    (((1,), 272, 272, 16, 16, 1), [1]),
+    (((2,), 150, 150, 4, 4, 4), [2, 2]),
 ], ids=["small", "spatial", "batch_tiles", "one_map_tile", "head_tiles"])
 def test_attention_core_matches_composite(shapes, tiles):
     lead, m, n, dh, e, heads = shapes
-    assert len(T._attention_tiles(math.prod(lead), heads, m * n)) == tiles
+    assert [len(s) for s in T._attention_shards(math.prod(lead), heads, m * n)] == tiles
     rng = np.random.default_rng(23)
     q, k = rand(rng, *lead, m, heads * dh), rand(rng, *lead, n, heads * dh)
     v = rand(rng, *lead, n, heads * e)
@@ -458,6 +464,140 @@ def test_mlp_skips_the_input_gradient_of_a_constant_input():
     assert out._vjp(np.ones(out.shape))[0] is None
     T.reduce_sum(out).backward()
     assert x.grad is None and all(p.grad is not None for p in params)
+
+
+# ------------------------------------------------------------- two shards
+
+
+def _run_with_grads(fn, inputs, seed):
+    """The output of ``fn(*inputs)``, its probabilities if it returns any,
+    and the VJP of a fixed random cotangent."""
+    res = fn(*inputs)
+    out, probs = res if isinstance(res, tuple) else (res, None)
+    return out.data, probs, out._vjp(np.random.default_rng(seed).standard_normal(out.shape))
+
+
+# (batch, tokens, heads) at d = 64 and the tiles of each shard: the
+# train_coupled block-0 stack, 8 clips of 272 tokens, one map per tile;
+# and a spatial stack of 128 frames of 17 tokens, whose halves take two
+# tiles each
+@pytest.mark.parametrize("shape, tiles", [
+    ((8, 272, 4), [16, 16]),
+    ((128, 17, 4), [2, 2]),
+], ids=["coupled_block0", "spatial_two_tiles"])
+def test_sharded_attention_same_bits_on_the_helper_and_inline(shape, tiles, inline_shards):
+    batch, tokens, heads = shape
+    assert [len(s) for s in T._attention_shards(batch, heads, tokens * tokens)] == tiles
+    rng = np.random.default_rng(30)
+    qkv = [rand(rng, batch, tokens, 64) for _ in range(3)]
+    core = lambda q, k, v: T.attention_core(q, k, v, heads)
+    on_helper = _run_with_grads(core, qkv, 5)
+    with inline_shards():
+        inline = _run_with_grads(core, qkv, 5)
+    np.testing.assert_array_equal(on_helper[0], inline[0])
+    np.testing.assert_array_equal(on_helper[1], inline[1])
+    for got, want in zip(on_helper[2], inline[2]):
+        np.testing.assert_array_equal(got, want)
+
+
+# the rows of train_coupled's block 0, 8 clips of 272 tokens at d = 64,
+# through its MLP (64 -> 256 -> 64), an affine (64 -> 192) and its layer norm
+@pytest.mark.parametrize("op, widths, composite", [
+    (T.mlp, [(64, 256), (256,), (256, 64), (64,)],
+     lambda x, w1, b1, w2, b2: T.affine(_gelu_node(T.affine(x, w1, b1)), w2, b2)),
+    (T.affine, [(64, 192), (192,)], _affine_composite),
+    (T.layer_norm, [(64,), (64,)], _layer_norm_composite),
+], ids=["mlp", "affine", "layer_norm"])
+def test_sharded_rows_same_bits_on_the_helper_and_inline_and_match_composite(
+        op, widths, composite, inline_shards):
+    rng = np.random.default_rng(31)
+    x = rand(rng, 8, 272, 64)
+    params = [rand(rng, *w) for w in widths]
+    assert len(T._row_shards(8 * 272, 64)) == 2
+    on_helper = _run_with_grads(op, [x] + params, 6)
+    with inline_shards():
+        inline = _run_with_grads(op, [x] + params, 6)
+    np.testing.assert_array_equal(on_helper[0], inline[0])
+    for got, want in zip(on_helper[2], inline[2]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(on_helper[0], composite(x, *params).data)
+    for got, want in zip(_grads(op(x, *params), [x] + params, np.random.default_rng(7)),
+                         _grads(composite(x, *params), [x] + params, np.random.default_rng(7))):
+        assert _rel(got, want) <= 1e-12
+
+
+def test_overflow_in_shard_one_raises_under_the_callers_error_state(inline_shards):
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((2176, 64))
+    second = T._row_shards(2176, 256)[1]
+    x[second] *= 1e200   # only shard 1's rows square past the float64 range
+    params = [rand(rng, 64, 256), rand(rng, 256), rand(rng, 256, 64), rand(rng, 64)]
+    out = T.mlp(Tensor(x, requires_grad=True), *params)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        out._vjp(np.ones(out.shape))
+
+
+class ShardFault(Exception):
+    pass
+
+
+def test_an_error_in_shard_one_reaches_the_caller_and_the_helper_runs_on(inline_shards):
+    def kernel(shard):
+        if shard == "fail":
+            raise ShardFault(shard)
+        return threading.current_thread().name
+
+    with pytest.raises(ShardFault):
+        T._sharded(kernel, ["ok", "fail"])
+    main, helper = T._sharded(kernel, ["ok", "ok"])
+    assert main == threading.current_thread().name
+    assert helper.startswith("stpose-shard")
+    rng = np.random.default_rng(33)
+    _, probs = T.attention_core(*(rand(rng, 8, 136, 8) for _ in range(3)), 2)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
+
+
+def test_concurrent_callers_share_one_helper(inline_shards):
+    rng = np.random.default_rng(34)
+    qkv = [Tensor(rng.standard_normal((8, 136, 8))) for _ in range(3)]
+    want = T.attention_core(*qkv, 2)[0].data
+    results, switch = [], sys.getswitchinterval()
+
+    def caller():
+        for _ in range(3):
+            results.append(np.array_equal(T.attention_core(*qkv, 2)[0].data, want))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 12
+    helpers = [t for t in threading.enumerate() if t.name.startswith("stpose-shard")]
+    assert len(helpers) == 1
+
+
+def test_a_forked_child_starts_its_own_helper(inline_shards):
+    assert T._sharded(lambda shard: shard, [0, 1]) == [0, 1]   # the parent's helper runs
+    pid = os.fork()
+    if pid == 0:   # the child never returns into pytest
+        code = 1
+        try:
+            code = 0 if T._sharded(lambda shard: shard, [0, 1]) == [0, 1] else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_affine_skips_the_gradients_of_a_constant_weight_and_bias():

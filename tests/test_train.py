@@ -315,6 +315,29 @@ class TestDeterminism:
         for name in pa:
             assert np.array_equal(pa[name].data, pb[name].data), name
 
+    def test_sharded_run_same_on_the_helper_and_inline(self, inline_shards, monkeypatch):
+        # block 0's coupled maps (8, 2, 136, 136), its MLP (1088 rows, 256
+        # hidden) and its projections (1088 rows, 64 -> 64) reach SHARD_MIN,
+        # so they run as two shards
+        cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=16, t_clip=8, clips=8,
+                       steps_stage1=0, steps_stage2=3, stage2_image_ratio=0.0)
+        sharded, real = [], T._sharded
+
+        def counting(kernel, shards):
+            if len(shards) == 2:
+                sharded.append(kernel.__qualname__.split(".")[0])
+            return real(kernel, shards)
+
+        monkeypatch.setattr(T, "_sharded", counting)
+        on_helper = train(cfg)
+        with inline_shards():
+            inline = train(cfg)
+        assert {"attention_core", "mlp", "affine"} <= set(sharded)
+        assert on_helper.history == inline.history
+        pa, pb = on_helper.model.named_params(), inline.model.named_params()
+        for name in pa:
+            assert np.array_equal(pa[name].data, pb[name].data), name
+
     def test_zero_lr_leaves_params_bitwise_unchanged(self):
         cfg = tiny_cfg(lr=0.0)
         result = train(cfg)
