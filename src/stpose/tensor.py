@@ -4,7 +4,9 @@ Every operation eagerly computes its value with numpy and, when any input
 requires gradients, records a vector-Jacobian closure. ``Tensor.backward``
 runs each recorded node once, newest first, and then releases it, so a
 graph takes one backward; inside ``no_grad()`` nothing is recorded.
-Tensor values are immutable once created; only ``grad`` buffers mutate.
+No op writes into a value it has returned or been given. Outside the ops,
+``Adam.step`` (optim.py) and ``checkpoint.restore_params`` update
+parameter values in place, and ``grad`` buffers are rebound as they add up.
 
 Shape discipline: ``add``, ``sub``, ``mul`` and ``div`` broadcast their
 second operand b to the shape of the first, a: b may lack leading axes or
@@ -32,9 +34,11 @@ recompute.
 ``SHARD_MIN`` entries (two tiles); smaller work runs as one, exactly as
 before. Attention splits its (batch, head) map stack in halves that each
 walk their own tiles; the others split their rows, and add the two
-shards' weight and bias gradients in shard order. Shard 0 runs inline and
-shard 1 on one helper thread, started by the first call that shards,
-while numpy releases the interpreter lock inside each BLAS call, ufunc and
+shards' weight and bias gradients in shard order. ``Adam.step`` runs its
+parameter groups as two shards once it has two groups; each entry goes
+through the same ops in either shard. Shard 0 runs inline and shard 1 on
+one helper thread, started by the first call that shards, while numpy
+releases the interpreter lock inside each BLAS call, ufunc and
 reduction. Only the array shapes fix the split, so the bits do not depend
 on the CPU count: with one CPU, shard 1 runs inline after shard 0. BLAS
 itself stays at one thread per call; there is no option.

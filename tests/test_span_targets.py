@@ -1,6 +1,8 @@
-"""perfbench's span table names stpose entry points as strings, so a renamed
-entry point or a changed signature would fail only in a traced benchmark
-run. These checks read the table with ast, without importing perfbench."""
+"""perfbench names stpose entry points as strings: in its span table, and in
+the ``patches.wrap`` calls by which its workloads mark steps and count
+graph nodes. A renamed entry point or a changed signature would fail only
+in a benchmark run. These checks read both with ast, without importing
+perfbench."""
 
 import ast
 import importlib
@@ -11,7 +13,9 @@ import pytest
 
 from stpose.attention import MsaLayer
 
-SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def span_table() -> tuple:
@@ -24,7 +28,25 @@ def span_table() -> tuple:
     raise AssertionError(f"{SPANS} defines no LAYERS table")
 
 
-TARGETS = sorted({(module, attr) for module, attr, _ in span_table()})
+def wrap_targets() -> list:
+    """The (module, attribute) of every ``patches.wrap(package, module,
+    attribute, make)`` call in workloads.py whose names are literals."""
+    targets = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wrap" and len(node.args) >= 3
+                and all(isinstance(a, ast.Constant) for a in node.args[1:3])):
+            targets.append((node.args[1].value, node.args[2].value))
+    return targets
+
+
+def test_workloads_mark_steps_through_adam():
+    # train steps are timed from Adam.__init__ and Adam.step returns
+    assert {("optim", "Adam.__init__"), ("optim", "Adam.step")} <= set(wrap_targets())
+
+
+TARGETS = sorted({(module, attr) for module, attr, _ in span_table()}
+                 | set(wrap_targets()))
 
 
 @pytest.mark.parametrize("module,attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])

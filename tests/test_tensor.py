@@ -17,7 +17,6 @@ from scipy.special import erf
 
 from stpose import tensor as T
 from stpose.gradcheck import fd_check, op_checks
-from stpose.optim import Adam
 from stpose.tensor import ShapeError, Tensor
 
 
@@ -807,44 +806,3 @@ def test_no_grad_nests_and_restores_after_errors():
         with T.no_grad():
             T.add(x, Tensor(np.ones(3)))
     assert T.neg(x).requires_grad
-
-
-# ---------------------------------------------------------------- adam
-
-
-def test_adam_zero_gradient_keeps_params():
-    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    opt = Adam([p], lr=1e-2)
-    opt.step()
-    np.testing.assert_array_equal(p.data, [1.0, -2.0])
-
-
-def test_adam_single_step_closed_form():
-    p = Tensor(1.0, requires_grad=True)
-    p.grad = np.asarray(0.5)
-    opt = Adam([p], lr=1e-4)
-    opt.step()
-    # hand-computed: m=0.05, v=2.5e-4, m_hat=0.5, v_hat=0.25
-    want = 1.0 - 1e-4 * 0.5 / (np.sqrt(0.25) + 1e-8)
-    assert abs(p.item() - want) < 1e-16
-
-
-def test_adam_update_linear_in_lr_on_first_step():
-    deltas = []
-    for lr in (1e-3, 1e-4):
-        p = Tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
-        p.grad = np.array([0.3, -0.7, 2.0])
-        Adam([p], lr=lr).step()
-        deltas.append(np.array([2.0, -1.0, 0.5]) - p.data)
-    np.testing.assert_allclose(deltas[0], 10.0 * deltas[1], rtol=1e-9)
-
-
-def test_adam_rejects_bad_lr_and_shapes():
-    p = Tensor(np.zeros(2), requires_grad=True)
-    with pytest.raises(ValueError):
-        Adam([p], lr=-1e-3)
-    Adam([p], lr=0.0)   # zero is legal: moments advance, data stays put
-    opt = Adam([p], lr=1e-3)
-    p.grad = np.zeros(3)
-    with pytest.raises(ValueError):
-        opt.step()
