@@ -75,9 +75,10 @@ def _weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
 
 
 def op_checks(seed: int = 0) -> list[CheckResult]:
-    """One finite-difference check per differentiable tensor, geometry and
-    kinematics op."""
+    """One finite-difference check per differentiable tensor, geometry,
+    kinematics and decoder op."""
     from . import tensor as T
+    from .decoders import KtdDecoder, ktd_pose
     from .geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle,
                            project, rot6d_to_matrix)
     from .kinematics import NUM_JOINTS, SHAPE_DIM, forward_kinematics, smpl_tree
@@ -106,6 +107,10 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
                                      requires_grad=True)
     w1, b1, w2, b2 = t(5, 6), t(6), t(6, 4), t(4)
     col, pos_col = t(3, 1), t(3, 1, lo=0.5, hi=2.0)   # broadcast over a's (2, 3, 4)
+    ktd, feats = KtdDecoder(2, tree), t(2, 3, 2)
+    heads = [p for head in ktd.joint for p in (head.w, head.b)]
+    for p in heads:
+        p.data[...] = rng.uniform(-1.0, 1.0, p.shape)
 
     cases = [
         ("reshape", lambda: T.reshape(a, (6, 4)), [a]),
@@ -133,6 +138,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("matrix_to_axis_angle", lambda: matrix_to_axis_angle(rot), [rot]),
         ("forward_kinematics", lambda: forward_kinematics(tree, pose, beta), [pose, beta]),
         ("project", lambda: project(joints, cam), [joints, cam]),
+        ("ktd_pose", lambda: ktd_pose(feats, ktd.joint, ktd.layout), [feats, *heads]),
     ]
 
     results = []

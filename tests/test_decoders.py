@@ -2,6 +2,8 @@
 
 The dependency oracle runs both directions: reverse-mode gradients from a
 single joint's output, and forward perturbation of a single regressor.
+The packed KTD pose is checked against a numpy walk of the per-joint form,
+forward and backward.
 """
 
 import numpy as np
@@ -29,6 +31,37 @@ def _xavier(decoder, rng):
 def _zero_all(decoder):
     for p in decoder.named_params().values():
         p.data[:] = 0.0
+
+
+def _walk_oracle(dec, tree, x, c):
+    """The per-joint KTD in numpy: joint k's head reads its parent's input
+    concatenated with its parent's 6D output. Returns the pose of x, and
+    the gradients of sum(pose * c) for x and each head's w and b."""
+    inputs, omega = {}, {}
+    for k in tree.topo_order:
+        p = tree.parents[k]
+        inputs[k] = x if p == -1 else np.concatenate([inputs[p], omega[p]], axis=-1)
+        omega[k] = inputs[k] @ dec.joint[k].w.data + dec.joint[k].b.data
+    g_in = {k: np.zeros_like(v) for k, v in inputs.items()}
+    g_om = {k: c[..., k, :].copy() for k in range(24)}
+    heads, gx = {}, None
+    for k in reversed(tree.topo_order):
+        w = dec.joint[k].w.data
+        rows = inputs[k].reshape(-1, w.shape[0])
+        heads[k] = (rows.T @ g_om[k].reshape(-1, 6), g_om[k].reshape(-1, 6).sum(axis=0))
+        g = g_in[k] + g_om[k] @ w.T
+        p = tree.parents[k]
+        if p == -1:
+            gx = g
+        else:
+            width = inputs[p].shape[-1]
+            g_in[p] += g[..., :width]
+            g_om[p] += g[..., width:]
+    return np.stack([omega[k] for k in range(24)], axis=-2), gx, heads
+
+
+def _close(got, want, rtol=1e-12):
+    return np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 class TestKtdStructure:
@@ -74,25 +107,57 @@ class TestKtdStructure:
         # joint 5 reads its parent's 16 + 6 * 2 wide input; the head refuses it
         dec = KtdDecoder(16, K.smpl_tree())
         dec.joint[5] = Affine(16 + 6, 6, np.random.default_rng(8))
-        with pytest.raises(ShapeError, match="trailing extent"):
+        with pytest.raises(ShapeError, match="trailing extent") as err:
             dec.decode(Tensor(np.zeros((1, 16))))
+        assert "joint 5" in str(err.value)
+        assert "(22, 6)" in str(err.value) and "28" in str(err.value)
 
     @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
                                       K.reverse_tree(K.smpl_tree())],
                              ids=["smpl", "random", "reverse"])
-    def test_decode_records_two_nodes_per_joint_and_one_more(self, tree, monkeypatch,
-                                                             recorded_nodes):
-        # each joint: its head and, below the root, the concat of its parent's
-        # input and output; then one concat and one reshape for the pose
+    def test_pose_is_one_node_over_x_and_the_head_tensors(self, tree, monkeypatch,
+                                                          recorded_nodes):
+        # the whole per-joint walk is one node whose parents are the features
+        # and the 48 head tensors, in parameter order
         dec = KtdDecoder(8, tree)
         monkeypatch.setattr(tree, "ancestors", None)   # decode never walks them
-        pose = dec.decode(Tensor(np.ones((2, 8)))).pose
-        assert len(recorded_nodes(pose)) == 2 * 24 + 1
+        x = Tensor(np.ones((2, 8)), requires_grad=True)
+        pose = dec.decode(x).pose
+        assert recorded_nodes(pose) == [pose]
+        heads = [p for name, p in dec.named_params().items() if name.startswith("joint.")]
+        assert len(heads) == 48
+        assert [id(p) for p in pose._parents] == [id(p) for p in (x, *heads)]
 
     def test_feature_width_validated(self):
         dec = KtdDecoder(16, K.smpl_tree())
         with pytest.raises(ShapeError):
             dec.decode(Tensor(np.zeros((1, 17))))
+
+
+class TestKtdPackedPose:
+    """The one-node pose against the per-joint walk, within 1e-12 relative:
+    the value, x's gradient and every head's w and b gradient."""
+
+    @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
+                                      K.reverse_tree(K.smpl_tree())],
+                             ids=["smpl", "random", "reverse"])
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["frames", "clips"])
+    def test_matches_per_joint_walk(self, tree, lead):
+        rng = np.random.default_rng(41)
+        dec = _xavier(KtdDecoder(16, tree), rng)
+        for head in dec.joint:
+            head.b.data[:] = rng.standard_normal(6)
+        x = Tensor(rng.standard_normal(lead + (16,)), requires_grad=True)
+        c = rng.standard_normal(lead + (24, 6))
+        pose = dec.decode(x).pose
+        want, gx, heads = _walk_oracle(dec, tree, x.data, c)
+        assert pose.shape == lead + (24, 6)
+        assert _close(pose.data, want)
+        T.reduce_sum(T.mul(pose, Tensor(c))).backward()
+        assert _close(x.grad, gx)
+        for k, head in enumerate(dec.joint):
+            assert _close(head.w.grad, heads[k][0]), k
+            assert _close(head.b.grad, heads[k][1]), k
 
 
 class TestKtdDependencies:
@@ -292,20 +357,37 @@ class TestSmplForward:
 
 
 class TestClipAxes:
-    """A (2, 3, ...) stack of clips decodes and poses bit for bit as each
-    clip does on its own."""
+    """A stack of clips decodes and poses bit for bit as each clip does on
+    its own."""
 
     @pytest.mark.parametrize("kind", ["ktd", "iterative"])
     def test_decode_stack_matches_per_clip(self, kind):
+        # Clips of 2 to 9 frames, at d = 12 and 64, and for the KTD on all
+        # three trees. One-frame clips are left out: a one-row product takes
+        # another BLAS path than a stack of them, so a one-frame clip decodes
+        # a few ulps away from its row of the stack (174 of 174 one-frame
+        # cases in a sweep of the KTD pose).
+        # The KTD's shape and cam heads are 10- and 3-wide GEMMs, which on
+        # OpenBLAS round differently at different row counts once d >= 16
+        # (about a third of the clip cases at d = 64), so at d = 64 only the
+        # KTD pose is held to the bits.
+        trees = ([K.smpl_tree(), K.random_tree(3), K.reverse_tree(K.smpl_tree())]
+                 if kind == "ktd" else [None])
         rng = np.random.default_rng(34)
-        dec = KtdDecoder(12, K.smpl_tree()) if kind == "ktd" else IterativeDecoder(12)
-        _xavier(dec, rng)
-        x = rng.standard_normal((2, 3, 12))
-        out = dec.decode(Tensor(x))
-        assert [a.shape for a in out] == [(2, 3, 24, 6), (2, 3, 10), (2, 3, 3)]
-        for c in range(2):
-            for got, want in zip(out, dec.decode(Tensor(x[c]))):
-                assert np.array_equal(got.data[c], want.data)
+        for d in (12, 64):
+            checked = 1 if kind == "ktd" and d > 12 else 3
+            for tree in trees:
+                dec = KtdDecoder(d, tree) if kind == "ktd" else IterativeDecoder(d)
+                _xavier(dec, rng)
+                for frames in range(2, 10):
+                    x = rng.standard_normal((2, frames, d))
+                    out = dec.decode(Tensor(x))
+                    assert [a.shape for a in out] == [
+                        (2, frames, 24, 6), (2, frames, 10), (2, frames, 3)]
+                    for c in range(2):
+                        one = dec.decode(Tensor(x[c]))
+                        for got, want in zip(out[:checked], one[:checked]):
+                            assert np.array_equal(got.data[c], want.data), (d, frames)
 
     def test_smpl_forward_stack_matches_per_clip(self):
         tree = K.smpl_tree()

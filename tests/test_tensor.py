@@ -1,6 +1,7 @@
 """Tensor engine: values against independent oracles, gradients against
 central finite differences."""
 
+import ast
 import inspect
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -739,10 +741,29 @@ def _public_ops():
             and not name.startswith("_")} - {"no_grad"}
 
 
+def _fused_nodes_outside_tensor():
+    """Module-level functions of stpose outside tensor.py that record a
+    graph node of their own through ``T._result``."""
+    names = set()
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for fn in ast.parse(path.read_text()).body:
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Attribute) and node.attr == "_result"
+                    and isinstance(node.value, ast.Name) and node.value.id == "T"
+                    for node in ast.walk(fn)):
+                names.add(fn.name)
+    return names
+
+
 def test_every_public_op_has_a_finite_difference_check():
-    # a new op, fused or not, must join the suite criterion 1 runs
+    # a new op, fused or not, must join the suite criterion 1 runs, and so
+    # must a fused node written outside the engine
+    fused = _fused_nodes_outside_tensor()
+    assert {"rot6d_to_matrix", "forward_kinematics", "ktd_pose"} <= fused
     checked = {c.name for c in op_checks()}
-    assert sorted(f"op.{name}" for name in _public_ops()
+    assert sorted(f"op.{name}" for name in _public_ops() | fused
                   if f"op.{name}" not in checked) == []
 
 
