@@ -24,12 +24,6 @@ for bit as each clip alone; a whole level as one 6|level|-wide product
 would not, since on OpenBLAS such a GEMM rounds differently at different
 row counts.
 
-The heads stay 24 separate ``Affine`` parameters (``decoder.joint.k.w/b``):
-storing them packed would rename them, and checkpoints, Adam's parameter
-order and anything else keyed on parameter names would change with it.
-So they are packed on every forward and unpacked on every backward,
-through index arrays built once per decoder (``KtdLayout``).
-
 The iterative baseline refines one flat parameter vector of width
 P = 24*6 + 10 + 3 = 157: theta <- theta + F(concat(x, theta)), running a
 fixed number of iterations from a learned initial vector, with gradients
@@ -43,7 +37,7 @@ instead of a degenerate all-zero 6D vector. They draw no random numbers.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,35 +78,33 @@ class KtdLayout(NamedTuple):
     The packed matrix is (d + POSE_DIM + 1, POSE_DIM), and its columns are
     24 blocks of 6, one per joint in topological order. Rows 0..d-1 hold
     Wx, the next POSE_DIM rows the ancestor blocks (row d + i reads packed
-    column i of omega) and the last row the biases. The heads, listed in
-    parameter order (joint 0's w and b, then joint 1's, ...) and laid end
-    to end, are rows of 6, and each row lands in one 6-wide block.
+    column i of omega) and the last row the biases. The heads are one flat
+    parameter: joint 0's w (row by row) and b, then joint 1's, and so on.
+    Its rows of 6 each land in one 6-wide block of the packed matrix.
     """
     d: int
-    shapes: tuple        # each head tensor's shape, in parameter order
-    spans: tuple         # (start, stop) of each head tensor, end to end
     blocks: np.ndarray   # the packed block of every row of 6 of the heads
     levels: tuple        # (lo, hi): the packed columns of each level below the root
     pos: np.ndarray      # each joint's block, in joint order
     topo: np.ndarray     # each block's joint
 
+    def gather(self, packed: np.ndarray) -> np.ndarray:
+        """The flat heads held in a packed matrix."""
+        return packed.reshape(-1, 6)[self.blocks].reshape(-1)
+
 
 def ktd_layout(d: int, tree: KinematicTree) -> KtdLayout:
-    """The packed layout of a KTD over features of width d. The joints and
-    their ancestors are walked in Python, and the rows of the heads are
-    placed with array arithmetic."""
+    """The packed layout of a KTD over features of width d. The joints are
+    walked in Python, and the rows of the heads are placed with array
+    arithmetic."""
     pos = [0] * NUM_JOINTS
     for p, k in enumerate(tree.topo_order):
         pos[k] = p
-    ancestors = {}
-    for k in tree.topo_order:
-        p = tree.parents[k]
-        ancestors[k] = [] if p == -1 else ancestors[p] + [p]
-    widths = [d + 6 * len(ancestors[k]) for k in range(NUM_JOINTS)]
+    ancestors = [tree.ancestors(k) for k in range(NUM_JOINTS)]
 
     # row r of each head (the bias is row width) in the packed matrix: the
     # feature rows first, then 6 per ancestor, root first, then the bias row
-    n = np.array(widths) + 1
+    n = np.array([d + 6 * len(a) + 1 for a in ancestors])
     joint = np.repeat(np.arange(NUM_JOINTS), n)
     r = np.arange(len(joint)) - np.repeat(np.cumsum(n) - n, n)
     rows = np.where(r < d, r, d + POSE_DIM)
@@ -121,44 +113,35 @@ def ktd_layout(d: int, tree: KinematicTree) -> KtdLayout:
     pos = np.array(pos)
     blocks = NUM_JOINTS * rows + pos[joint]
 
-    shapes, spans, end = [], [], 0
-    for w in widths:
-        shapes += [(w, 6), (6,)]
-        spans += [(end, end + 6 * w), (end + 6 * w, end + 6 * w + 6)]
-        end += 6 * w + 6
     levels, lo = [], 6
     for level in tree.levels[1:]:
         levels.append((lo, lo + 6 * len(level)))
         lo += 6 * len(level)
-    return KtdLayout(d, tuple(shapes), tuple(spans), blocks, tuple(levels), pos,
-                     np.array(tree.topo_order))
+    return KtdLayout(d, blocks, tuple(levels), pos, np.array(tree.topo_order))
 
 
-def ktd_pose(x: Tensor, joint: Sequence[Affine], layout: KtdLayout) -> Tensor:
+def ktd_pose(x: Tensor, heads: Tensor, layout: KtdLayout) -> Tensor:
     """The KTD pose (..., 24, 6) of features x (..., d) as one graph node
-    over x and the heads' 48 tensors (see the module docstring).
+    over x and the flat heads (see the module docstring).
 
-    The forward packs the heads into the layout's matrix with one scatter,
-    computes x Wx + b in one GEMM and then adds each joint's ancestor term
-    as one 6-wide product, a level of joints per batched matmul, root
-    first. The VJP sums the gradient into the ancestors' columns level by
-    level, leaf first, and then takes Wx's gradient, the ancestor blocks'
-    gradient and x's gradient as one GEMM each and the biases' as one row
-    sum; one gather unpacks them per head.
+    The forward scatters the heads into the layout's matrix, computes
+    x Wx + b in one GEMM and then adds each joint's ancestor term as one
+    6-wide product, a level of joints per batched matmul, root first. The
+    VJP sums the gradient into the ancestors' columns level by level, leaf
+    first, and then takes Wx's gradient, the ancestor blocks' gradient and
+    x's gradient as one GEMM each and the biases' as one row sum; one
+    gather unpacks them into the heads' layout.
     """
     d = layout.d
     if x.ndim < 2 or x.shape[-1] != d:
         raise ShapeError(f"expected features (..., T, {d}), got {x.shape}")
-    heads = [t for head in joint for t in (head.w, head.b)]
-    if [t.shape for t in heads] != list(layout.shapes):
-        k = next(i // 2 for i, t in enumerate(heads) if t.shape != layout.shapes[i])
-        width = layout.shapes[2 * k][0]
-        raise ShapeError(f"joint {k} head w {heads[2 * k].shape}, b {heads[2 * k + 1].shape} "
-                         f"does not fit its input of trailing extent {width}: expected "
-                         f"w {(width, 6)}, b (6,)")
+    size = 6 * len(layout.blocks)
+    if heads.shape != (size,):
+        raise ShapeError(f"KTD heads {heads.shape} do not fit features of trailing extent "
+                         f"{d} on this tree: expected ({size},)")
     xr = x.data.reshape(-1, d)
     packed = np.zeros(((d + POSE_DIM + 1) * NUM_JOINTS, 6))
-    packed[layout.blocks] = np.concatenate([t.data for t in heads], axis=None).reshape(-1, 6)
+    packed[layout.blocks] = heads.data.reshape(-1, 6)
     packed = packed.reshape(-1, POSE_DIM)
     wx, ancestry = packed[:d], packed[d:-1]
     omega = xr @ wx
@@ -178,27 +161,27 @@ def ktd_pose(x: Tensor, joint: Sequence[Affine], layout: KtdLayout) -> Tensor:
         np.matmul(xr.T, g_omega.T, out=g_packed[:d])
         np.matmul(omega.T, g_omega.T, out=g_packed[d:-1])
         g_omega.sum(axis=1, out=g_packed[-1])
-        g_heads = g_packed.reshape(-1, 6)[layout.blocks].reshape(-1)
         gx = np.matmul(g_omega.T, wx.T).reshape(x.shape) if x.requires_grad else None
-        return (gx, *(g_heads[a:b].reshape(s) for (a, b), s in zip(layout.spans, layout.shapes)))
+        return gx, layout.gather(g_packed)
 
     pose = joints[:, layout.pos].reshape(x.shape[:-1] + (NUM_JOINTS, 6))
-    return T._result(pose, (x, *heads), vjp)
+    return T._result(pose, (x, heads), vjp)
 
 
 class KtdDecoder(Module):
-    """One affine regressor per joint, input width d + 6*|ancestors|."""
+    """One affine regressor per joint, input width d + 6*|ancestors|, all
+    24 stored as one flat parameter, ``heads``."""
 
     def __init__(self, d: int, tree: KinematicTree):
         self.layout = ktd_layout(d, tree)
-        self.joint = [
-            _rest_head(width, 6, IDENTITY_6D) for width, _ in self.layout.shapes[::2]
-        ]
+        rest = np.zeros((d + POSE_DIM + 1, POSE_DIM))
+        rest[-1] = np.tile(IDENTITY_6D, NUM_JOINTS)
+        self.heads = Tensor(self.layout.gather(rest), requires_grad=True)
         self.shape = _rest_head(d, SHAPE_DIM)
         self.cam = _rest_head(d, 3, REST_CAMERA)
 
     def decode(self, x: Tensor) -> SmplParams:
-        return SmplParams(ktd_pose(x, self.joint, self.layout), self.shape(x), self.cam(x))
+        return SmplParams(ktd_pose(x, self.heads, self.layout), self.shape(x), self.cam(x))
 
 
 class IterativeDecoder(Module):

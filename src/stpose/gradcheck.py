@@ -108,9 +108,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     w1, b1, w2, b2 = t(5, 6), t(6), t(6, 4), t(4)
     col, pos_col = t(3, 1), t(3, 1, lo=0.5, hi=2.0)   # broadcast over a's (2, 3, 4)
     ktd, feats = KtdDecoder(2, tree), t(2, 3, 2)
-    heads = [p for head in ktd.joint for p in (head.w, head.b)]
-    for p in heads:
-        p.data[...] = rng.uniform(-1.0, 1.0, p.shape)
+    ktd.heads.data[...] = rng.uniform(-1.0, 1.0, ktd.heads.shape)
 
     cases = [
         ("reshape", lambda: T.reshape(a, (6, 4)), [a]),
@@ -138,7 +136,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("matrix_to_axis_angle", lambda: matrix_to_axis_angle(rot), [rot]),
         ("forward_kinematics", lambda: forward_kinematics(tree, pose, beta), [pose, beta]),
         ("project", lambda: project(joints, cam), [joints, cam]),
-        ("ktd_pose", lambda: ktd_pose(feats, ktd.joint, ktd.layout), [feats, *heads]),
+        ("ktd_pose", lambda: ktd_pose(feats, ktd.heads, ktd.layout), [feats, ktd.heads]),
     ]
 
     results = []
@@ -152,16 +150,19 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
 
 def _nudge_zero_weights(params: dict, rng: np.random.Generator,
                         sigma: float = 0.01):
-    """Move all-zero weight matrices slightly off zero.
+    """Move every zero entry of the parameters slightly off zero.
 
-    Training starts decoder heads at zero so the first output is the rest
-    body, but at that exact point the loss is flat in every encoder
-    parameter. Checking gradients at a generic nearby point exercises the
-    whole chain.
+    Training starts decoder heads at zero weights so the first output is
+    the rest body, but at that exact point the loss is flat in every
+    encoder parameter. Checking gradients at a generic nearby point
+    exercises the whole chain. Entries, not whole tensors, are moved: the
+    KTD heads are one flat tensor whose weights are zero and whose biases
+    are not.
     """
     for tensor in params.values():
-        if tensor.data.ndim >= 2 and not tensor.data.any():
-            tensor.data[...] = rng.normal(0.0, sigma, tensor.data.shape)
+        zero = tensor.data == 0.0
+        if zero.any():
+            tensor.data[zero] = rng.normal(0.0, sigma, np.count_nonzero(zero))
 
 
 def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckResult]:

@@ -55,10 +55,6 @@ class Affine(Module):
         self.w = Tensor(w, requires_grad=True)
         self.b = Tensor(np.zeros(fan_out), requires_grad=True)
 
-    @property
-    def fan_in(self) -> int:
-        return self.w.shape[0]
-
     def __call__(self, x: Tensor) -> Tensor:
         return T.affine(x, self.w, self.b)
 

@@ -141,17 +141,29 @@ def test_criterion_4_ktd_structure():
     d = 16
     tree = smpl_tree()
     decoder = KtdDecoder(d, tree)
+    # each joint's rows of 6 in the packed matrix, counted from the layout:
+    # its input width, then one bias row; in the flat heads, joint k's w and
+    # b sit end to end after joint k - 1's
+    layout = decoder.layout
+    rows = np.bincount(layout.blocks % NUM_JOINTS, minlength=NUM_JOINTS)[layout.pos]
+    widths = rows - 1
+    heads = [slice(end - 6 * n, end) for end, n in zip(6 * np.cumsum(rows), rows)]
     # off the rest start: Xavier weight matrices, zero biases
     rng = np.random.default_rng(0)
     for name, p in decoder.named_params().items():
-        p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
+        if name == "heads":
+            for k, width in enumerate(widths):
+                p.data[heads[k]] = np.concatenate([xavier_uniform(rng, width, 6), np.zeros((1, 6))],
+                                                  axis=None)
+        else:
+            p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
 
     widths_ok = all(
-        decoder.joint[k].fan_in == d + 6 * len(tree.ancestors(k))
+        widths[k] == d + 6 * len(tree.ancestors(k))
         for k in range(NUM_JOINTS))
-    spot_ok = (decoder.joint[0].fan_in == d
-               and decoder.joint[2].fan_in == d + 6
-               and decoder.joint[5].fan_in == d + 12)
+    spot_ok = (widths[0] == d
+               and widths[2] == d + 6
+               and widths[5] == d + 12)
 
     params = decoder.named_params()
     x = Tensor(np.random.default_rng(1).normal(size=(2, d)))
@@ -163,9 +175,8 @@ def test_criterion_4_ktd_structure():
         T.reduce_sum(T.take(pose, [k], 1)).backward()
         expect = set(tree.ancestors(k)) | {k}
         for j in range(NUM_JOINTS):
-            touched = any(
-                p.grad is not None and np.abs(p.grad).max() > 0
-                for p in decoder.joint[j].named_params().values())
+            g = decoder.heads.grad
+            touched = g is not None and np.abs(g[heads[j]]).max() > 0
             deps_ok &= touched == (j in expect)
         for head in (decoder.shape, decoder.cam):
             deps_ok &= all(p.grad is None or not np.abs(p.grad).any()

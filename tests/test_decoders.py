@@ -13,18 +13,38 @@ from stpose import kinematics as K
 from stpose import tensor as T
 from stpose.decoders import (IDENTITY_6D, PARAM_DIM, POSE_DIM, IterativeDecoder,
                              KtdDecoder, SmplParams, smpl_forward)
-from stpose.gradcheck import fd_check
+from stpose.gradcheck import _nudge_zero_weights, fd_check
 from stpose.geometry import axis_angle_to_matrix_np, matrix_to_rot6d_np, project, rot6d_to_matrix
 from stpose.kinematics import forward_kinematics
-from stpose.layers import Affine, xavier_uniform
+from stpose.layers import xavier_uniform
 from stpose.tensor import ShapeError, Tensor
 
 
-def _xavier(decoder, rng):
-    """Move a decoder off its rest start: every weight matrix gets Xavier
-    draws from rng, in parameter order, and every affine bias zeros."""
+def _joint_heads(flat, d, tree):
+    """Joint k's (w, b) in a KTD's flat heads (or their gradient), as views,
+    in joint order: joint 0's w (d x 6, row by row) and b (6), then joint
+    1's, and so on, each w d + 6 * |ancestors| rows deep."""
+    out, end = [], 0
+    for k in range(24):
+        width = d + 6 * len(tree.ancestors(k))
+        w = flat[end:end + 6 * width].reshape(width, 6)
+        out.append((w, flat[end + 6 * width:end + 6 * width + 6]))
+        end += 6 * width + 6
+    assert end == flat.size
+    return out
+
+
+def _xavier(decoder, rng, tree=None):
+    """Move a decoder off its rest start: every weight matrix (each KTD
+    joint's w among them, which needs the tree) gets Xavier draws from rng,
+    in parameter order, and every affine bias zeros."""
     for name, p in decoder.named_params().items():
-        p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
+        if name == "heads":
+            for w, b in _joint_heads(p.data, decoder.layout.d, tree):
+                w[...] = xavier_uniform(rng, *w.shape)
+                b[...] = 0.0
+        else:
+            p.data[...] = xavier_uniform(rng, *p.shape) if name.endswith(".w") else 0.0
     return decoder
 
 
@@ -33,20 +53,21 @@ def _zero_all(decoder):
         p.data[:] = 0.0
 
 
-def _walk_oracle(dec, tree, x, c):
-    """The per-joint KTD in numpy: joint k's head reads its parent's input
-    concatenated with its parent's 6D output. Returns the pose of x, and
-    the gradients of sum(pose * c) for x and each head's w and b."""
+def _walk_oracle(joint, tree, x, c):
+    """The per-joint KTD in numpy over the heads ``joint``, joint k's (w, b)
+    at k: joint k's head reads its parent's input concatenated with its
+    parent's 6D output. Returns the pose of x, and the gradients of
+    sum(pose * c) for x and each head's w and b."""
     inputs, omega = {}, {}
     for k in tree.topo_order:
         p = tree.parents[k]
         inputs[k] = x if p == -1 else np.concatenate([inputs[p], omega[p]], axis=-1)
-        omega[k] = inputs[k] @ dec.joint[k].w.data + dec.joint[k].b.data
+        omega[k] = inputs[k] @ joint[k][0] + joint[k][1]
     g_in = {k: np.zeros_like(v) for k, v in inputs.items()}
     g_om = {k: c[..., k, :].copy() for k in range(24)}
     heads, gx = {}, None
     for k in reversed(tree.topo_order):
-        w = dec.joint[k].w.data
+        w = joint[k][0]
         rows = inputs[k].reshape(-1, w.shape[0])
         heads[k] = (rows.T @ g_om[k].reshape(-1, 6), g_om[k].reshape(-1, 6).sum(axis=0))
         g = g_in[k] + g_om[k] @ w.T
@@ -64,18 +85,29 @@ def _close(got, want, rtol=1e-12):
     return np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+def _input_widths(dec):
+    """Each joint's input width, in joint order, counted from the rows of
+    the packed matrix that its head fills (less its one bias row)."""
+    layout = dec.layout
+    rows = np.bincount(layout.blocks % 24, minlength=24)[layout.pos]
+    bias = layout.blocks // 24 == layout.d + POSE_DIM
+    assert np.array_equal(np.bincount(layout.blocks[bias] % 24, minlength=24), np.ones(24))
+    return rows - 1
+
+
 class TestKtdStructure:
     def test_input_widths_match_ancestor_counts(self):
         tree = K.smpl_tree()
         dec = KtdDecoder(64, tree)
+        widths = _input_widths(dec)
         for k in range(24):
-            assert dec.joint[k].fan_in == 64 + 6 * len(tree.ancestors(k))
+            assert widths[k] == 64 + 6 * len(tree.ancestors(k))
 
     def test_documented_width_examples(self):
-        dec = KtdDecoder(64, K.smpl_tree())
-        assert dec.joint[0].fan_in == 64
-        assert dec.joint[2].fan_in == 70
-        assert dec.joint[5].fan_in == 76
+        widths = _input_widths(KtdDecoder(64, K.smpl_tree()))
+        assert widths[0] == 64
+        assert widths[2] == 70
+        assert widths[5] == 76
 
     def test_zero_weights_give_zero_params(self):
         dec = KtdDecoder(16, K.smpl_tree())
@@ -104,13 +136,15 @@ class TestKtdStructure:
             assert got == joints + extras
 
     def test_width_mismatch_detected(self):
-        # joint 5 reads its parent's 16 + 6 * 2 wide input; the head refuses it
+        # joint 5's head sized for a 16 + 6 wide input, not its parent's
+        # 16 + 6 * 2: the heads are 36 entries short, and the decode refuses them
         dec = KtdDecoder(16, K.smpl_tree())
-        dec.joint[5] = Affine(16 + 6, 6, np.random.default_rng(8))
+        size = dec.heads.data.size
+        dec.heads = Tensor(np.random.default_rng(8).standard_normal(size - 36),
+                           requires_grad=True)
         with pytest.raises(ShapeError, match="trailing extent") as err:
             dec.decode(Tensor(np.zeros((1, 16))))
-        assert "joint 5" in str(err.value)
-        assert "(22, 6)" in str(err.value) and "28" in str(err.value)
+        assert f"({size - 36},)" in str(err.value) and f"({size},)" in str(err.value)
 
     @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
                                       K.reverse_tree(K.smpl_tree())],
@@ -118,15 +152,32 @@ class TestKtdStructure:
     def test_pose_is_one_node_over_x_and_the_head_tensors(self, tree, monkeypatch,
                                                           recorded_nodes):
         # the whole per-joint walk is one node whose parents are the features
-        # and the 48 head tensors, in parameter order
+        # and the flat heads
         dec = KtdDecoder(8, tree)
         monkeypatch.setattr(tree, "ancestors", None)   # decode never walks them
         x = Tensor(np.ones((2, 8)), requires_grad=True)
         pose = dec.decode(x).pose
         assert recorded_nodes(pose) == [pose]
-        heads = [p for name, p in dec.named_params().items() if name.startswith("joint.")]
-        assert len(heads) == 48
-        assert [id(p) for p in pose._parents] == [id(p) for p in (x, *heads)]
+        assert [id(p) for p in pose._parents] == [id(x), id(dec.heads)]
+
+    @pytest.mark.parametrize("tree", [K.smpl_tree(), K.random_tree(3),
+                                      K.reverse_tree(K.smpl_tree())],
+                             ids=["smpl", "random", "reverse"])
+    def test_heads_hold_the_per_joint_entries_in_their_old_order(self, tree):
+        # the flat heads are joint.0.w, joint.0.b, joint.1.w, ... laid end to
+        # end, the order of the 48 per-joint tensors they replaced, which
+        # Adam's flat layout and the benchmark's eval noise draws follow
+        rng = np.random.default_rng(44)
+        joint = [(rng.standard_normal((16 + 6 * len(tree.ancestors(k)), 6)),
+                  rng.standard_normal(6)) for k in range(24)]
+        dec = KtdDecoder(16, tree)
+        rest = [(np.zeros(w.shape), np.array(IDENTITY_6D)) for w, _ in joint]
+        assert np.array_equal(dec.heads.data,
+                              np.concatenate([a for head in rest for a in head], axis=None))
+        dec.heads.data[:] = np.concatenate([a for head in joint for a in head], axis=None)
+        x = rng.standard_normal((3, 16))
+        want, _, _ = _walk_oracle(joint, tree, x, np.zeros((3, 24, 6)))
+        assert _close(dec.decode(Tensor(x)).pose.data, want)
 
     def test_feature_width_validated(self):
         dec = KtdDecoder(16, K.smpl_tree())
@@ -144,26 +195,33 @@ class TestKtdPackedPose:
     @pytest.mark.parametrize("lead", [(5,), (2, 3)], ids=["frames", "clips"])
     def test_matches_per_joint_walk(self, tree, lead):
         rng = np.random.default_rng(41)
-        dec = _xavier(KtdDecoder(16, tree), rng)
-        for head in dec.joint:
-            head.b.data[:] = rng.standard_normal(6)
+        dec = _xavier(KtdDecoder(16, tree), rng, tree)
+        for _, b in _joint_heads(dec.heads.data, 16, tree):
+            b[:] = rng.standard_normal(6)
         x = Tensor(rng.standard_normal(lead + (16,)), requires_grad=True)
         c = rng.standard_normal(lead + (24, 6))
         pose = dec.decode(x).pose
-        want, gx, heads = _walk_oracle(dec, tree, x.data, c)
+        want, gx, heads = _walk_oracle(_joint_heads(dec.heads.data, 16, tree), tree, x.data, c)
         assert pose.shape == lead + (24, 6)
         assert _close(pose.data, want)
         T.reduce_sum(T.mul(pose, Tensor(c))).backward()
         assert _close(x.grad, gx)
-        for k, head in enumerate(dec.joint):
-            assert _close(head.w.grad, heads[k][0]), k
-            assert _close(head.b.grad, heads[k][1]), k
+        for k, (gw, gb) in enumerate(_joint_heads(dec.heads.grad, 16, tree)):
+            assert _close(gw, heads[k][0]), k
+            assert _close(gb, heads[k][1]), k
 
 
 class TestKtdDependencies:
     def _decoder(self, tree=None):
         tree = tree or K.smpl_tree()
-        return _xavier(KtdDecoder(12, tree), np.random.default_rng(10))
+        return _xavier(KtdDecoder(12, tree), np.random.default_rng(10), tree)
+
+    def _touched(self, dec, tree):
+        """The joints whose head weights got a nonzero gradient."""
+        if dec.heads.grad is None:
+            return set()
+        return {j for j, (gw, _) in enumerate(_joint_heads(dec.heads.grad, 12, tree))
+                if np.abs(gw).max() > 0}
 
     def test_reverse_mode_dependency_pattern(self):
         tree = K.smpl_tree()
@@ -174,11 +232,8 @@ class TestKtdDependencies:
             target = T.reduce_sum(T.take(out.pose, [k], 1))
             target.backward()
             allowed = set(tree.ancestors(k)) | {k}
-            for j, head in enumerate(dec.joint):
-                touched = head.w.grad is not None and np.abs(head.w.grad).max() > 0
-                assert touched == (j in allowed), (k, j)
-                head.w.grad = None
-                head.b.grad = None
+            assert self._touched(dec, tree) == allowed, k
+            dec.heads.grad = None
             assert dec.shape.w.grad is None
             assert dec.cam.w.grad is None
 
@@ -187,11 +242,12 @@ class TestKtdDependencies:
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(12).standard_normal((1, 12)))
         base = dec.decode(x)
+        joint = _joint_heads(dec.heads.data, 12, tree)
         for j in (0, 2, 16, 22):
-            saved = dec.joint[j].b.data.copy()
-            dec.joint[j].b.data[:] += 0.25
+            saved = joint[j][1].copy()
+            joint[j][1][:] += 0.25
             bumped = dec.decode(x)
-            dec.joint[j].b.data[:] = saved
+            joint[j][1][:] = saved
             changed = {k for k in range(24)
                        if not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])}
             descendants = {k for k in range(24) if j in tree.ancestors(k)}
@@ -204,7 +260,7 @@ class TestKtdDependencies:
         dec = self._decoder(tree)
         x = Tensor(np.random.default_rng(13).standard_normal((1, 12)))
         base = dec.decode(x)
-        dec.joint[0].b.data[:] += 0.5
+        _joint_heads(dec.heads.data, 12, tree)[0][1][:] += 0.5
         bumped = dec.decode(x)
         for k in range(24):
             assert not np.array_equal(bumped.pose.data[:, k], base.pose.data[:, k])
@@ -217,8 +273,7 @@ class TestKtdDependencies:
         target.backward()
         assert np.abs(dec.shape.w.grad).max() > 0
         assert np.abs(dec.cam.w.grad).max() > 0
-        for head in dec.joint:
-            assert head.w.grad is None
+        assert dec.heads.grad is None
 
     def test_random_tree_dependencies_follow_that_tree(self):
         tree = K.random_tree(21)
@@ -228,9 +283,20 @@ class TestKtdDependencies:
         out = dec.decode(x)
         T.reduce_sum(T.take(out.pose, [k], 1)).backward()
         allowed = set(tree.ancestors(k)) | {k}
-        for j, head in enumerate(dec.joint):
-            touched = head.w.grad is not None and np.abs(head.w.grad).max() > 0
-            assert touched == (j in allowed)
+        assert self._touched(dec, tree) == allowed
+
+
+class TestGradientCheckPoint:
+    def test_nudge_moves_every_head_weight_off_zero(self):
+        # the chain check's point: at zero head weights the pose ignores the
+        # features, so their gradient through the pose would be exactly 0
+        tree = K.smpl_tree()
+        dec = KtdDecoder(16, tree)
+        _nudge_zero_weights(dec.named_params(), np.random.default_rng(3))
+        for k, (w, b) in enumerate(_joint_heads(dec.heads.data, 16, tree)):
+            assert np.all(w != 0.0), k
+            assert np.all(b[[0, 4]] == 1.0), k
+        assert np.all(dec.shape.w.data != 0.0) and np.all(dec.cam.w.data != 0.0)
 
 
 class TestIterativeDecoder:
@@ -334,7 +400,7 @@ class TestSmplForward:
         tree = K.smpl_tree()
         rng = np.random.default_rng(33)
         if kind == "ktd":
-            dec = _xavier(KtdDecoder(16, tree), rng)
+            dec = _xavier(KtdDecoder(16, tree), rng, tree)
         else:
             dec = _xavier(IterativeDecoder(16), rng)
             dec.f.w.data[:] *= 0.1
@@ -378,7 +444,7 @@ class TestClipAxes:
             checked = 1 if kind == "ktd" and d > 12 else 3
             for tree in trees:
                 dec = KtdDecoder(d, tree) if kind == "ktd" else IterativeDecoder(d)
-                _xavier(dec, rng)
+                _xavier(dec, rng, tree)
                 for frames in range(2, 10):
                     x = rng.standard_normal((2, frames, d))
                     out = dec.decode(Tensor(x))

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import stpose.train
 from stpose import tensor as T
 from stpose.attention import SteEncoder
-from stpose.checkpoint import load_checkpoint, restore_params
+from stpose.checkpoint import (CheckpointError, load_checkpoint, restore_params,
+                               save_checkpoint)
 from stpose.config import RunConfig
 from stpose.decoders import KtdDecoder, SmplParams
 from stpose.kinematics import NUM_JOINTS
@@ -100,8 +101,8 @@ PINNED_ENCODER = [
     "encoder.ln_final.g", "encoder.ln_final.b",
 ]
 PINNED_DECODER = {
-    "ktd": [f"decoder.joint.{k}.{p}" for k in range(24) for p in "wb"]
-    + ["decoder.shape.w", "decoder.shape.b", "decoder.cam.w", "decoder.cam.b"],
+    "ktd": ["decoder.heads", "decoder.shape.w", "decoder.shape.b",
+            "decoder.cam.w", "decoder.cam.b"],
     "iterative": ["decoder.f.w", "decoder.f.b", "decoder.theta0"],
 }
 
@@ -112,6 +113,24 @@ class TestParamWalker:
         cfg = RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2, decoder=decoder)
         names = list(build_model(cfg).named_params())
         assert names == PINNED_ENCODER + PINNED_DECODER[decoder]
+
+    def test_checkpoint_with_per_joint_heads_is_refused(self, tmp_path):
+        # checkpoints written before the KTD heads were one flat tensor carry
+        # them as decoder.joint.k.w and .b; restoring one names what is missing
+        model = build_model(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
+        old = {name: p.data for name, p in model.named_params().items()
+               if name != "decoder.heads"}
+        end = 0
+        for k in range(24):
+            width = 16 + 6 * len(model.tree.ancestors(k))
+            old[f"decoder.joint.{k}.w"] = np.zeros((width, 6))
+            old[f"decoder.joint.{k}.b"] = np.zeros(6)
+            end += 6 * width + 6
+        assert end == model.decoder.heads.data.size
+        save_checkpoint(tmp_path / "old.ckpt", old)
+        with pytest.raises(CheckpointError,
+                           match=r"missing \['decoder.heads'\], unexpected \['decoder.joint.0.b'"):
+            restore_params(model.named_params(), load_checkpoint(tmp_path / "old.ckpt"))
 
     def test_toy_module_walk(self):
         class Leaf(Module):
