@@ -34,6 +34,9 @@ class DegenerateRotationError(ValueError):
                          f"below {ROT6D_EPS:.0e}")
         self.index, self.what, self.norm = index, what, norm
 
+    def __reduce__(self):   # so that it pickles, as it must to leave a worker process
+        return type(self), (self.index, self.what, self.norm)
+
 
 def _refuse_short(norms: np.ndarray, what: str) -> None:
     """Raise for the first (..., 1) norm below ROT6D_EPS, naming its index."""

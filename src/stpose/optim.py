@@ -10,7 +10,10 @@ their usual order, to the group's slices in place. Every entry sees the
 same IEEE operations as in a per-tensor update, so the bits do not depend
 on the grouping. Two or more groups run as two shards on the engine's
 helper thread (``tensor._sharded``), split at the group boundary nearest
-the middle of the buffer.
+the middle of the buffer. In training, only the main process steps Adam:
+after a whole-clip step's two clip halves, one of them run by a worker
+process, have added up their gradients (``train._ClipHalves``), while the
+worker waits, so the helper has the second CPU to itself.
 """
 
 from __future__ import annotations

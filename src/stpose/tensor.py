@@ -29,23 +29,28 @@ cache rather than streaming the whole stack through memory once per pass,
 as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
 
-``attention_core`` and ``mlp``, forward and VJP, and the VJPs of
-``affine`` and ``layer_norm`` run their work as two shards once it covers
-``SHARD_MIN`` entries (two tiles); smaller work runs as one, exactly as
-before. Attention splits its (batch, head) map stack in halves that each
-walk their own tiles; the others split their rows, and add the two
-shards' weight and bias gradients in shard order. ``Adam.step`` runs its
-parameter groups as two shards once it has two groups; each entry goes
-through the same ops in either shard. Shard 0 runs inline and shard 1 on
-one helper thread, started by the first call that shards, while numpy
-releases the interpreter lock inside each BLAS call, ufunc and
-reduction. Only the array shapes fix the split, so the bits do not depend
-on the CPU count: with one CPU, shard 1 runs inline after shard 0. BLAS
-itself stays at one thread per call; there is no option.
+The forwards of ``attention_core`` and ``mlp`` run their work as two
+shards once it covers ``SHARD_MIN`` entries (two tiles); smaller work runs
+as one, exactly as before. Attention splits its (batch, head) map stack in
+halves that each walk their own tiles, the MLP its rows. ``Adam.step``
+runs its parameter groups as two shards once it has two groups; each entry
+goes through the same ops in either shard. Shard 0 runs inline and shard 1
+on one helper thread, started by the first call that shards, while numpy
+releases the interpreter lock inside each BLAS call, ufunc and reduction.
+Only the array shapes fix the split, so the bits do not depend on the CPU
+count: with one CPU, or inside ``_without_helper()``, shard 1 runs inline
+after shard 0. Training runs each whole-clip step as two halves of the
+clips in two processes, one CPU each, both inside ``_without_helper()``
+(``train._ClipHalves``); so the helper serves ``evaluate``, stage-1 steps
+and Adam. No VJP is sharded. Such a run holds OpenBLAS at one thread
+through ``_openblas_threads``; elsewhere the BLAS thread count is left as
+it is.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import heapq
 import itertools
 import math
@@ -385,6 +390,7 @@ _ROW_ALIGN = 48
 
 _helper: tuple[int, ThreadPoolExecutor] | None = None   # (pid, pool) that runs shard 1
 _helper_lock = threading.Lock()
+_helper_on = True   # cleared by _without_helper()
 
 
 def _helper_cpus() -> int:
@@ -393,6 +399,31 @@ def _helper_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) of the thread count of every OpenBLAS this process has
+    loaded (numpy's, and scipy's own copy), found by path in
+    /proc/self/maps; empty for another BLAS or where there is no /proc."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
+            if hasattr(lib, name.format("_set_num_threads")):
+                get = getattr(lib, name.format("_get_num_threads"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_ = getattr(lib, name.format("_set_num_threads"))
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                calls.append((get, set_))
+                break
+    return tuple(calls)
 
 
 def _helper_pool() -> ThreadPoolExecutor:
@@ -405,14 +436,28 @@ def _helper_pool() -> ThreadPoolExecutor:
         return _helper[1]
 
 
+@contextmanager
+def _without_helper():
+    """Run shard 1 of every kernel inline after shard 0 inside the block, for
+    a caller whose other CPU is busy with other work. Restores the previous
+    setting on exit, so blocks nest."""
+    global _helper_on
+    prev, _helper_on = _helper_on, False
+    try:
+        yield
+    finally:
+        _helper_on = prev
+
+
 def _sharded(kernel: Callable, shards: Sequence) -> list:
     """``[kernel(shard) for shard in shards]`` for one or two shards that
     write disjoint memory. Shard 0 runs inline. Shard 1 runs on the helper
-    thread when this process may use two CPUs, under the caller's numpy
-    error state (numpy keeps it per thread), else inline after shard 0.
+    thread when this process may use two CPUs and is not inside
+    ``_without_helper()``, under the caller's numpy error state (numpy keeps
+    it per thread), else inline after shard 0.
     Both have stopped before this returns or raises, and an exception in
     either reaches the caller with its own type."""
-    if len(shards) == 1 or _helper_cpus() < 2:
+    if len(shards) == 1 or not _helper_on or _helper_cpus() < 2:
         return [kernel(shard) for shard in shards]
     errors, call = np.geterr(), np.geterrcall()
 
@@ -426,14 +471,6 @@ def _sharded(kernel: Callable, shards: Sequence) -> list:
     finally:
         future.exception()   # waits for shard 1 even when shard 0 raised
     return [first, future.result()]
-
-
-def _summed(partials: list) -> tuple:
-    """Each shard's partial gradients added up in shard order; a gradient
-    that is None stays None."""
-    if len(partials) == 1:
-        return partials[0]
-    return tuple(None if a is None else a + b for a, b in zip(*partials))
 
 
 def _row_shards(rows: int, width: int) -> list[slice]:
@@ -453,9 +490,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the trailing axis of x, as one GEMM over the rows of
     ``x.reshape(-1, fan_in)``; the weight gradient is one GEMM over all rows
     and the bias gradient one row sum. The VJP computes only the gradients
-    of the operands that require one. Once rows * (fan_in + fan_out)
-    reaches SHARD_MIN entries, the VJP runs its rows as two shards, as
-    ``mlp`` does."""
+    of the operands that require one."""
     if w.ndim != 2 or b.shape != (w.shape[1],):
         raise ShapeError(f"affine weight {w.shape} and bias {b.shape} disagree")
     fan_in, fan_out = w.shape
@@ -468,16 +503,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(g):
         gy, xr = g.reshape(-1, fan_out), x.data.reshape(-1, fan_in)
-        gx = np.empty(xr.shape) if x.requires_grad else None
-
-        def backward(r):
-            if gx is not None:
-                np.matmul(gy[r], w.data.T, out=gx[r])
-            return (xr[r].T @ gy[r] if w.requires_grad else None,
-                    gy[r].sum(axis=0) if b.requires_grad else None)
-
-        gw, gb = _summed(_sharded(backward, _row_shards(len(gy), fan_in + fan_out)))
-        return None if gx is None else gx.reshape(x.shape), gw, gb
+        return ((gy @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                xr.T @ gy if w.requires_grad else None,
+                gy.sum(axis=0) if b.requires_grad else None)
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w, b), vjp)
 
@@ -490,10 +518,9 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     bits equal that composite's. The VJP keeps only the pre-activation h
     and Φ (it recomputes h * Φ for the fc2 weight gradient), builds the
     GELU derivative Φ + h * pdf(h) in one buffer and runs one GEMM per
-    gradient. Once rows * hidden reaches SHARD_MIN entries, the rows run as
-    two shards: each writes its rows of h, Φ, the output and the input
-    gradient, and the weight and bias gradients are the two shards'
-    partial sums added in shard order.
+    gradient. Once rows * hidden reaches SHARD_MIN entries, the forward
+    runs its rows as two shards, each writing its rows of h, Φ and the
+    output.
     """
     for w, b, name in ((w1, b1, "fc1"), (w2, b2, "fc2")):
         if w.ndim != 2 or b.shape != (w.shape[1],):
@@ -524,25 +551,17 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
     def vjp(g):
         g = g.reshape(-1, fan_out)
-        gx = np.empty(rows.shape) if x.requires_grad else None
-
-        def backward(r):
-            gr, hr, pr = g[r], h[r], phi[r]
-            gw2 = (hr * pr).T @ gr
-            gh = gr @ w2.data.T
-            dphi = hr * hr
-            dphi *= -0.5
-            np.exp(dphi, out=dphi)
-            dphi *= _INV_SQRT2PI
-            dphi *= hr
-            dphi += pr
-            gh *= dphi
-            if gx is not None:
-                np.matmul(gh, w1.data.T, out=gx[r])
-            return rows[r].T @ gh, gh.sum(axis=0), gw2, gr.sum(axis=0)
-
-        return (None if gx is None else gx.reshape(x.shape),
-                *_summed(_sharded(backward, shards)))
+        gw2 = (h * phi).T @ g
+        gh = g @ w2.data.T
+        dphi = h * h
+        dphi *= -0.5
+        np.exp(dphi, out=dphi)
+        dphi *= _INV_SQRT2PI
+        dphi *= h
+        dphi += phi
+        gh *= dphi
+        gx = (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, rows.T @ gh, gh.sum(axis=0), gw2, g.sum(axis=0)
 
     return _result(y.reshape(x.shape[:-1] + (fan_out,)), (x, w1, b1, w2, b2), vjp)
 
@@ -551,9 +570,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     The VJP keeps only the normalized input and the per-row std:
-    gx = (gx̂ - mean(gx̂) - x̂ mean(gx̂ x̂)) / std with gx̂ = g * gain. Once
-    rows * d reaches SHARD_MIN entries, it runs its rows as two shards, as
-    ``mlp`` does.
+    gx = (gx̂ - mean(gx̂) - x̂ mean(gx̂ x̂)) / std with gx̂ = g * gain.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -565,21 +582,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out += bias.data
 
     def vjp(g):
-        g, xh, sd = g.reshape(-1, d), xhat.reshape(-1, d), std.reshape(-1, 1)
-        gx = np.empty(g.shape)
-
-        def backward(r):
-            gxhat = g[r] * gain.data
-            p = g[r] * xh[r]
-            gg = p.sum(axis=0)
-            p *= gain.data
-            np.subtract(gxhat, gxhat.mean(axis=-1, keepdims=True), out=gx[r])
-            gx[r] -= xh[r] * p.mean(axis=-1, keepdims=True)
-            gx[r] /= sd[r]
-            return gg, g[r].sum(axis=0)
-
-        gg, gb = _summed(_sharded(backward, _row_shards(len(g), d)))
-        return gx.reshape(x.shape), gg, gb
+        g, xh = g.reshape(-1, d), xhat.reshape(-1, d)
+        gxhat = g * gain.data
+        p = g * xh
+        gg = p.sum(axis=0)
+        p *= gain.data
+        gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
+        gx -= xh * p.mean(axis=-1, keepdims=True)
+        gx /= std.reshape(-1, 1)
+        return gx.reshape(x.shape), gg, g.sum(axis=0)
 
     return _result(out, (x, gain, bias), vjp)
 
@@ -634,8 +645,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     tile-sized buffer for the logit gradient gs, takes the softmax row term
     from the output, sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes
     gk = (qᵀ gs)ᵀ and gv = (gᵀ p)ᵀ through transposed views of their head
-    blocks. A stack of SHARD_MIN entries or more runs as two shards, each
-    with its own tiles and gs buffer; a map's bits do not depend on how
+    blocks. The forward of a stack of SHARD_MIN entries or more runs as two
+    shards, each with its own tiles; a map's bits do not depend on how
     maps are grouped.
     """
     if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]
@@ -675,22 +686,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
         gh = split(g, m, e)
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         gqh, gkh, gvh = split(gq, m, dh), split(gk, n, dh), split(gv, n, e)
+        tiles = [tile for shard in shards for tile in shard]
+        buf = np.empty(probs[tiles[0]].size if tiles else 0)   # the largest tile's
+        for tile in tiles:
+            p = probs[tile]
+            gs = buf[:p.size].reshape(p.shape)
+            np.matmul(gh[tile], np.swapaxes(vh[tile], -1, -2), out=gs)
+            gs -= (gh[tile] * oh[tile]).sum(axis=-1, keepdims=True)
+            gs *= p
+            np.matmul(gs, kh[tile], out=gqh[tile])
+            np.matmul(np.swapaxes(qh[tile], -1, -2), gs,
+                      out=np.swapaxes(gkh[tile], -1, -2))
+            np.matmul(np.swapaxes(gh[tile], -1, -2), p,
+                      out=np.swapaxes(gvh[tile], -1, -2))
 
-        def backward(tiles):
-            buf = np.empty(probs[tiles[0]].size if tiles else 0)
-            for tile in tiles:
-                p = probs[tile]
-                gs = buf[:p.size].reshape(p.shape)
-                np.matmul(gh[tile], np.swapaxes(vh[tile], -1, -2), out=gs)
-                gs -= (gh[tile] * oh[tile]).sum(axis=-1, keepdims=True)
-                gs *= p
-                np.matmul(gs, kh[tile], out=gqh[tile])
-                np.matmul(np.swapaxes(qh[tile], -1, -2), gs,
-                          out=np.swapaxes(gkh[tile], -1, -2))
-                np.matmul(np.swapaxes(gh[tile], -1, -2), p,
-                          out=np.swapaxes(gvh[tile], -1, -2))
-
-        _sharded(backward, shards)
         return gq, gk, gv
 
     return (_result(out.reshape(lead + (m, heads * e)), (q, k, v), vjp),

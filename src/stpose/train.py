@@ -11,7 +11,11 @@ reproduces a run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import mmap
+import multiprocessing
 import os
+import signal
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -166,7 +170,9 @@ def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
     one decode, kinematics pass and loss over T + 1 frames per clip.
 
     A :class:`DegenerateRotationError` is re-raised naming the clip and
-    the frame of ``batch``, not the slot they had in the step.
+    the frame of ``batch``, not the slot they had in the step. ``train``
+    runs a whole-clip step as two such graphs, one per half of the clips
+    (see :class:`_ClipHalves`).
     """
     clips = np.asarray(clips)
     spans = []   # (frames, weight of each) per encoder pass
@@ -192,17 +198,172 @@ def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
                       has_3d=batch.has_3d[clips], frame_weights=weights)
 
 
+class _ForwardError(Exception):
+    """An error raised in a step's forward pass, carried as ``args[0]`` to
+    ``train``, also from the worker process, so that the step's error can
+    say where it came from."""
+
+
+def _step_grads(model: Model, batch: ClipBatch, clips, frame, ratio,
+                share: float) -> tuple:
+    """Forward and backward of one :func:`batch_step` over ``clips``, its
+    loss scaled by ``share``, their share of the step's clips. Returns the
+    scaled total, l_3d, l_2d, l_smpl and l_norm."""
+    try:
+        report = batch_step(model, batch, clips, frame, ratio)
+    except Exception as exc:
+        raise _ForwardError(exc) from exc
+    total = T.scale(report.total, share)
+    total.backward()
+    return (float(total.data), *(share * term for term in (
+        report.l_3d, report.l_2d, report.l_smpl, report.l_norm)))
+
+
+class _ClipHalves:
+    """Whole-clip steps as two fixed halves of the clips: the first
+    ceil(B/2) and the rest, each one graph whose loss is scaled by its share
+    of the clips.
+
+    When this process may use two CPUs (``tensor._helper_cpus``), a worker
+    process forked here runs the second half while this one runs the first,
+    each on one CPU: neither uses the helper thread, and BLAS runs on one
+    thread until ``close``. The worker's model is its forked copy, with the
+    parameters viewing a mapping shared with this process, and its memory
+    comes on top of this process's. Each step writes the current parameters
+    there and sends the worker the frame; the worker writes its flat
+    gradient beside them and answers with its loss terms or its error. It
+    runs nothing else, and ``close`` ends it. With one CPU this process runs
+    the second half after the first. Either way the same ops run on the
+    same values, and the gradients are added as half 0 + half 1, so the
+    bits do not depend on the CPU count.
+    """
+
+    def __init__(self, model: Model, batch: ClipBatch, params: list):
+        self.model, self.batch, self.params = model, batch, params
+        first = (batch.clips + 1) // 2
+        self.clips = (np.arange(first), np.arange(first, batch.clips))
+        self.shares = (first / batch.clips, (batch.clips - first) / batch.clips)
+        ends = list(itertools.accumulate(p.size for p in params))
+        self.spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
+        shared = np.frombuffer(mmap.mmap(-1, 16 * ends[-1]), dtype=np.float64)
+        self.flat, self.grad = shared[:ends[-1]], shared[ends[-1]:]
+        self.worker = None
+        if T._helper_cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods():
+            # forked, not spawned: it starts in milliseconds with the built
+            # model and clips instead of importing the package again, and no
+            # other thread of this package is running here (the helper runs
+            # only inside a call that waits for it)
+            context = multiprocessing.get_context("fork")
+            self.pipe, end = context.Pipe()
+            self.worker = context.Process(target=self._serve, args=(end,),
+                                          name="stpose-clip-half", daemon=True)
+            self.worker.start()
+            end.close()
+        # one BLAS thread in either process: two in each put four busy
+        # threads on two CPUs (whole runs took 3-6x longer), and the thread
+        # count can change a GEMM's bits
+        self.blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
+        for set_threads, _ in self.blas:
+            set_threads(1)
+
+    def _serve(self, pipe) -> None:
+        """The worker: one second half per frame received, until the pipe
+        closes."""
+        self.pipe.close()   # this process's copy of the parent's end
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
+        for _, set_threads in T._openblas_threads():
+            set_threads(1)
+        for p, span in zip(self.params, self.spans):
+            p.data = self.flat[span].reshape(p.shape)
+        with T._without_helper():
+            while True:
+                try:
+                    frame, ratio, errors = pipe.recv()
+                except EOFError:
+                    return
+                try:
+                    with np.errstate(**errors):
+                        reply = self._second(frame, ratio)
+                except Exception as exc:   # the parent raises it
+                    reply = exc
+                pipe.send(reply)
+
+    def _second(self, frame, ratio) -> tuple:
+        terms = _step_grads(self.model, self.batch, self.clips[1], frame,
+                            ratio, self.shares[1])
+        self._take_grads(self.grad)
+        return terms
+
+    def _take_grads(self, out: np.ndarray) -> None:
+        """Move every parameter's gradient into its span of ``out``; a
+        parameter without one gets zeros."""
+        for p, span in zip(self.params, self.spans):
+            out[span] = 0.0 if p.grad is None else p.grad.reshape(-1)
+            p.grad = None
+
+    def _lost(self) -> RuntimeError:
+        self.worker.join()
+        return RuntimeError(f"the clip-half worker process exited with code "
+                            f"{self.worker.exitcode}")
+
+    def step(self, frame, ratio) -> tuple:
+        """Both halves of one step at the parameters' current values. Leaves
+        every parameter's ``grad`` at half 0 + half 1 and returns the loss
+        terms of :func:`_step_grads` summed the same way."""
+        if self.worker is not None:
+            np.concatenate([p.data.reshape(-1) for p in self.params], out=self.flat)
+            try:
+                self.pipe.send((frame, ratio, np.geterr()))
+            except OSError:
+                raise self._lost() from None
+        with T._without_helper():
+            first = _step_grads(self.model, self.batch, self.clips[0], frame,
+                                ratio, self.shares[0])
+        grads = np.empty_like(self.grad)
+        self._take_grads(grads)
+        if self.worker is None:
+            second = self._second(frame, ratio)
+        else:
+            try:
+                second = self.pipe.recv()
+            except EOFError:
+                raise self._lost() from None
+            if isinstance(second, Exception):
+                raise second
+        grads += self.grad
+        for p, span in zip(self.params, self.spans):
+            p.grad = grads[span].reshape(p.shape)
+        return tuple(a + b for a, b in zip(first, second))
+
+    def close(self) -> None:
+        """Stop and reap the worker, if there is one, busy or not, and give
+        BLAS back its thread count."""
+        if self.worker is not None:
+            self.pipe.close()
+            self.worker.terminate()
+            self.worker.join()
+        for set_threads, count in self.blas:
+            set_threads(count)
+
+
 def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     """Two-stage training on the seed's synthetic clips.
 
     Stage 1 (first ``steps_stage1`` steps) rotates through single frames
     with temporal attention bypassed. Stage 2 feeds mixed batches: whole
     clips plus one rotating frame of each, the frame weighted
-    ``stage2_image_ratio`` and the clip (1 - ratio), as one graph with one
-    loss (see :func:`batch_step`). Writes config.txt, loss_log.csv, and
-    final.ckpt when ``out_dir`` is given.
-    An error in a step's forward or backward pass is re-raised as a
-    RuntimeError that names the step and the stage.
+    ``stage2_image_ratio`` and the clip (1 - ratio), with one loss (see
+    :func:`batch_step`). A step that feeds whole clips, over at least 2 of
+    them, is two graphs, one per fixed half of the clips: with two CPUs, a
+    worker process forked before the optimizer is built runs the second,
+    and its memory adds to the run's (:class:`_ClipHalves`). The bits do
+    not depend on the CPU count, and only this process runs the optimizer.
+    Writes config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is
+    given.
+
+    An error in a step's forward or backward pass, in either process, is
+    re-raised as a RuntimeError that names the step and the stage, and for
+    a forward error the decoder. No worker outlives the call.
     """
     if cfg.total_steps == 0:
         raise ValueError("train needs at least one step, but steps_stage1 "
@@ -212,34 +373,44 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                            noise_std=cfg.noise_std, tree=model.tree,
                            p_2d_only=cfg.p_2d_only)
     params = model.named_params()
-    opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
-
-    history = []
-    all_clips = range(batch.clips)
-    image_step = 0
-    for step in range(cfg.total_steps):
-        stage = 1 if step < cfg.steps_stage1 else 2
-        # stage 1 feeds single frames only; stage 2 feeds whole clips and
-        # single frames in the same step, at a weight fixed by the config,
-        # so the objective is the same from step to step
-        ratio = 1.0 if stage == 1 else cfg.stage2_image_ratio
-        frame = image_step % batch.frames if ratio > 0.0 else None
-        try:
-            report = batch_step(model, batch, all_clips, frame, ratio)
-            opt.zero_grad()
-            report.total.backward()
-        except Exception as exc:
-            raise RuntimeError(f"training failed at step {step} (stage "
-                               f"{stage}): {exc}") from exc
-        if frame is not None:
-            image_step += 1
-        _check_finite(report, step)
-        _check_grads(params, step)
-        opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
-        opt.step()
-        history.append(StepRecord(step, stage, opt.lr, report.value(),
-                                  report.l_3d, report.l_2d, report.l_smpl,
-                                  report.l_norm))
+    halves = None
+    if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
+        halves = _ClipHalves(model, batch, list(params.values()))
+    try:
+        opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
+        history = []
+        all_clips = range(batch.clips)
+        image_step = 0
+        for step in range(cfg.total_steps):
+            stage = 1 if step < cfg.steps_stage1 else 2
+            # stage 1 feeds single frames only; stage 2 feeds whole clips and
+            # single frames in the same step, at a weight fixed by the config,
+            # so the objective is the same from step to step
+            ratio = 1.0 if stage == 1 else cfg.stage2_image_ratio
+            frame = image_step % batch.frames if ratio > 0.0 else None
+            try:
+                opt.zero_grad()
+                if stage == 2 and halves is not None:
+                    terms = halves.step(frame, ratio)
+                else:
+                    terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
+            except Exception as exc:
+                cause, where = exc, ""
+                if isinstance(exc, _ForwardError):
+                    cause, where = exc.args[0], f" (forward pass, {cfg.decoder} decoder)"
+                raise RuntimeError(f"training failed at step {step} (stage "
+                                   f"{stage}): {cause}{where}") from cause
+            if frame is not None:
+                image_step += 1
+            report = LossReport(Tensor(terms[0]), *terms[1:])
+            _check_finite(report, step)
+            _check_grads(params, step)
+            opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
+            opt.step()
+            history.append(StepRecord(step, stage, opt.lr, *terms))
+    finally:
+        if halves is not None:
+            halves.close()
 
     result = TrainResult(model, batch, history)
     if out_dir is not None:

@@ -1,3 +1,4 @@
+import multiprocessing
 from contextlib import contextmanager
 
 import pytest
@@ -79,3 +80,15 @@ def inline_shards(monkeypatch):
             patch.setattr(T, "_helper_cpus", lambda: 1)
             yield
     return inline
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Fails a test that leaves a child process alive, after ending it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join()
+    if left:
+        pytest.fail(f"the test left {len(left)} child process(es) alive: {left}")

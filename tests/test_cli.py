@@ -103,11 +103,13 @@ class TestTrainCommand:
 
 
     def test_sharded_run_exits_promptly(self, tmp_path):
-        # block 0's coupled maps (4, 2, 136, 136) reach tensor.SHARD_MIN, so
-        # attention runs shard 1 on the helper thread, which must not keep
-        # the interpreter alive after main returns
+        # each whole-clip step runs its second clip half in a worker process,
+        # and Adam runs the d = 64 model's parameter groups as two shards,
+        # the second on the helper thread: neither may keep the interpreter
+        # alive after main returns
         cfg = tmp_path / "sharded.cfg"
         cfg.write_text(TINY.replace("blocks = 1", "encoder = coupling\nblocks = 2")
+                       .replace("d = 16", "d = 64")
                        .replace("hw = 4", "hw = 16").replace("t_clip = 4", "t_clip = 8")
                        .replace("clips = 2", "clips = 4")
                        .replace("steps_stage1 = 1", "steps_stage1 = 0"))

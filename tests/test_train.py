@@ -1,11 +1,15 @@
 import math
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stpose.optim
 import stpose.train
 from stpose import tensor as T
 from stpose.attention import SteEncoder
@@ -13,6 +17,7 @@ from stpose.checkpoint import (CheckpointError, load_checkpoint, restore_params,
                                save_checkpoint)
 from stpose.config import RunConfig
 from stpose.decoders import KtdDecoder, SmplParams
+from stpose.geometry import DegenerateRotationError
 from stpose.kinematics import NUM_JOINTS
 from stpose.layers import Affine, Module
 from stpose.losses import LossReport
@@ -190,10 +195,11 @@ class TestStepErrors:
 
         def failing(*args):
             calls["n"] += 1
-            if calls["n"] == 4:    # one call per step, mixed steps included
+            if calls["n"] == 4:    # one call per step: a worker feeds the second clip half
                 raise ValueError("camera scale must be positive")
             return real(*args)
 
+        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
         monkeypatch.setattr(stpose.train, "model_forward", failing)
         with pytest.raises(RuntimeError, match=r"step 3 \(stage 2\)") as info:
             train(tiny_cfg())
@@ -202,24 +208,34 @@ class TestStepErrors:
 
     @pytest.mark.parametrize("step, frame", [(1, 1), (2, 2)], ids=["image", "mixed"])
     def test_degenerate_rotation_names_the_clip_frame(self, monkeypatch, step, frame):
-        # step 1 feeds frame 1 alone; step 2 is mixed, and its frame 2 sits
-        # in the extra slot T = 4 behind the clip's own frames
-        real, calls = KtdDecoder.decode, []
+        # step 1 feeds frame 1 of both clips alone; step 2 is mixed, and its
+        # frame 2 sits in the extra slot T = 4 behind the clip's own frames.
+        # Clip 1 is then the second half of the clips, alone in its graph,
+        # so the decode that corrupts it runs in the worker process
+        real_step, real_decode = stpose.train.batch_step, KtdDecoder.decode
+        fed, shapes = {}, []
+
+        def recording_step(model, batch, clips, frame=None, ratio=1.0):
+            fed.update(clips=list(clips), frame=frame)
+            return real_step(model, batch, clips, frame, ratio)
 
         def degenerate(decoder, x):
-            params = real(decoder, x)
-            calls.append(x.shape)
-            if len(calls) - 1 == step:
+            params = real_decode(decoder, x)
+            shapes.append(x.shape)
+            if fed["frame"] == frame and 1 in fed["clips"]:
                 pose = params.pose.data.copy()
-                pose[1, -1, 5] = 0.0      # clip 1, last slot, joint 5
+                pose[fed["clips"].index(1), -1, 5] = 0.0   # clip 1, last slot, joint 5
                 params = params._replace(pose=Tensor(pose))
             return params
 
+        monkeypatch.setattr(stpose.train, "batch_step", recording_step)
         monkeypatch.setattr(KtdDecoder, "decode", degenerate)
         with pytest.raises(RuntimeError, match=rf"step {step} \(stage {step}\): 6D "
-                           rf"vector \(1, {frame}, 5\): first column too short"):
+                           rf"vector \(1, {frame}, 5\): first column too short") as info:
             train(tiny_cfg(steps_stage1=2, steps_stage2=1))
-        assert calls[step][-2] == (1 if step == 1 else 4 + 1)
+        assert isinstance(info.value.__cause__, DegenerateRotationError)
+        assert str(info.value).endswith("(forward pass, ktd decoder)")
+        assert shapes[step][-2] == (1 if step == 1 else 4 + 1)
 
     def test_backward_error_names_step(self, monkeypatch):
         def failing(self):
@@ -256,6 +272,7 @@ class TestStepBudget:
         for name in ("params_to_joints", "total_loss"):
             monkeypatch.setattr(stpose.train, name, counted(name, getattr(stpose.train, name)))
         monkeypatch.setattr(Tensor, "backward", counting_backward)
+        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)   # the worker runs clip 1's graph
         train(tiny_cfg(steps_stage1=0, steps_stage2=1))
         assert sorted(calls) == ["decode", "params_to_joints", "total_loss"]
         assert len(nodes) == 1 and nodes[0] <= self.OP_NODES
@@ -324,6 +341,120 @@ class TestFuzz:
             assert all(math.isfinite(rec.total) for rec in history)
 
 
+class TestClipHalves:
+    """A whole-clip step runs as two halves of the clips: the second half in
+    a worker process when this one may use two CPUs, else after the first."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("cfg", [
+        tiny_cfg(),
+        tiny_cfg(encoder="coupling", decoder="iterative", blocks=2, d=64, hw=16, t_clip=8,
+                 clips=5, steps_stage1=1, steps_stage2=2, stage2_image_ratio=0.0),
+    ], ids=["tiny", "coupled_d64"])
+    def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, cfg):
+        real, fed = stpose.train.batch_step, []
+
+        def counting(model, batch, clips, frame=None, ratio=1.0):
+            fed.append(len(clips))
+            return real(model, batch, clips, frame, ratio)
+
+        monkeypatch.setattr(stpose.train, "batch_step", counting)
+        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+        in_worker = train(cfg)
+        worker_fed, fed[:] = fed[:], []
+        monkeypatch.setattr(T, "_helper_cpus", lambda: 1)
+        in_process = train(cfg)
+        first, second = (cfg.clips + 1) // 2, cfg.clips // 2
+        # this process fed only the first half when the worker ran the second
+        assert worker_fed == [cfg.clips] * cfg.steps_stage1 + [first] * cfg.steps_stage2
+        assert fed == [cfg.clips] * cfg.steps_stage1 + [first, second] * cfg.steps_stage2
+        assert in_worker.history == in_process.history
+        pa, pb = in_worker.model.named_params(), in_process.model.named_params()
+        for name in pa:
+            assert np.array_equal(pa[name].data, pb[name].data), name
+
+    def test_halves_add_up_to_the_whole_batch(self, two_cpus):
+        cfg = tiny_cfg(clips=3)
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw, tree=model.tree)
+        params = list(model.named_params().values())
+        whole = batch_step(model, batch, range(3), frame=1, ratio=0.5)
+        whole.total.backward()
+        want = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        halves = stpose.train._ClipHalves(model, batch, params)
+        try:   # clips 0-1 here and clip 2 in the worker, weighted 2/3 and 1/3
+            terms = halves.step(1, 0.5)
+        finally:
+            halves.close()
+        assert terms == pytest.approx((whole.value(), whole.l_3d, whole.l_2d,
+                                       whole.l_smpl, whole.l_norm), rel=1e-12)
+        for p, g in zip(params, want):
+            assert np.abs(p.grad - g).max() <= 1e-12 * np.abs(g).max()
+
+    @pytest.mark.parametrize("half, decoder", [(0, "ktd"), (1, "iterative")],
+                             ids=["parent", "worker"])
+    def test_a_failed_half_names_the_step_and_leaves_no_process(self, monkeypatch,
+                                                                two_cpus, half, decoder):
+        real = stpose.train.batch_step
+
+        def failing(model, batch, clips, frame=None, ratio=1.0):
+            if ratio < 1.0 and half in list(clips):   # a whole-clip step
+                raise ValueError(f"clip {half} failed")
+            return real(model, batch, clips, frame, ratio)
+
+        monkeypatch.setattr(stpose.train, "batch_step", failing)
+        with pytest.raises(RuntimeError, match=rf"^training failed at step 2 \(stage 2\): "
+                           rf"clip {half} failed \(forward pass, {decoder} decoder\)$") as info:
+            train(tiny_cfg(decoder=decoder))
+        assert type(info.value.__cause__) is ValueError
+        assert multiprocessing.active_children() == []
+
+    def test_each_half_runs_blas_on_one_thread(self, monkeypatch, two_cpus):
+        real, before = stpose.train.batch_step, [get() for get, _ in T._openblas_threads()]
+        whole_clip_steps = []
+
+        def checking(model, batch, clips, frame=None, ratio=1.0):
+            if ratio < 1.0:   # in this process and in the worker alike
+                counts = [get() for get, _ in T._openblas_threads()]
+                if counts != [1] * len(before):
+                    raise ValueError(f"BLAS runs on {counts} threads")
+                whole_clip_steps.append(list(clips))
+            return real(model, batch, clips, frame, ratio)
+
+        monkeypatch.setattr(stpose.train, "batch_step", checking)
+        train(tiny_cfg())
+        assert whole_clip_steps == [[0]] * 4
+        assert [get() for get, _ in T._openblas_threads()] == before
+
+    def test_a_dead_worker_names_its_exit_code(self, monkeypatch, two_cpus):
+        real, parent = stpose.train.batch_step, os.getpid()
+
+        def dying(model, batch, clips, frame=None, ratio=1.0):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(model, batch, clips, frame, ratio)
+
+        def hung(signum, frame):
+            raise TimeoutError("train waited a minute on a dead worker")
+
+        monkeypatch.setattr(stpose.train, "batch_step", dying)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=r"step 2 \(stage 2\): the clip-half worker "
+                               r"process exited with code 3$"):
+                train(tiny_cfg())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+
 class TestDeterminism:
     def test_same_config_same_run(self):
         a = train(tiny_cfg())
@@ -335,11 +466,12 @@ class TestDeterminism:
             assert np.array_equal(pa[name].data, pb[name].data), name
 
     def test_sharded_run_same_on_the_helper_and_inline(self, inline_shards, monkeypatch):
-        # block 0's coupled maps (8, 2, 136, 136), its MLP (1088 rows, 256
-        # hidden) and its projections (1088 rows, 64 -> 64) reach SHARD_MIN,
-        # so they run as two shards
-        cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=16, t_clip=8, clips=8,
-                       steps_stage1=0, steps_stage2=3, stage2_image_ratio=0.0)
+        # stage-1 frames of 16 clips: block 0's coupled maps (16, 2, 65, 65)
+        # and its MLP (1040 rows, 256 hidden) reach SHARD_MIN, so their
+        # forwards run as two shards, and Adam's groups do too. Whole-clip
+        # steps would run in clip halves, whose kernels never use the helper
+        cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=64, t_clip=2, clips=16,
+                       steps_stage1=3, steps_stage2=0)
         sharded, real = [], T._sharded
 
         def counting(kernel, shards):
@@ -348,10 +480,11 @@ class TestDeterminism:
             return real(kernel, shards)
 
         monkeypatch.setattr(T, "_sharded", counting)
+        monkeypatch.setattr(stpose.optim, "_sharded", counting)
         on_helper = train(cfg)
         with inline_shards():
             inline = train(cfg)
-        assert {"attention_core", "mlp", "affine"} <= set(sharded)
+        assert set(sharded) == {"attention_core", "mlp", "Adam"}
         assert on_helper.history == inline.history
         pa, pb = on_helper.model.named_params(), inline.model.named_params()
         for name in pa:
