@@ -224,8 +224,8 @@ class _ClipHalves:
     ceil(B/2) and the rest, each one graph whose loss is scaled by its share
     of the clips.
 
-    When this process may use two CPUs (``tensor._helper_cpus``), a worker
-    process forked here runs the second half while this one runs the first,
+    When this process may use two CPUs (``tensor._helper_cpus``) and start
+    a child, a worker process forked here runs the second half while this one runs the first,
     each on one CPU: neither uses the helper thread, and BLAS runs on one
     thread until ``close``. The worker's model is its forked copy, with the
     parameters viewing a mapping shared with this process, and its memory
@@ -248,7 +248,9 @@ class _ClipHalves:
         shared = np.frombuffer(mmap.mmap(-1, 16 * ends[-1]), dtype=np.float64)
         self.flat, self.grad = shared[:ends[-1]], shared[ends[-1]:]
         self.worker = None
-        if T._helper_cpus() >= 2 and "fork" in multiprocessing.get_all_start_methods():
+        # a daemonic process may start no child, so it runs both halves
+        if (T._helper_cpus() >= 2 and not multiprocessing.current_process().daemon
+                and "fork" in multiprocessing.get_all_start_methods()):
             # forked, not spawned: it starts in milliseconds with the built
             # model and clips instead of importing the package again, and no
             # other thread of this package is running here (the helper runs

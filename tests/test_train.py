@@ -431,6 +431,14 @@ class TestClipHalves:
         assert whole_clip_steps == [[0]] * 4
         assert [get() for get, _ in T._openblas_threads()] == before
 
+    def test_a_daemonic_process_runs_both_halves_itself(self, two_cpus):
+        # a daemonic process may start no child of its own
+        child = multiprocessing.get_context("fork").Process(
+            target=train, args=(tiny_cfg(),), daemon=True)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+
     def test_a_dead_worker_names_its_exit_code(self, monkeypatch, two_cpus):
         real, parent = stpose.train.batch_step, os.getpid()
 
