@@ -1,62 +1,40 @@
 """Adam over tensor parameters, as a few in-place passes over flat buffers.
 
-``Adam`` copies its parameters, in list order, into one flat float64
-buffer and rebinds each parameter's ``data`` to its reshaped view of it;
-the moments m and v are flat buffers of the same layout. A step walks
-groups of consecutive parameters of at most ``ADAM_TILE`` entries (a
-larger parameter is cut into tile-sized pieces), gathers each group's
-gradients into a tile-sized buffer and applies the per-tensor Adam ops, in
-their usual order, to the group's slices in place. Every entry sees the
-same IEEE operations as in a per-tensor update, so the bits do not depend
-on the grouping. Two or more groups run as two shards on the engine's
-helper thread (``tensor._sharded``), split at the group boundary nearest
-the middle of the buffer. In training, only the main process steps Adam:
-after a whole-clip step's two clip halves, one of them run by a worker
-process, have added up their gradients (``train._ClipHalves``), while the
-worker waits, so the helper has the second CPU to itself.
+``Adam`` keeps its parameters, in list order, in one flat float64 buffer
+and their gradients in a second one of the same layout (``flat_views``),
+and binds each parameter's ``data`` and ``grad`` to its reshaped views of
+them; the moments m and v are flat buffers of that layout too. So
+``zero_grad`` is one fill and ``Tensor.backward`` adds each gradient into
+its view in place. A step applies the per-tensor Adam ops, in their usual
+order, in place to fixed slices of ``ADAM_TILE`` entries of the flat
+buffers. Every entry sees the same IEEE operations as in a per-tensor
+update, so the bits do not depend on the slicing. Two or more slices run
+as two shards on the engine's helper thread (``tensor._sharded``), split
+at the middle slice. In training, only the main process steps Adam: after
+a whole-clip step's two clip halves, one of them run by a worker process,
+have added up their gradients in ``grad`` (``train._ClipHalves``), while
+the worker waits, so the helper has the second CPU to itself.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from .tensor import Tensor, _sharded
 
-ADAM_TILE = 1 << 14   # entries per group: 128 KiB per buffer, so a group's passes stay in L2
+ADAM_TILE = 1 << 14   # entries per slice: 128 KiB per buffer, so a slice's passes stay in L2
 
 
-def _tile_groups(sizes: list[int]) -> list[list[tuple[int, int, int]]]:
-    """The flat layout of parameters of ``sizes`` entries, in groups of at
-    most ADAM_TILE entries. A group lists (parameter, first, end) pieces,
-    first and end being flat positions; a group ends where the next whole
-    parameter would overflow it, and a parameter larger than a tile fills
-    whole tiles on its own before the rest of it starts a new group."""
-    groups, group, used, start = [], [], 0, 0
-    for i, size in enumerate(sizes):
-        if group and used + size > ADAM_TILE:
-            groups.append(group)
-            group, used = [], 0
-        end = start + size
-        while end - start > ADAM_TILE:
-            groups.append([(i, start, start + ADAM_TILE)])
-            start += ADAM_TILE
-        group.append((i, start, end))
-        used += end - start
-        start = end
-    return groups + [group] if group else groups
-
-
-def _halves(groups: list) -> list[list]:
-    """All groups as one shard, or two or more as two, split at the group
-    boundary nearest the middle of their entries."""
-    if len(groups) < 2:
-        return [groups] if groups else []
-    total = groups[-1][-1][2]
-    cut = min(range(1, len(groups)), key=lambda k: abs(2 * groups[k][0][1] - total))
-    return [groups[:cut], groups[cut:]]
+def flat_views(params: list[Tensor], *bufs: np.ndarray) -> list[tuple]:
+    """Each parameter's views, shaped like it, of its slice of each flat
+    buffer: the parameters in list order, each after the one before."""
+    views, at = [], 0
+    for p in params:
+        views.append(tuple(buf[at:at + p.size].reshape(p.shape) for buf in bufs))
+        at += p.size
+    return views
 
 
 def _check_value(name: str, value, ok) -> float:
@@ -74,11 +52,11 @@ class Adam:
     """Standard Adam with bias correction.
 
     ``lr`` may be reassigned between steps (used by the training schedule).
-    A parameter whose ``grad`` is ``None`` is treated as having zero gradient.
     ``step`` updates parameter values in place through their views of the
-    flat buffer. A parameter whose ``data`` was rebound since the last step
-    is copied back into the buffer first. A step refused for its ``lr`` or
-    for a shape has changed nothing.
+    flat buffer. A parameter whose ``data`` or ``grad`` outside code has
+    rebound, when Adam is built or since, is copied into the flat buffers
+    first, and a ``grad`` set to ``None`` counts as zero. A step refused
+    for its ``lr`` or for a shape has changed nothing.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
@@ -98,55 +76,47 @@ class Adam:
         self.eps = _check_value("eps (finite, > 0)", eps,
                                 lambda v: math.isfinite(v) and v > 0.0)
         self.step_count = 0
-        sizes = [p.size for p in self.params]
-        self.flat = np.concatenate([p.data.ravel() for p in self.params] + [np.empty(0)])
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        starts = [0, *itertools.accumulate(sizes)]
-        self._views = [self.flat[a:a + p.size].reshape(p.shape)
-                       for a, p in zip(starts, self.params)]
-        for p, view in zip(self.params, self._views):
-            p.data = view
-        groups = _tile_groups(sizes)
-        # each piece as (parameter, slice of the group buffer, slice of the
-        # parameter's flat entries), and each shard's largest group
-        self._shards = []
-        for shard in _halves(groups):
-            pieces = [[(i, slice(a - g[0][1], b - g[0][1]),
-                        slice(a - starts[i], b - starts[i])) for i, a, b in g]
-                      for g in shard]
-            spans = [slice(g[0][1], g[-1][2]) for g in shard]
-            self._shards.append((spans, pieces, max(s.stop - s.start for s in spans)))
+        size = sum(p.size for p in self.params)
+        self.flat, self.grad = np.empty(size), np.empty(size)
+        # zeros_like writes its zeros, so the first step takes no page faults
+        self.m, self.v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        # (index, parameter, attribute, the view it should be bound to)
+        self._bindings = [(i, p, what, view) for i, (p, views) in
+                          enumerate(zip(self.params, flat_views(self.params, self.flat, self.grad)))
+                          for what, view in zip(("data", "grad"), views)]
+        self._adopt()
+        # the slices, as two shards split at the middle one
+        spans = [slice(a, min(a + ADAM_TILE, size)) for a in range(0, size, ADAM_TILE)]
+        mid = (len(spans) + 1) // 2
+        self._shards = [s for s in (spans[:mid], spans[mid:]) if s]
+
+    def _adopt(self) -> None:
+        """Copy every rebound ``data`` and ``grad`` into its view and bind
+        it back, once all their shapes are checked."""
+        rebound = [(i, p, what, getattr(p, what), view)
+                   for i, p, what, view in self._bindings if getattr(p, what) is not view]
+        for i, _, what, value, view in rebound:
+            if value is not None and np.shape(value) != view.shape:
+                raise ValueError(f"{what} of parameter {i} rebound to shape "
+                                 f"{np.shape(value)}, but Adam holds it as {view.shape}")
+        for _, p, what, value, view in rebound:
+            view[...] = 0.0 if value is None else value
+            setattr(p, what, view)
 
     def step(self) -> None:
         lr = _check_lr(self.lr)
-        grads = [p.grad for p in self.params]
-        for p, g, view in zip(self.params, grads, self._views):
-            if g is not None and g.shape != view.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter {view.shape}")
-            if p.data is not view and p.data.shape != view.shape:
-                raise ValueError(f"parameter rebound to shape {p.data.shape}, "
-                                 f"but Adam holds it as {view.shape}")
-        for p, view in zip(self.params, self._views):
-            if p.data is not view:
-                view[...] = p.data
-                p.data = view
+        self._adopt()
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
 
         def update(shard):
-            spans, pieces, work = shard
-            for span, group in zip(spans, pieces):
+            spans, work = shard
+            for span in spans:
                 n = span.stop - span.start
-                g, tmp = work[0, :n], work[1, :n]
-                for i, at, part in group:
-                    if grads[i] is None:
-                        g[at] = 0.0
-                    else:
-                        g[at] = grads[i].reshape(-1)[part]
-                m, v = self.m[span], self.v[span]
+                tmp, den = work[0, :n], work[1, :n]
+                g, m, v = self.grad[span], self.m[span], self.v[span]
                 # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g², as in a
                 # per-tensor update but in place
                 np.multiply(g, 1.0 - b1, out=tmp)
@@ -160,20 +130,20 @@ class Adam:
                     continue    # moments advance, parameters stay bitwise put
                 # p -= (lr m̂) / (√v̂ + eps), with m̂ = m / bc1 and v̂ = v / bc2
                 np.divide(m, bc1, out=tmp)
-                np.divide(v, bc2, out=g)
-                np.sqrt(g, out=g)
-                g += self.eps
+                np.divide(v, bc2, out=den)
+                np.sqrt(den, out=den)
+                den += self.eps
                 tmp *= lr
-                tmp /= g
+                tmp /= den
                 self.flat[span] -= tmp
 
-        # each shard's own gradient and scratch buffers, made here for this
-        # step so that they hold no memory between steps
-        shards = [(spans, pieces, np.empty((2, width)))
-                  for spans, pieces, width in self._shards]
-        if shards:
-            _sharded(update, shards)
+        # each shard's scratch buffers, made here for this step so that they
+        # hold no memory between steps
+        if self._shards:
+            width = min(self.flat.size, ADAM_TILE)
+            _sharded(update, [(spans, np.empty((2, width))) for spans in self._shards])
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        """Zero the flat gradient, which every parameter's ``grad`` views
+        unless outside code has rebound it since the last step."""
+        self.grad.fill(0.0)

@@ -6,7 +6,8 @@ runs each recorded node once, newest first, and then releases it, so a
 graph takes one backward; inside ``no_grad()`` nothing is recorded.
 No op writes into a value it has returned or been given. Outside the ops,
 ``Adam.step`` (optim.py) and ``checkpoint.restore_params`` update
-parameter values in place, and ``grad`` buffers are rebound as they add up.
+parameter values in place, and ``backward`` adds each leaf's gradient
+into its ``grad`` buffer in place.
 
 Shape discipline: ``add``, ``sub``, ``mul`` and ``div`` broadcast their
 second operand b to the shape of the first, a: b may lack leading axes or
@@ -33,7 +34,7 @@ The forwards of ``attention_core`` and ``mlp`` run their work as two
 shards once it covers ``SHARD_MIN`` entries (two tiles); smaller work runs
 as one, exactly as before. Attention splits its (batch, head) map stack in
 halves that each walk their own tiles, the MLP its rows. ``Adam.step``
-runs its parameter groups as two shards once it has two groups; each entry
+runs its fixed slices as two shards once it has two slices; each entry
 goes through the same ops in either shard. Shard 0 runs inline and shard 1
 on one helper thread, started by the first call that shards, while numpy
 releases the interpreter lock inside each BLAS call, ufunc and reduction.
@@ -42,9 +43,9 @@ count: with one CPU, or inside ``_without_helper()``, shard 1 runs inline
 after shard 0. Training runs each whole-clip step as two halves of the
 clips in two processes, one CPU each, both inside ``_without_helper()``
 (``train._ClipHalves``); so the helper serves ``evaluate``, stage-1 steps
-and Adam. No VJP is sharded. Such a run holds OpenBLAS at one thread
-through ``_openblas_threads``; elsewhere the BLAS thread count is left as
-it is.
+and Adam. No VJP is sharded. ``train`` holds OpenBLAS at one thread
+through ``_openblas_threads`` for the whole run; elsewhere the BLAS thread
+count is left as it is.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ class Tensor:
         ``self`` must be a scalar. The newest pending node runs next, so each
         node runs once, after all its consumers. Then it is released, which
         frees what its VJP saved, and a second backward through it raises
-        ``RuntimeError``. Leaf gradients add up across graphs until cleared.
+        ``RuntimeError``. A leaf receives its gradient once per backward: it
+        is added in place into the leaf's ``grad`` buffer (for an Adam
+        parameter, a view of Adam's flat gradient), or copied into a new
+        one when ``grad`` is ``None``, so no ``grad`` aliases a VJP output.
+        So leaf gradients add up across graphs until cleared.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -127,7 +132,10 @@ class Tensor:
             g, parents, vjp = grads.pop(node), node._parents, node._vjp
             if vjp is None:
                 if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+                    if node.grad is None:
+                        node.grad = g.copy()
+                    else:
+                        node.grad += g
                 continue
             node._parents, node._vjp = (), _released
             for parent, pg in zip(parents, vjp(g)):

@@ -11,7 +11,6 @@ reproduces a run.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import mmap
 import multiprocessing
 import os
@@ -36,7 +35,7 @@ from .kinematics import (NUM_JOINTS, KinematicTree, random_tree, reverse_tree,
 from .layers import Affine, Module
 from .losses import LossReport, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
-from .optim import Adam
+from .optim import Adam, flat_views
 from .synth import ClipBatch, synth_generate
 from .tensor import Tensor
 
@@ -150,11 +149,14 @@ def _check_finite(report: LossReport, step: int):
                 f"non-finite loss at step {step}: {name} term is {value}")
 
 
-def _check_grads(params: dict, step: int):
-    for name, p in params.items():
-        if p.grad is not None and not np.isfinite(p.grad).all():
-            raise RuntimeError(
-                f"non-finite gradient at step {step}: {name}")
+def _check_grads(params: dict, grad: np.ndarray, step: int):
+    """One isfinite over the flat gradient ``grad`` of ``params``, laid out
+    in their order; names the parameter of its first non-finite entry."""
+    finite = np.isfinite(grad)
+    if not finite.all():
+        ends = np.cumsum([p.size for p in params.values()])
+        name = list(params)[np.searchsorted(ends, finite.argmin(), side="right")]
+        raise RuntimeError(f"non-finite gradient at step {step}: {name}")
 
 
 def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
@@ -225,17 +227,19 @@ class _ClipHalves:
     of the clips.
 
     When this process may use two CPUs (``tensor._helper_cpus``) and start
-    a child, a worker process forked here runs the second half while this one runs the first,
-    each on one CPU: neither uses the helper thread, and BLAS runs on one
-    thread until ``close``. The worker's model is its forked copy, with the
-    parameters viewing a mapping shared with this process, and its memory
-    comes on top of this process's. Each step writes the current parameters
-    there and sends the worker the frame; the worker writes its flat
-    gradient beside them and answers with its loss terms or its error. It
-    runs nothing else, and ``close`` ends it. With one CPU this process runs
-    the second half after the first. Either way the same ops run on the
-    same values, and the gradients are added as half 0 + half 1, so the
-    bits do not depend on the CPU count.
+    a child, a worker process forked here runs the second half while this
+    one runs the first, each on one CPU, and neither uses the helper
+    thread. The worker's model is its forked copy, its parameters' ``data``
+    and ``grad`` viewing flat buffers, in Adam's layout, of a mapping
+    shared with this process, and its memory comes on top of this
+    process's. Each step copies Adam's flat parameters there and sends the
+    worker the frame; the worker writes its gradient beside them and
+    answers with its loss terms or its error. This process adds that
+    gradient into Adam's. The worker runs nothing else, and ``close`` ends
+    it. With one CPU this process runs the second half after the first,
+    into the same gradient. Either way the same ops run on the same values,
+    and the gradients are added as half 0 + half 1, so the bits do not
+    depend on the CPU count.
     """
 
     def __init__(self, model: Model, batch: ClipBatch, params: list):
@@ -243,14 +247,13 @@ class _ClipHalves:
         first = (batch.clips + 1) // 2
         self.clips = (np.arange(first), np.arange(first, batch.clips))
         self.shares = (first / batch.clips, (batch.clips - first) / batch.clips)
-        ends = list(itertools.accumulate(p.size for p in params))
-        self.spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        shared = np.frombuffer(mmap.mmap(-1, 16 * ends[-1]), dtype=np.float64)
-        self.flat, self.grad = shared[:ends[-1]], shared[ends[-1]:]
         self.worker = None
         # a daemonic process may start no child, so it runs both halves
         if (T._helper_cpus() >= 2 and not multiprocessing.current_process().daemon
                 and "fork" in multiprocessing.get_all_start_methods()):
+            size = sum(p.size for p in params)
+            shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
+            self.flat, self.grad = shared[:size], shared[size:]
             # forked, not spawned: it starts in milliseconds with the built
             # model and clips instead of importing the package again, and no
             # other thread of this package is running here (the helper runs
@@ -261,28 +264,21 @@ class _ClipHalves:
                                           name="stpose-clip-half", daemon=True)
             self.worker.start()
             end.close()
-        # one BLAS thread in either process: two in each put four busy
-        # threads on two CPUs (whole runs took 3-6x longer), and the thread
-        # count can change a GEMM's bits
-        self.blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
-        for set_threads, _ in self.blas:
-            set_threads(1)
 
     def _serve(self, pipe) -> None:
         """The worker: one second half per frame received, until the pipe
         closes."""
         self.pipe.close()   # this process's copy of the parent's end
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
-        for _, set_threads in T._openblas_threads():
-            set_threads(1)
-        for p, span in zip(self.params, self.spans):
-            p.data = self.flat[span].reshape(p.shape)
+        for p, (data, grad) in zip(self.params, flat_views(self.params, self.flat, self.grad)):
+            p.data, p.grad = data, grad
         with T._without_helper():
             while True:
                 try:
                     frame, ratio, errors = pipe.recv()
                 except EOFError:
                     return
+                self.grad.fill(0.0)
                 try:
                     with np.errstate(**errors):
                         reply = self._second(frame, ratio)
@@ -291,29 +287,20 @@ class _ClipHalves:
                 pipe.send(reply)
 
     def _second(self, frame, ratio) -> tuple:
-        terms = _step_grads(self.model, self.batch, self.clips[1], frame,
-                            ratio, self.shares[1])
-        self._take_grads(self.grad)
-        return terms
-
-    def _take_grads(self, out: np.ndarray) -> None:
-        """Move every parameter's gradient into its span of ``out``; a
-        parameter without one gets zeros."""
-        for p, span in zip(self.params, self.spans):
-            out[span] = 0.0 if p.grad is None else p.grad.reshape(-1)
-            p.grad = None
+        return _step_grads(self.model, self.batch, self.clips[1], frame,
+                           ratio, self.shares[1])
 
     def _lost(self) -> RuntimeError:
         self.worker.join()
         return RuntimeError(f"the clip-half worker process exited with code "
                             f"{self.worker.exitcode}")
 
-    def step(self, frame, ratio) -> tuple:
-        """Both halves of one step at the parameters' current values. Leaves
-        every parameter's ``grad`` at half 0 + half 1 and returns the loss
-        terms of :func:`_step_grads` summed the same way."""
+    def step(self, opt: Adam, frame, ratio) -> tuple:
+        """Both halves of one step at the values of ``opt.flat``, built
+        after this. Adds half 0 + half 1 into ``opt.grad`` and returns the
+        loss terms of :func:`_step_grads` summed the same way."""
         if self.worker is not None:
-            np.concatenate([p.data.reshape(-1) for p in self.params], out=self.flat)
+            self.flat[...] = opt.flat
             try:
                 self.pipe.send((frame, ratio, np.geterr()))
             except OSError:
@@ -321,8 +308,6 @@ class _ClipHalves:
         with T._without_helper():
             first = _step_grads(self.model, self.batch, self.clips[0], frame,
                                 ratio, self.shares[0])
-        grads = np.empty_like(self.grad)
-        self._take_grads(grads)
         if self.worker is None:
             second = self._second(frame, ratio)
         else:
@@ -332,20 +317,15 @@ class _ClipHalves:
                 raise self._lost() from None
             if isinstance(second, Exception):
                 raise second
-        grads += self.grad
-        for p, span in zip(self.params, self.spans):
-            p.grad = grads[span].reshape(p.shape)
+            opt.grad += self.grad
         return tuple(a + b for a, b in zip(first, second))
 
     def close(self) -> None:
-        """Stop and reap the worker, if there is one, busy or not, and give
-        BLAS back its thread count."""
+        """Stop and reap the worker, if there is one, busy or not."""
         if self.worker is not None:
             self.pipe.close()
             self.worker.terminate()
             self.worker.join()
-        for set_threads, count in self.blas:
-            set_threads(count)
 
 
 def train(cfg: RunConfig, out_dir=None) -> TrainResult:
@@ -358,9 +338,10 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     :func:`batch_step`). A step that feeds whole clips, over at least 2 of
     them, is two graphs, one per fixed half of the clips: with two CPUs, a
     worker process forked before the optimizer is built runs the second,
-    and its memory adds to the run's (:class:`_ClipHalves`). The bits do
-    not depend on the CPU count, and only this process runs the optimizer.
-    Writes config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is
+    and its memory adds to the run's (:class:`_ClipHalves`). OpenBLAS runs
+    on one thread until the call returns, so the bits depend neither on the
+    CPU count nor on the BLAS thread count, and only this process runs the
+    optimizer. Writes config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is
     given.
 
     An error in a step's forward or backward pass, in either process, is
@@ -376,9 +357,16 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                            p_2d_only=cfg.p_2d_only)
     params = model.named_params()
     halves = None
-    if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
-        halves = _ClipHalves(model, batch, list(params.values()))
+    # one BLAS thread throughout, set before the worker is forked so that it
+    # inherits it: the thread count can change a GEMM's bits, and two
+    # threads in each clip half put four busy threads on two CPUs (whole
+    # runs took 3-6x longer)
+    blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
+    for set_threads, _ in blas:
+        set_threads(1)
     try:
+        if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
+            halves = _ClipHalves(model, batch, list(params.values()))
         opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
         history = []
         all_clips = range(batch.clips)
@@ -393,7 +381,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
             try:
                 opt.zero_grad()
                 if stage == 2 and halves is not None:
-                    terms = halves.step(frame, ratio)
+                    terms = halves.step(opt, frame, ratio)
                 else:
                     terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
             except Exception as exc:
@@ -406,13 +394,15 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                 image_step += 1
             report = LossReport(Tensor(terms[0]), *terms[1:])
             _check_finite(report, step)
-            _check_grads(params, step)
+            _check_grads(params, opt.grad, step)
             opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
             opt.step()
             history.append(StepRecord(step, stage, opt.lr, *terms))
     finally:
         if halves is not None:
             halves.close()
+        for set_threads, count in blas:
+            set_threads(count)
 
     result = TrainResult(model, batch, history)
     if out_dir is not None:

@@ -1,14 +1,13 @@
 """Adam: the flat in-place update against a per-tensor reference, its
-layout and sharding, and the values it refuses."""
+layout, slicing and sharding, and the values it refuses."""
 
 import numpy as np
 import pytest
 
 import stpose.train
-from stpose import optim
 from stpose.checkpoint import restore_params
 from stpose.config import RunConfig
-from stpose.optim import ADAM_TILE, Adam
+from stpose.optim import ADAM_TILE, Adam, flat_views
 from stpose.tensor import Tensor
 from stpose.train import build_model, train
 
@@ -43,10 +42,15 @@ class PerTensorAdam:
             p.grad = None
 
 
-def twin_params(cfg):
-    """Two copies of a model's parameter list: one for Adam, one for the
-    reference."""
-    params = list(build_model(cfg).named_params().values())
+def twin_params(layout):
+    """Two copies of a parameter list: one for Adam, one for the reference.
+    ``layout`` is a config, for its model's parameters, or a list of sizes
+    for random vectors."""
+    if isinstance(layout, RunConfig):
+        params = list(build_model(layout).named_params().values())
+    else:
+        rng = np.random.default_rng(len(layout))
+        params = [Tensor(rng.standard_normal(n), requires_grad=True) for n in layout]
     return params, [Tensor(p.data.copy(), requires_grad=True) for p in params]
 
 
@@ -64,20 +68,24 @@ def assert_same_bits(opt, ref):
     assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v]).tobytes()
 
 
-# the default model (111 tensors, none above a tile) and the coupled
-# encoder with the iterative decoder, whose largest weight spans three tiles
-MODELS = {"default": RunConfig(),
-          "iterative": RunConfig(encoder="coupling", decoder="iterative", t_clip=16)}
+# the default model (64 tensors, none above a tile), the coupled encoder
+# with the iterative decoder, whose largest weight spans three tiles, and
+# parameter sizes at and across the tile edges
+LAYOUTS = {"default": RunConfig(),
+           "iterative": RunConfig(encoder="coupling", decoder="iterative", t_clip=16),
+           "one": [1], "tile": [ADAM_TILE], "tile+1": [ADAM_TILE + 1],
+           "mixed": [5, 3 * ADAM_TILE + 7, 2, ADAM_TILE - 2, 9],
+           "halves": [ADAM_TILE // 2 + 1] * 5}
 
 
 class TestFlatUpdate:
-    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("shards", ["helper", "inline"])
-    def test_bits_equal_the_per_tensor_update(self, model, shards, inline_shards):
-        params, twins = twin_params(MODELS[model])
+    def test_bits_equal_the_per_tensor_update(self, layout, shards, inline_shards):
+        params, twins = twin_params(LAYOUTS[layout])
         opt = Adam(params, lr=1e-3, betas=(0.9, 0.95))
         ref = PerTensorAdam(twins, lr=1e-3, betas=(0.9, 0.95))
-        assert len(opt._shards) == 2
+        assert len(opt._shards) == min(2, -(-opt.flat.size // ADAM_TILE))
         rng = np.random.default_rng(5)
         for lr in (1e-3, 1e-3, 0.0, 3e-4, 3e-4, 1e-3):
             set_grads(rng, params, twins)
@@ -102,16 +110,54 @@ class TestFlatUpdate:
         assert (opt.m != 0.0).all() and (opt.v != 0.0).all()
 
     def test_parameters_are_views_of_one_buffer(self):
-        params, twins = twin_params(MODELS["default"])
+        params, twins = twin_params(LAYOUTS["default"])
         opt = Adam(params)
-        assert opt.flat.size == sum(p.size for p in params) == 158585
+        assert opt.flat.size == opt.grad.size == sum(p.size for p in params) == 158585
         for p, q in zip(params, twins):
-            assert p.data.base is opt.flat
+            assert p.data.base is opt.flat and p.grad.base is opt.grad
             assert p.data.tobytes() == q.data.tobytes()
+        assert not opt.grad.any()
+
+    def test_each_module_is_one_slice_of_the_gradient(self, monkeypatch):
+        # so a module's gradient norm is one dot over a slice of opt.grad
+        built = []
+
+        class KeptAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(stpose.train, "Adam", KeptAdam)
+        model = train(RunConfig(blocks=3, d=16, heads=2, hw=4, t_clip=2, clips=2,
+                                steps_stage1=1, steps_stage2=0)).model
+        opt, = built
+        assert all(p.grad.base is opt.grad for p in model.named_params().values())
+        modules = [model.patch_embed, *model.encoder.blocks, model.decoder]
+        assert len(modules) == 5
+        for module in modules:
+            spans = sorted(((p.grad.ctypes.data - opt.grad.ctypes.data) // 8, p.size)
+                           for p in module.named_params().values())
+            # each parameter starts where the one before it ends
+            assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
+
+    def test_zero_grad_fills_the_buffer_in_place(self):
+        params, _ = twin_params([3, 2])
+        opt = Adam(params)
+        opt.grad[:] = 1.0
+        views = [p.grad for p in params]
+        opt.zero_grad()
+        assert not opt.grad.any()
+        assert all(p.grad is view for p, view in zip(params, views))
+
+    def test_empty_parameter_list_steps(self):
+        opt = Adam([])
+        opt.step()
+        assert opt.step_count == 1
 
     def test_rebound_and_restored_parameters_are_honoured(self):
         params, twins = twin_params(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
         opt, ref = Adam(params, lr=1e-2), PerTensorAdam(twins, lr=1e-2)
+        grad_views = [p.grad for p in params]
         rng = np.random.default_rng(1)
         for step in range(4):
             set_grads(rng, params, twins)
@@ -127,47 +173,35 @@ class TestFlatUpdate:
             ref.step()
             assert_same_bits(opt, ref)
         assert params[3].data.base is opt.flat
+        assert all(p.grad is view for p, view in zip(params, grad_views))
 
     def test_three_step_training_matches_the_per_tensor_update(self, monkeypatch):
+        # a train run's gradients, replayed through the per-tensor update
+        # from the same start, give the same parameters before every step
         cfg = RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2, clips=2,
                         steps_stage1=1, steps_stage2=2)
-        flat = train(cfg).history
-        monkeypatch.setattr(stpose.train, "Adam", PerTensorAdam)
-        assert train(cfg).history == flat
+        steps = []
 
+        class RecordingAdam(Adam):
+            def step(self):
+                steps.append((self.flat.copy(), self.grad.copy(), self.lr))
+                super().step()
 
-class TestGroups:
-    @pytest.mark.parametrize("sizes", [[1], [ADAM_TILE], [ADAM_TILE + 1],
-                                       [5, 3 * ADAM_TILE + 7, 2, ADAM_TILE - 2, 9],
-                                       [ADAM_TILE // 2 + 1] * 5])
-    def test_groups_cover_each_entry_once_in_order(self, sizes):
-        groups = optim._tile_groups(sizes)
-        pieces = [piece for group in groups for piece in group]
-        ends = np.cumsum([0] + sizes)
-        covered = [(a, b) for _, a, b in pieces]
-        assert [a for a, _ in covered] == [0] + [b for _, b in covered[:-1]]
-        assert covered[-1][1] == ends[-1]
-        for i, a, b in pieces:
-            assert ends[i] <= a < b <= ends[i + 1]
-        for group in groups:
-            assert group[-1][2] - group[0][1] <= ADAM_TILE
-
-    def test_whole_parameters_share_a_group_until_it_is_full(self):
-        groups = optim._tile_groups([ADAM_TILE // 2 + 1] * 3)
-        assert [[i for i, _, _ in g] for g in groups] == [[0], [1], [2]]
-        groups = optim._tile_groups([ADAM_TILE // 4] * 5)
-        assert [[i for i, _, _ in g] for g in groups] == [[0, 1, 2, 3], [4]]
-
-    def test_shards_split_at_the_boundary_nearest_the_middle(self):
-        groups = optim._tile_groups([ADAM_TILE] * 3 + [10])
-        assert [len(s) for s in optim._halves(groups)] == [2, 2]
-        assert optim._halves(groups[:1]) == [groups[:1]]
-        assert optim._halves([]) == []
-
-    def test_empty_parameter_list_steps(self):
-        opt = Adam([])
-        opt.step()
-        assert opt.step_count == 1
+        monkeypatch.setattr(stpose.train, "Adam", RecordingAdam)
+        params = list(train(cfg).model.named_params().values())
+        ref = PerTensorAdam([Tensor(view.copy(), requires_grad=True)
+                             for view, in flat_views(params, steps[0][0])],
+                            betas=(cfg.beta1, cfg.beta2))
+        for flat, grad, lr in steps:
+            assert np.concatenate([q.data.ravel() for q in ref.params]).tobytes() \
+                == flat.tobytes()
+            for q, (g,) in zip(ref.params, flat_views(params, grad)):
+                q.grad = g
+            ref.lr = lr
+            ref.step()
+        assert len(steps) == 3
+        for p, q in zip(params, ref.params):
+            assert p.data.tobytes() == q.data.tobytes()
 
 
 class TestClosedForm:

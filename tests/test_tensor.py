@@ -184,6 +184,22 @@ def test_backward_accumulates_and_clears():
     np.testing.assert_array_equal(x.grad, first)
 
 
+def test_backward_adds_into_the_grad_buffer_in_place():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    flat = np.full(6, 7.0)
+    x.grad = flat[1:5]
+    T.reduce_sum(x).backward()
+    assert x.grad.base is flat
+    np.testing.assert_array_equal(flat, [7.0, 8.0, 8.0, 8.0, 8.0, 7.0])
+    # a first gradient is a copy: a VJP that passes g through (add, reshape)
+    # leaves the leaf no alias of an array another node holds
+    y = Tensor(np.zeros(3), requires_grad=True)
+    g = np.array([1.0, 2.0, 3.0])
+    T.reduce_sum(T.mul(T.add(y, y), Tensor(g))).backward()
+    assert y.grad.base is None and y.grad.flags.writeable
+    np.testing.assert_array_equal(y.grad, 2 * g)
+
+
 def test_backward_releases_the_graph(recorded_nodes):
     x = Tensor(np.arange(3.0), requires_grad=True)
     h = T.mul(x, x)

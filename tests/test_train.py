@@ -297,6 +297,20 @@ class TestFiniteGuard:
             train(tiny_cfg())
 
     def test_non_finite_gradient_names_step_and_parameter(self, monkeypatch):
+        # a middle entry, the first entry of the flat gradient, either side
+        # of the edge between the first two parameters, and the last entry:
+        # the name is found from the entry's offset
+        for name, at in (("decoder.cam.b", (1,)), ("patch_embed.w", (0, 0)),
+                         ("patch_embed.w", (-1, -1)), ("patch_embed.b", (0,)),
+                         ("decoder.cam.b", (-1,))):
+            with monkeypatch.context() as patch:
+                self.check_poisoned_gradient(patch, name, at)
+
+    @staticmethod
+    def check_poisoned_gradient(monkeypatch, name, at):
+        """Train tiny_cfg with entry ``at`` of ``name``'s gradient set to inf
+        after the backward of step 2; the error names ``name``, and no
+        update was applied."""
         built, snapshots = [], []
         real_build, real_backward = stpose.train.build_model, Tensor.backward
 
@@ -309,15 +323,14 @@ class TestFiniteGuard:
             params = built[0].named_params()
             snapshots.append({n: p.data.copy() for n, p in params.items()})
             if len(snapshots) == 3:     # the backward of step 2
-                params["decoder.cam.b"].grad[1] = np.inf
+                params[name].grad[at] = np.inf
 
         monkeypatch.setattr(stpose.train, "build_model", recording_build)
         monkeypatch.setattr(Tensor, "backward", poisoning_backward)
-        with pytest.raises(RuntimeError, match="non-finite gradient at step 2: "
-                           "decoder.cam.b$"):
+        with pytest.raises(RuntimeError, match=f"non-finite gradient at step 2: {name}$"):
             train(tiny_cfg())
-        for name, p in built[0].named_params().items():   # no update applied
-            assert np.array_equal(p.data, snapshots[2][name]), name
+        for n, p in built[0].named_params().items():   # no update applied
+            assert np.array_equal(p.data, snapshots[2][n]), n
 
 
 class TestFuzz:
@@ -388,7 +401,7 @@ class TestClipHalves:
             p.grad = None
         halves = stpose.train._ClipHalves(model, batch, params)
         try:   # clips 0-1 here and clip 2 in the worker, weighted 2/3 and 1/3
-            terms = halves.step(1, 0.5)
+            terms = halves.step(stpose.optim.Adam(params), 1, 0.5)
         finally:
             halves.close()
         assert terms == pytest.approx((whole.value(), whole.l_3d, whole.l_2d,
@@ -497,6 +510,26 @@ class TestDeterminism:
         pa, pb = on_helper.model.named_params(), inline.model.named_params()
         for name in pa:
             assert np.array_equal(pa[name].data, pb[name].data), name
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a stage-1 run, which forks no worker, over a batch large enough
+        # that the thread count changed its bits while BLAS was left as set
+        cfg = RunConfig(steps_stage1=2, steps_stage2=0, clips=16, hw=64)
+        calls = T._openblas_threads()
+        before, runs = [get() for get, _ in calls], []
+        try:
+            for threads in (1, 2):
+                for _, set_threads in calls:
+                    set_threads(threads)
+                runs.append(train(cfg))
+                assert [get() for get, _ in calls] == [threads] * len(calls)
+        finally:
+            for (_, set_threads), count in zip(calls, before):
+                set_threads(count)
+        assert runs[0].history == runs[1].history
+        pa, pb = runs[0].model.named_params(), runs[1].model.named_params()
+        for name in pa:
+            assert pa[name].data.tobytes() == pb[name].data.tobytes(), name
 
     def test_zero_lr_leaves_params_bitwise_unchanged(self):
         cfg = tiny_cfg(lr=0.0)
