@@ -106,7 +106,8 @@ def load_checkpoint(path) -> dict:
 
 
 def restore_params(params: dict, loaded: dict):
-    """Copy loaded arrays into live parameter tensors, in place."""
+    """Copy loaded arrays into live parameter tensors, in place, once every
+    name and shape is checked, so a refused restore changes nothing."""
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
@@ -118,4 +119,5 @@ def restore_params(params: dict, loaded: dict):
             raise CheckpointError(
                 f"shape mismatch for {name!r}: checkpoint {arr.shape}, "
                 f"model {tensor.data.shape}")
-        tensor.data[...] = arr
+    for name, tensor in params.items():
+        tensor.data[...] = loaded[name]

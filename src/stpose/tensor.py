@@ -30,22 +30,21 @@ cache rather than streaming the whole stack through memory once per pass,
 as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
 
-The forwards of ``attention_core`` and ``mlp`` run their work as two
-shards once it covers ``SHARD_MIN`` entries (two tiles); smaller work runs
-as one, exactly as before. Attention splits its (batch, head) map stack in
-halves that each walk their own tiles, the MLP its rows. ``Adam.step``
-runs its fixed slices as two shards once it has two slices; each entry
-goes through the same ops in either shard. Shard 0 runs inline and shard 1
-on one helper thread, started by the first call that shards, while numpy
-releases the interpreter lock inside each BLAS call, ufunc and reduction.
-Only the array shapes fix the split, so the bits do not depend on the CPU
-count: with one CPU, or inside ``_without_helper()``, shard 1 runs inline
-after shard 0. Training runs each whole-clip step as two halves of the
-clips in two processes, one CPU each, both inside ``_without_helper()``
-(``train._ClipHalves``); so the helper serves ``evaluate``, stage-1 steps
-and Adam. No VJP is sharded. ``train`` holds OpenBLAS at one thread
-through ``_openblas_threads`` for the whole run; elsewhere the BLAS thread
-count is left as it is.
+Two kernels run as two shards: the ``mlp`` forward once its hidden layer
+covers ``SHARD_MIN`` entries, split by rows, and ``Adam.step`` once it has
+two of its fixed slices; smaller work runs as one, and each entry goes
+through the same ops in either shard. Attention walks its one tile list on
+the calling thread. Shard 0 runs inline and shard 1 on one helper thread,
+started by the first call that shards, while numpy releases the
+interpreter lock inside each BLAS call, ufunc and reduction. Only the array
+shapes fix the split, so the bits do not depend on the CPU count: with one
+CPU, or inside ``_without_helper()``, shard 1 runs inline after shard 0.
+Training runs each whole-clip step as two halves of the clips in two
+processes, one CPU each, both inside ``_without_helper()``
+(``train._ClipHalves``); so the helper serves the MLP forward of
+``evaluate`` and of stage-1 steps, and Adam. No VJP is sharded. ``train``
+and ``evaluate`` hold OpenBLAS at one thread inside ``_one_blas_thread()``;
+elsewhere the BLAS thread count is left as it is.
 """
 
 from __future__ import annotations
@@ -389,7 +388,7 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
 
 
 ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
-SHARD_MIN = 2 * ATTENTION_TILE   # entries a kernel's work must cover before it splits in two
+SHARD_MIN = 2 * ATTENTION_TILE   # entries an MLP's hidden layer needs before it splits in two
 # Row splits fall on a multiple of every GEMM micro-kernel row count in
 # common BLAS builds (4 to 24), so each row stays in the kernel block it
 # has in the unsplit GEMM. On OpenBLAS 0.3.31 that kept the bits of all but
@@ -432,6 +431,21 @@ def _openblas_threads() -> tuple:
                 calls.append((get, set_))
                 break
     return tuple(calls)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread inside the block, and give
+    each its own thread count back on exit. The thread count can change a
+    GEMM's bits, so the block's bits do not depend on it."""
+    counts = [(set_threads, get()) for get, set_threads in _openblas_threads()]
+    for set_threads, _ in counts:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in counts:
+            set_threads(count)
 
 
 def _helper_pool() -> ThreadPoolExecutor:
@@ -603,36 +617,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out, (x, gain, bias), vjp)
 
 
-def _attention_tiles(batch: range, heads: range, per_map: int) -> list[tuple[slice, slice]]:
-    """(batch, head) index pairs that cover the maps of ``batch`` x ``heads``
-    of a (batch, heads, m, n) stack of per_map = m * n entries per map in
-    tiles of about ATTENTION_TILE entries: whole batch entries while one
-    fits, else the heads of one batch entry, down to a single map however
-    large it is."""
-    entry = len(heads) * per_map
+def _attention_tiles(batch: int, heads: int, per_map: int) -> list[tuple[slice, slice]]:
+    """(batch, head) index pairs that cover a (batch, heads, m, n) stack of
+    per_map = m * n entries per map in tiles of about ATTENTION_TILE
+    entries: whole batch entries while one fits, else the heads of one batch
+    entry, down to a single map however large it is. No tile is larger than
+    the first."""
+    entry = heads * per_map
     if entry <= ATTENTION_TILE:
         step = ATTENTION_TILE // max(entry, 1)
-        return [(slice(b, min(b + step, batch.stop)), slice(heads.start, heads.stop))
-                for b in batch[::step]]
+        return [(slice(b, min(b + step, batch)), slice(0, heads))
+                for b in range(0, batch, step)]
     step = max(ATTENTION_TILE // per_map, 1)
-    return [(slice(b, b + 1), slice(h, min(h + step, heads.stop)))
-            for b in batch for h in heads[::step]]
-
-
-def _attention_shards(batch: int, heads: int, per_map: int) -> list[list[tuple[slice, slice]]]:
-    """The tiles of a (batch, heads, m, n) map stack as one shard or, once
-    the stack holds SHARD_MIN entries, as two of about equal work: the two
-    halves of the batch entries, or of the heads of a single entry. Each
-    shard tiles its own half."""
-    if batch * heads * per_map < SHARD_MIN or batch * heads < 2:
-        return [_attention_tiles(range(batch), range(heads), per_map)]
-    if batch > 1:
-        mid = (batch + 1) // 2
-        return [_attention_tiles(range(mid), range(heads), per_map),
-                _attention_tiles(range(mid, batch), range(heads), per_map)]
-    mid = (heads + 1) // 2
-    return [_attention_tiles(range(1), range(mid), per_map),
-            _attention_tiles(range(1), range(mid, heads), per_map)]
+    return [(slice(b, b + 1), slice(h, min(h + step, heads)))
+            for b in range(batch) for h in range(0, heads, step)]
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor, np.ndarray]:
@@ -653,9 +651,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     tile-sized buffer for the logit gradient gs, takes the softmax row term
     from the output, sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes
     gk = (qᵀ gs)ᵀ and gv = (gᵀ p)ᵀ through transposed views of their head
-    blocks. The forward of a stack of SHARD_MIN entries or more runs as two
-    shards, each with its own tiles; a map's bits do not depend on how
-    maps are grouped.
+    blocks. Both walk the tiles in order on the calling thread, never as
+    shards; a map's bits do not depend on how maps are grouped into tiles.
     """
     if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]
             or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]
@@ -676,25 +673,20 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     out = np.empty((batch, m, heads * e))
     oh = split(out, m, e)
     probs = np.empty((batch, heads, m, n))
-    shards = _attention_shards(batch, heads, m * n)
-
-    def forward(tiles):
-        for tile in tiles:
-            p = probs[tile]
-            np.matmul(qh[tile], np.ascontiguousarray(np.swapaxes(kh[tile], -1, -2)), out=p)
-            p -= p.max(axis=-1, keepdims=True)
-            np.exp(p, out=p)
-            p /= p.sum(axis=-1, keepdims=True)
-            np.matmul(p, vh[tile], out=oh[tile])
-
-    _sharded(forward, shards)
+    tiles = _attention_tiles(batch, heads, m * n)
+    for tile in tiles:
+        p = probs[tile]
+        np.matmul(qh[tile], np.ascontiguousarray(np.swapaxes(kh[tile], -1, -2)), out=p)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, vh[tile], out=oh[tile])
     probs.setflags(write=False)
 
     def vjp(g):
         gh = split(g, m, e)
         gq, gk, gv = np.empty(q.shape), np.empty(k.shape), np.empty(v.shape)
         gqh, gkh, gvh = split(gq, m, dh), split(gk, n, dh), split(gv, n, e)
-        tiles = [tile for shard in shards for tile in shard]
         buf = np.empty(probs[tiles[0]].size if tiles else 0)   # the largest tile's
         for tile in tiles:
             p = probs[tile]

@@ -358,51 +358,46 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     params = model.named_params()
     halves = None
     # one BLAS thread throughout, set before the worker is forked so that it
-    # inherits it: the thread count can change a GEMM's bits, and two
-    # threads in each clip half put four busy threads on two CPUs (whole
-    # runs took 3-6x longer)
-    blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
-    for set_threads, _ in blas:
-        set_threads(1)
-    try:
-        if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
-            halves = _ClipHalves(model, batch, list(params.values()))
-        opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
-        history = []
-        all_clips = range(batch.clips)
-        image_step = 0
-        for step in range(cfg.total_steps):
-            stage = 1 if step < cfg.steps_stage1 else 2
-            # stage 1 feeds single frames only; stage 2 feeds whole clips and
-            # single frames in the same step, at a weight fixed by the config,
-            # so the objective is the same from step to step
-            ratio = 1.0 if stage == 1 else cfg.stage2_image_ratio
-            frame = image_step % batch.frames if ratio > 0.0 else None
-            try:
-                opt.zero_grad()
-                if stage == 2 and halves is not None:
-                    terms = halves.step(opt, frame, ratio)
-                else:
-                    terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
-            except Exception as exc:
-                cause, where = exc, ""
-                if isinstance(exc, _ForwardError):
-                    cause, where = exc.args[0], f" (forward pass, {cfg.decoder} decoder)"
-                raise RuntimeError(f"training failed at step {step} (stage "
-                                   f"{stage}): {cause}{where}") from cause
-            if frame is not None:
-                image_step += 1
-            report = LossReport(Tensor(terms[0]), *terms[1:])
-            _check_finite(report, step)
-            _check_grads(params, opt.grad, step)
-            opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
-            opt.step()
-            history.append(StepRecord(step, stage, opt.lr, *terms))
-    finally:
-        if halves is not None:
-            halves.close()
-        for set_threads, count in blas:
-            set_threads(count)
+    # inherits it: two threads in each clip half put four busy threads on
+    # two CPUs (whole runs took 3-6x longer)
+    with T._one_blas_thread():
+        try:
+            if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
+                halves = _ClipHalves(model, batch, list(params.values()))
+            opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
+            history = []
+            all_clips = range(batch.clips)
+            image_step = 0
+            for step in range(cfg.total_steps):
+                stage = 1 if step < cfg.steps_stage1 else 2
+                # stage 1 feeds single frames only; stage 2 feeds whole clips and
+                # single frames in the same step, at a weight fixed by the config,
+                # so the objective is the same from step to step
+                ratio = 1.0 if stage == 1 else cfg.stage2_image_ratio
+                frame = image_step % batch.frames if ratio > 0.0 else None
+                try:
+                    opt.zero_grad()
+                    if stage == 2 and halves is not None:
+                        terms = halves.step(opt, frame, ratio)
+                    else:
+                        terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
+                except Exception as exc:
+                    cause, where = exc, ""
+                    if isinstance(exc, _ForwardError):
+                        cause, where = exc.args[0], f" (forward pass, {cfg.decoder} decoder)"
+                    raise RuntimeError(f"training failed at step {step} (stage "
+                                       f"{stage}): {cause}{where}") from cause
+                if frame is not None:
+                    image_step += 1
+                report = LossReport(Tensor(terms[0]), *terms[1:])
+                _check_finite(report, step)
+                _check_grads(params, opt.grad, step)
+                opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
+                opt.step()
+                history.append(StepRecord(step, stage, opt.lr, *terms))
+        finally:
+            if halves is not None:
+                halves.close()
 
     result = TrainResult(model, batch, history)
     if out_dir is not None:
@@ -434,17 +429,19 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     """Per-clip mpjpe / pa_mpjpe / accel (mm) plus their means.
 
     All clips go through one ``model_forward`` pass that records no graph.
-    Returns (rows, mean).
+    OpenBLAS runs on one thread until the call returns, as in ``train``, so
+    the rows do not depend on the BLAS thread count. Returns (rows, mean).
     """
-    with T.no_grad():
-        j3d = model_forward(model, batch.obs).j3d.data
-    rows = []
-    for clip in range(batch.clips):
-        pred, gt = j3d[clip], batch.gt_j3d[clip]
-        rows.append({"clip_id": clip, "mpjpe": mpjpe(pred, gt),
-                     "pa_mpjpe": pa_mpjpe(pred, gt),
-                     "accel": accel_error(pred, gt) if batch.frames >= 3
-                     else float("nan")})
+    with T._one_blas_thread():
+        with T.no_grad():
+            j3d = model_forward(model, batch.obs).j3d.data
+        rows = []
+        for clip in range(batch.clips):
+            pred, gt = j3d[clip], batch.gt_j3d[clip]
+            rows.append({"clip_id": clip, "mpjpe": mpjpe(pred, gt),
+                         "pa_mpjpe": pa_mpjpe(pred, gt),
+                         "accel": accel_error(pred, gt) if batch.frames >= 3
+                         else float("nan")})
     mean = {k: float(np.mean([r[k] for r in rows])) for k in EVAL_COLUMNS}
     if csv_path is not None:
         columns = ("clip_id",) + EVAL_COLUMNS

@@ -156,6 +156,20 @@ class TestRestore:
         with pytest.raises(CheckpointError, match=r"\(2, 3\).*\(3, 2\)"):
             restore_params({"a": Tensor(np.zeros((3, 2)))}, loaded)
 
+    def test_a_refused_restore_changes_no_parameter(self, tmp_path):
+        # only the last entry is mis-shaped, so every shape must be checked
+        # before the first copy
+        path = tmp_path / "model.ckpt"
+        source = sample_params(seed=3)
+        source["gate"] = Tensor(np.zeros(2))
+        save_checkpoint(path, source)
+        target = sample_params(seed=4)
+        before = {name: t.data.copy() for name, t in target.items()}
+        with pytest.raises(CheckpointError, match="'gate'"):
+            restore_params(target, load_checkpoint(path))
+        for name, tensor in target.items():
+            assert tensor.data.tobytes() == before[name].tobytes(), name
+
     def test_restore_does_not_rebind_data_arrays(self, tmp_path):
         path = tmp_path / "model.ckpt"
         source = sample_params(seed=3)

@@ -431,21 +431,20 @@ def test_layer_norm_matches_composite():
         assert _rel(got, want) <= 1e-12
 
 
-# (lead, m, n, dh, e, heads) and the number of tiles of each shard of the
-# map stack: small maps fit one tile, many small maps take tiles of whole
-# batch entries, and a batch entry above the tile budget takes tiles of
-# heads, one map each for a map above the budget; a stack of SHARD_MIN
-# entries or more splits in two halves that each tile their own maps
+# (lead, m, n, dh, e, heads) and the number of tiles of the map stack:
+# small maps fit one tile, many small maps take tiles of whole batch
+# entries, and a batch entry above the tile budget takes tiles of heads,
+# one map each for a map above the budget
 @pytest.mark.parametrize("shapes, tiles", [
-    (((2, 3), 5, 7, 4, 3, 2), [1]),
-    (((64,), 17, 17, 16, 16, 4), [2]),
-    (((300,), 17, 17, 8, 8, 2), [2, 2]),
-    (((1,), 272, 272, 16, 16, 1), [1]),
-    (((2,), 150, 150, 4, 4, 4), [2, 2]),
+    (((2, 3), 5, 7, 4, 3, 2), 1),
+    (((64,), 17, 17, 16, 16, 4), 2),
+    (((300,), 17, 17, 8, 8, 2), 3),
+    (((1,), 272, 272, 16, 16, 1), 1),
+    (((2,), 150, 150, 4, 4, 4), 4),
 ], ids=["small", "spatial", "batch_tiles", "one_map_tile", "head_tiles"])
 def test_attention_core_matches_composite(shapes, tiles):
     lead, m, n, dh, e, heads = shapes
-    assert [len(s) for s in T._attention_shards(math.prod(lead), heads, m * n)] == tiles
+    assert len(T._attention_tiles(math.prod(lead), heads, m * n)) == tiles
     rng = np.random.default_rng(23)
     q, k = rand(rng, *lead, m, heads * dh), rand(rng, *lead, n, heads * dh)
     v = rand(rng, *lead, n, heads * e)
@@ -456,6 +455,21 @@ def test_attention_core_matches_composite(shapes, tiles):
     for got, want in zip(_grads(fused, [q, k, v], np.random.default_rng(3)),
                          _grads(composite, [q, k, v], np.random.default_rng(3))):
         assert _rel(got, want) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.integers(1, 16),
+       st.one_of(st.integers(0, 600), st.integers(0, 3 * T.ATTENTION_TILE)))
+def test_attention_tiles_cover_each_map_once_within_the_budget(batch, heads, per_map):
+    tiles = T._attention_tiles(batch, heads, per_map)
+    cover = np.zeros((batch, heads), dtype=int)
+    for tile in tiles:
+        cover[tile] += 1
+    assert (cover == 1).all()
+    maps = [cover[tile].size for tile in tiles]
+    assert all(n * per_map <= T.ATTENTION_TILE or n == 1 for n in maps)
+    # the VJP sizes its one logit-gradient buffer by the first tile
+    assert maps == [] or maps[0] == max(maps)
 
 
 @pytest.mark.parametrize("lead", [(6,), (2, 3, 4)], ids=["2d", "4d"])
@@ -492,29 +506,6 @@ def _run_with_grads(fn, inputs, seed):
     res = fn(*inputs)
     out, probs = res if isinstance(res, tuple) else (res, None)
     return out.data, probs, out._vjp(np.random.default_rng(seed).standard_normal(out.shape))
-
-
-# (batch, tokens, heads) at d = 64 and the tiles of each shard: the
-# train_coupled block-0 stack, 8 clips of 272 tokens, one map per tile;
-# and a spatial stack of 128 frames of 17 tokens, whose halves take two
-# tiles each
-@pytest.mark.parametrize("shape, tiles", [
-    ((8, 272, 4), [16, 16]),
-    ((128, 17, 4), [2, 2]),
-], ids=["coupled_block0", "spatial_two_tiles"])
-def test_sharded_attention_same_bits_on_the_helper_and_inline(shape, tiles, inline_shards):
-    batch, tokens, heads = shape
-    assert [len(s) for s in T._attention_shards(batch, heads, tokens * tokens)] == tiles
-    rng = np.random.default_rng(30)
-    qkv = [rand(rng, batch, tokens, 64) for _ in range(3)]
-    core = lambda q, k, v: T.attention_core(q, k, v, heads)
-    on_helper = _run_with_grads(core, qkv, 5)
-    with inline_shards():
-        inline = _run_with_grads(core, qkv, 5)
-    np.testing.assert_array_equal(on_helper[0], inline[0])
-    np.testing.assert_array_equal(on_helper[1], inline[1])
-    for got, want in zip(on_helper[2], inline[2]):
-        np.testing.assert_array_equal(got, want)
 
 
 # the rows of train_coupled's block 0, 8 clips of 272 tokens at d = 64,
@@ -554,6 +545,15 @@ def test_overflow_in_shard_one_raises_under_the_callers_error_state(inline_shard
         T.mlp(Tensor(x), *params)
 
 
+def _mlp_in_two_shards(rng):
+    """An MLP input and parameters whose 544 rows by 256 hidden reach
+    SHARD_MIN, so its forward runs as two shards."""
+    assert len(T._row_shards(544, 256)) == 2
+    x = Tensor(rng.standard_normal((544, 64)))
+    return x, [Tensor(rng.standard_normal(shape)) for shape in ((64, 256), (256,),
+                                                               (256, 64), (64,))]
+
+
 class ShardFault(Exception):
     pass
 
@@ -569,20 +569,20 @@ def test_an_error_in_shard_one_reaches_the_caller_and_the_helper_runs_on(inline_
     main, helper = T._sharded(kernel, ["ok", "ok"])
     assert main == threading.current_thread().name
     assert helper.startswith("stpose-shard")
-    rng = np.random.default_rng(33)
-    _, probs = T.attention_core(*(rand(rng, 8, 136, 8) for _ in range(3)), 2)
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
+    x, params = _mlp_in_two_shards(np.random.default_rng(33))
+    np.testing.assert_array_equal(
+        T.mlp(x, *params).data,
+        T.affine(_gelu_node(T.affine(x, *params[:2])), *params[2:]).data)
 
 
 def test_concurrent_callers_share_one_helper(inline_shards):
-    rng = np.random.default_rng(34)
-    qkv = [Tensor(rng.standard_normal((8, 136, 8))) for _ in range(3)]
-    want = T.attention_core(*qkv, 2)[0].data
+    x, params = _mlp_in_two_shards(np.random.default_rng(34))
+    want = T.mlp(x, *params).data
     results, switch = [], sys.getswitchinterval()
 
     def caller():
         for _ in range(3):
-            results.append(np.array_equal(T.attention_core(*qkv, 2)[0].data, want))
+            results.append(np.array_equal(T.mlp(x, *params).data, want))
 
     sys.setswitchinterval(1e-6)
     try:

@@ -37,6 +37,24 @@ def tiny_cfg(**kwargs):
     return RunConfig(**defaults)
 
 
+def at_one_and_two_blas_threads(run):
+    """[run() with OpenBLAS set to 1 thread, run() with it set to 2]. Each
+    run must give the count it found back; the counts found before are
+    restored afterwards."""
+    calls = T._openblas_threads()
+    before, results = [get() for get, _ in calls], []
+    try:
+        for threads in (1, 2):
+            for _, set_threads in calls:
+                set_threads(threads)
+            results.append(run())
+            assert [get() for get, _ in calls] == [threads] * len(calls)
+    finally:
+        for (_, set_threads), count in zip(calls, before):
+            set_threads(count)
+    return results
+
+
 class TestModelAssembly:
     def test_named_params_prefixes(self):
         model = build_model(tiny_cfg())
@@ -487,10 +505,11 @@ class TestDeterminism:
             assert np.array_equal(pa[name].data, pb[name].data), name
 
     def test_sharded_run_same_on_the_helper_and_inline(self, inline_shards, monkeypatch):
-        # stage-1 frames of 16 clips: block 0's coupled maps (16, 2, 65, 65)
-        # and its MLP (1040 rows, 256 hidden) reach SHARD_MIN, so their
-        # forwards run as two shards, and Adam's groups do too. Whole-clip
-        # steps would run in clip halves, whose kernels never use the helper
+        # stage-1 frames of 16 clips: block 0's MLP (1040 rows, 256 hidden)
+        # reaches SHARD_MIN, so its forward runs as two shards, and Adam's
+        # groups do too; attention, whose maps (16, 2, 65, 65) would reach it
+        # too, never shards. Whole-clip steps would run in clip halves, whose
+        # kernels never use the helper
         cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=64, t_clip=2, clips=16,
                        steps_stage1=3, steps_stage2=0)
         sharded, real = [], T._sharded
@@ -505,7 +524,7 @@ class TestDeterminism:
         on_helper = train(cfg)
         with inline_shards():
             inline = train(cfg)
-        assert set(sharded) == {"attention_core", "mlp", "Adam"}
+        assert set(sharded) == {"mlp", "Adam"}
         assert on_helper.history == inline.history
         pa, pb = on_helper.model.named_params(), inline.model.named_params()
         for name in pa:
@@ -515,17 +534,7 @@ class TestDeterminism:
         # a stage-1 run, which forks no worker, over a batch large enough
         # that the thread count changed its bits while BLAS was left as set
         cfg = RunConfig(steps_stage1=2, steps_stage2=0, clips=16, hw=64)
-        calls = T._openblas_threads()
-        before, runs = [get() for get, _ in calls], []
-        try:
-            for threads in (1, 2):
-                for _, set_threads in calls:
-                    set_threads(threads)
-                runs.append(train(cfg))
-                assert [get() for get, _ in calls] == [threads] * len(calls)
-        finally:
-            for (_, set_threads), count in zip(calls, before):
-                set_threads(count)
+        runs = at_one_and_two_blas_threads(lambda: train(cfg))
         assert runs[0].history == runs[1].history
         pa, pb = runs[0].model.named_params(), runs[1].model.named_params()
         for name in pa:
@@ -722,6 +731,19 @@ class TestEvaluate:
             assert row["accel"] == 0.0
             assert row["pa_mpjpe"] < 1e-9
         assert mean["mpjpe"] == 0.0
+
+    def test_rows_do_not_depend_on_the_blas_thread_count(self):
+        # whole 16-frame coupled clips through noisy weights: while BLAS was
+        # left as set, these rows changed between one thread and two
+        cfg = RunConfig(seed=1, encoder="coupling", decoder="iterative", t_clip=16)
+        model = build_model(cfg)
+        rng = np.random.default_rng(5)
+        for p in model.named_params().values():
+            p.data += rng.normal(0.0, 0.01, p.shape)
+        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        rows = at_one_and_two_blas_threads(lambda: evaluate(model, batch)[0])
+        assert rows[0] == rows[1]
 
     def test_rows_match_per_clip_forward(self):
         cfg = tiny_cfg()
