@@ -148,6 +148,8 @@ class SteBlock(Module):
         self.ln_mlp = LayerNorm(d)
         self.fc1 = Affine(d, MLP_RATIO * d, rng)
         self.fc2 = Affine(MLP_RATIO * d, d, rng)
+        # read by tests only; both of evaluate's clip halves write it, so
+        # after evaluate it holds one half's parallel_v2 gates
         self.last_alpha = None
 
     def _gated_mix(self, s: Tensor, t: Tensor) -> Tensor:

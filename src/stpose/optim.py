@@ -9,7 +9,7 @@ its view in place. A step applies the per-tensor Adam ops, in their usual
 order, in place to fixed slices of ``ADAM_TILE`` entries of the flat
 buffers. Every entry sees the same IEEE operations as in a per-tensor
 update, so the bits do not depend on the slicing. Two or more slices run
-as two shards on the engine's helper thread (``tensor._sharded``), split
+as two halves on the engine's helper thread (``tensor._sharded``), split
 at the middle slice. In training, only the main process steps Adam: after
 a whole-clip step's two clip halves, one of them run by a worker process,
 have added up their gradients in ``grad`` (``train._ClipHalves``), while

@@ -30,21 +30,14 @@ cache rather than streaming the whole stack through memory once per pass,
 as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
 
-Two kernels run as two shards: the ``mlp`` forward once its hidden layer
-covers ``SHARD_MIN`` entries, split by rows, and ``Adam.step`` once it has
-two of its fixed slices; smaller work runs as one, and each entry goes
-through the same ops in either shard. Attention walks its one tile list on
-the calling thread. Shard 0 runs inline and shard 1 on one helper thread,
-started by the first call that shards, while numpy releases the
-interpreter lock inside each BLAS call, ufunc and reduction. Only the array
-shapes fix the split, so the bits do not depend on the CPU count: with one
-CPU, or inside ``_without_helper()``, shard 1 runs inline after shard 0.
-Training runs each whole-clip step as two halves of the clips in two
-processes, one CPU each, both inside ``_without_helper()``
-(``train._ClipHalves``); so the helper serves the MLP forward of
-``evaluate`` and of stage-1 steps, and Adam. No VJP is sharded. ``train``
-and ``evaluate`` hold OpenBLAS at one thread inside ``_one_blas_thread()``;
-elsewhere the BLAS thread count is left as it is.
+No kernel runs in parallel: every op runs on the calling thread, and
+``no_grad`` is per thread. ``_sharded`` runs a caller's two halves, the
+first inline and the second on one helper thread, while numpy releases the
+interpreter lock inside BLAS calls and ufuncs: Adam's two halves of its
+slices, and ``train.evaluate``'s two halves of the clips. Shapes alone fix
+each split, so the bits do not depend on the CPU count: with one CPU the
+second half runs inline after the first. ``train`` and ``evaluate`` hold
+OpenBLAS at one thread inside ``_one_blas_thread()``.
 """
 
 from __future__ import annotations
@@ -149,25 +142,29 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    enabled = True   # every thread starts out recording
+
+
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Run the enclosed ops without recording a graph: their results do not
-    require gradients and keep no parents or VJP. Restores the previous
-    setting on exit, so blocks nest."""
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
+    """Run the enclosed ops of this thread without recording a graph: their
+    results do not require gradients and keep no parents or VJP. Other
+    threads record as before. Restores this thread's previous setting on
+    exit, so blocks nest."""
+    prev, _grad_mode.enabled = _grad_mode.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_mode.enabled = prev
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjp = vjp
@@ -384,20 +381,11 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _result(n if keepdims else n.squeeze(axis), (t,), vjp)
 
 
-# -- two shards ------------------------------------------------------------
+# -- BLAS threads and two halves ------------------------------------------
 
-
-ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
-SHARD_MIN = 2 * ATTENTION_TILE   # entries an MLP's hidden layer needs before it splits in two
-# Row splits fall on a multiple of every GEMM micro-kernel row count in
-# common BLAS builds (4 to 24), so each row stays in the kernel block it
-# has in the unsplit GEMM. On OpenBLAS 0.3.31 that kept the bits of all but
-# 4 of 304 random GEMM shapes; splitting at the exact half changed 104 of 300.
-_ROW_ALIGN = 48
 
 _helper: tuple[int, ThreadPoolExecutor] | None = None   # (pid, pool) that runs shard 1
 _helper_lock = threading.Lock()
-_helper_on = True   # cleared by _without_helper()
 
 
 def _helper_cpus() -> int:
@@ -458,28 +446,14 @@ def _helper_pool() -> ThreadPoolExecutor:
         return _helper[1]
 
 
-@contextmanager
-def _without_helper():
-    """Run shard 1 of every kernel inline after shard 0 inside the block, for
-    a caller whose other CPU is busy with other work. Restores the previous
-    setting on exit, so blocks nest."""
-    global _helper_on
-    prev, _helper_on = _helper_on, False
-    try:
-        yield
-    finally:
-        _helper_on = prev
-
-
 def _sharded(kernel: Callable, shards: Sequence) -> list:
     """``[kernel(shard) for shard in shards]`` for one or two shards that
-    write disjoint memory. Shard 0 runs inline. Shard 1 runs on the helper
-    thread when this process may use two CPUs and is not inside
-    ``_without_helper()``, under the caller's numpy error state (numpy keeps
-    it per thread), else inline after shard 0.
-    Both have stopped before this returns or raises, and an exception in
-    either reaches the caller with its own type."""
-    if len(shards) == 1 or not _helper_on or _helper_cpus() < 2:
+    write disjoint memory, for ``Adam.step`` and ``train.evaluate``. Shard 0
+    runs inline; shard 1 on the helper thread when this process may use two
+    CPUs, under the caller's numpy error state but not its ``no_grad`` (both
+    per thread), else inline after shard 0. Both have stopped before this
+    returns or raises, and an error in either reaches the caller as is."""
+    if len(shards) == 1 or _helper_cpus() < 2:
         return [kernel(shard) for shard in shards]
     errors, call = np.geterr(), np.geterrcall()
 
@@ -493,16 +467,6 @@ def _sharded(kernel: Callable, shards: Sequence) -> list:
     finally:
         future.exception()   # waits for shard 1 even when shard 0 raised
     return [first, future.result()]
-
-
-def _row_shards(rows: int, width: int) -> list[slice]:
-    """All rows of a (rows, width) kernel as one slice or, once rows * width
-    reaches SHARD_MIN entries, as two of about half each, split at the
-    multiple of _ROW_ALIGN rows nearest the middle."""
-    mid = _ROW_ALIGN * ((rows + _ROW_ALIGN) // (2 * _ROW_ALIGN))
-    if rows * width < SHARD_MIN or not 0 < mid < rows:
-        return [slice(0, rows)]
-    return [slice(0, mid), slice(mid, rows)]
 
 
 # -- linear algebra --------------------------------------------------------
@@ -540,9 +504,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     bits equal that composite's. The VJP keeps only the pre-activation h
     and Φ (it recomputes h * Φ for the fc2 weight gradient), builds the
     GELU derivative Φ + h * pdf(h) in one buffer and runs one GEMM per
-    gradient. Once rows * hidden reaches SHARD_MIN entries, the forward
-    runs its rows as two shards, each writing its rows of h, Φ and the
-    output.
+    gradient.
     """
     for w, b, name in ((w1, b1, "fc1"), (w2, b2, "fc2")):
         if w.ndim != 2 or b.shape != (w.shape[1],):
@@ -554,22 +516,14 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp expects rank >= 2 input with trailing extent {fan_in}, "
                          f"got {x.shape}")
     rows = x.data.reshape(-1, fan_in)
-    h, phi = np.empty((len(rows), hidden)), np.empty((len(rows), hidden))
-    y = np.empty((len(rows), fan_out))
-    shards = _row_shards(len(rows), hidden)
-
-    def forward(r):
-        hr, pr = h[r], phi[r]
-        np.matmul(rows[r], w1.data, out=hr)
-        hr += b1.data
-        np.multiply(hr, _INV_SQRT2, out=pr)
-        erf(pr, out=pr)
-        pr += 1.0
-        pr *= 0.5
-        np.matmul(hr * pr, w2.data, out=y[r])
-        y[r] += b2.data
-
-    _sharded(forward, shards)
+    h = rows @ w1.data
+    h += b1.data
+    phi = np.multiply(h, _INV_SQRT2)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    y = (h * phi) @ w2.data
+    y += b2.data
 
     def vjp(g):
         g = g.reshape(-1, fan_out)
@@ -617,6 +571,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(out, (x, gain, bias), vjp)
 
 
+ATTENTION_TILE = 1 << 16   # probability entries per tile: 512 KiB, sized to stay in L2
+
+
 def _attention_tiles(batch: int, heads: int, per_map: int) -> list[tuple[slice, slice]]:
     """(batch, head) index pairs that cover a (batch, heads, m, n) stack of
     per_map = m * n entries per map in tiles of about ATTENTION_TILE
@@ -651,8 +608,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> tuple[Tensor,
     tile-sized buffer for the logit gradient gs, takes the softmax row term
     from the output, sum_j p_ij (g vᵀ)_ij = g_i · out_i, and writes
     gk = (qᵀ gs)ᵀ and gv = (gᵀ p)ᵀ through transposed views of their head
-    blocks. Both walk the tiles in order on the calling thread, never as
-    shards; a map's bits do not depend on how maps are grouped into tiles.
+    blocks. Both walk the tiles in order; a map's bits do not depend on how
+    maps are grouped into tiles.
     """
     if (q.ndim < 2 or k.shape[:-2] != q.shape[:-2] or v.shape[:-2] != q.shape[:-2]
             or k.shape[-1] != q.shape[-1] or v.shape[-2] != k.shape[-2]

@@ -226,20 +226,19 @@ class _ClipHalves:
     ceil(B/2) and the rest, each one graph whose loss is scaled by its share
     of the clips.
 
-    When this process may use two CPUs (``tensor._helper_cpus``) and start
-    a child, a worker process forked here runs the second half while this
-    one runs the first, each on one CPU, and neither uses the helper
-    thread. The worker's model is its forked copy, its parameters' ``data``
-    and ``grad`` viewing flat buffers, in Adam's layout, of a mapping
-    shared with this process, and its memory comes on top of this
-    process's. Each step copies Adam's flat parameters there and sends the
-    worker the frame; the worker writes its gradient beside them and
-    answers with its loss terms or its error. This process adds that
+    When this process may use two CPUs (``tensor._helper_cpus``) and start a
+    child, a worker process forked here runs the second half while this one
+    runs the first, each on one CPU. The worker's model is its forked copy,
+    its parameters' ``data`` and ``grad`` viewing flat buffers, in Adam's
+    layout, of a mapping shared with this process, and its memory comes on
+    top of this process's. Each step copies Adam's flat parameters there and
+    sends the worker the frame; the worker writes its gradient beside them
+    and answers with its loss terms or its error. This process adds that
     gradient into Adam's. The worker runs nothing else, and ``close`` ends
-    it. With one CPU this process runs the second half after the first,
-    into the same gradient. Either way the same ops run on the same values,
-    and the gradients are added as half 0 + half 1, so the bits do not
-    depend on the CPU count.
+    it. With one CPU this process runs the second half after the first, into
+    the same gradient. Either way the same ops run on the same values, and
+    the gradients are added as half 0 + half 1, so the bits do not depend on
+    the CPU count.
     """
 
     def __init__(self, model: Model, batch: ClipBatch, params: list):
@@ -272,19 +271,18 @@ class _ClipHalves:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
         for p, (data, grad) in zip(self.params, flat_views(self.params, self.flat, self.grad)):
             p.data, p.grad = data, grad
-        with T._without_helper():
-            while True:
-                try:
-                    frame, ratio, errors = pipe.recv()
-                except EOFError:
-                    return
-                self.grad.fill(0.0)
-                try:
-                    with np.errstate(**errors):
-                        reply = self._second(frame, ratio)
-                except Exception as exc:   # the parent raises it
-                    reply = exc
-                pipe.send(reply)
+        while True:
+            try:
+                frame, ratio, errors = pipe.recv()
+            except EOFError:
+                return
+            self.grad.fill(0.0)
+            try:
+                with np.errstate(**errors):
+                    reply = self._second(frame, ratio)
+            except Exception as exc:   # the parent raises it
+                reply = exc
+            pipe.send(reply)
 
     def _second(self, frame, ratio) -> tuple:
         return _step_grads(self.model, self.batch, self.clips[1], frame,
@@ -305,9 +303,8 @@ class _ClipHalves:
                 self.pipe.send((frame, ratio, np.geterr()))
             except OSError:
                 raise self._lost() from None
-        with T._without_helper():
-            first = _step_grads(self.model, self.batch, self.clips[0], frame,
-                                ratio, self.shares[0])
+        first = _step_grads(self.model, self.batch, self.clips[0], frame,
+                            ratio, self.shares[0])
         if self.worker is None:
             second = self._second(frame, ratio)
         else:
@@ -428,13 +425,25 @@ def _write_csv(path, columns, rows, note=None):
 def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     """Per-clip mpjpe / pa_mpjpe / accel (mm) plus their means.
 
-    All clips go through one ``model_forward`` pass that records no graph.
-    OpenBLAS runs on one thread until the call returns, as in ``train``, so
-    the rows do not depend on the BLAS thread count. Returns (rows, mean).
+    The clips run as two fixed halves, the first ceil(B/2) and the rest,
+    each one no-grad ``model_forward``, the second on the engine's helper
+    thread when there are two CPUs (``tensor._sharded``); a
+    :class:`DegenerateRotationError` names the batch's clip. Neither the
+    CPU count nor, with OpenBLAS held at one thread as in ``train``, the
+    BLAS thread count changes the rows. Returns (rows, mean).
     """
+    def forward(clips: slice) -> np.ndarray:
+        try:
+            with T.no_grad():   # per thread, so each half enters its own
+                return model_forward(model, batch.obs[clips]).j3d.data
+        except DegenerateRotationError as exc:
+            raise DegenerateRotationError((exc.index[0] + clips.start, *exc.index[1:]),
+                                          exc.what, exc.norm) from None
+
+    first = (batch.clips + 1) // 2
+    halves = [slice(0, first)] + ([slice(first, batch.clips)] if first < batch.clips else [])
     with T._one_blas_thread():
-        with T.no_grad():
-            j3d = model_forward(model, batch.obs).j3d.data
+        j3d = np.concatenate(T._sharded(forward, halves))
         rows = []
         for clip in range(batch.clips):
             pred, gt = j3d[clip], batch.gt_j3d[clip]

@@ -1,7 +1,7 @@
-"""Every imported name is read, and every top-level function and class of
-stpose has a caller in stpose: an import nothing reads, or a definition only
-tests reach, is a dead line that suggests a dependency, a feature or
-coverage the code does not have."""
+"""Every imported name is read, and every top-level function, class and
+constant of stpose has a reader in stpose: an import nothing reads, or a
+definition only tests reach, is a dead line that suggests a dependency, a
+feature or coverage the code does not have."""
 
 import ast
 import collections
@@ -67,22 +67,38 @@ def _reads(tree) -> collections.Counter:
     return out
 
 
+def _defined(node) -> list:
+    """The names a top-level statement defines: a function or a class, or
+    each plain name an assignment binds, dunders such as ``__all__``
+    excepted."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+            and not (n.id.startswith("__") and n.id.endswith("__"))]
+
+
 def uncalled_definitions(sources: list) -> list:
-    """Top-level functions and classes of the given sources that none of
-    them reads, in source order. A read inside the definition itself (a
-    recursive call) does not count; a read of an attribute of the same
+    """Top-level functions, classes and constants of the given sources that
+    none of them reads, in source order. A read inside the definition itself
+    (a recursive call) does not count; a read of an attribute of the same
     name anywhere does, so the scan can miss a dead name."""
     trees = [ast.parse(source) for source in sources]
     total = sum((_reads(tree) for tree in trees), collections.Counter())
-    return [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and total[node.name] == _reads(node)[node.name]]
+    return [name for tree in trees for node in tree.body for name in _defined(node)
+            if total[name] == _reads(node)[name]]
 
 
 def test_definition_scan_finds_the_uncalled_names():
-    sources = ["def used(): pass\ndef lone(): return lone()\nclass Dead: pass\n",
-               "import m\nm.used()\ndef also(): pass\nalso()\n"]
-    assert uncalled_definitions(sources) == ["lone", "Dead"]
+    sources = ["def used(): pass\ndef lone(): return lone()\nclass Dead: pass\n"
+               "LIMIT = 3\n__version__ = '1'\n_A, _B = 1, 2\nWIDTH: int = 4\n",
+               "import m\nm.used()\ndef also(): pass\nalso()\nprint(_A, m.WIDTH)\n"]
+    assert uncalled_definitions(sources) == ["lone", "Dead", "LIMIT", "_B"]
 
 
 def test_every_definition_has_a_caller():

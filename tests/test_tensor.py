@@ -408,13 +408,18 @@ def _grads(out, inputs, rng):
     return grads
 
 
-@pytest.mark.parametrize("lead", [(6,), (2, 6), (2, 3, 4)], ids=["2d", "3d", "4d"])
-def test_affine_matches_matmul_plus_bias(lead):
+# the last case is train_coupled's block 0: 8 clips of 272 tokens at d = 64
+# through its query-key-value affine (64 -> 192), MLP (64 -> 256 -> 64) and
+# layer norm
+@pytest.mark.parametrize("lead, fan_in, fan_out", [
+    ((6,), 5, 3), ((2, 6), 5, 3), ((2, 3, 4), 5, 3), ((8, 272), 64, 192),
+], ids=["2d", "3d", "4d", "8x272"])
+def test_affine_matches_matmul_plus_bias(lead, fan_in, fan_out):
     rng = np.random.default_rng(21)
-    x, w, b = rand(rng, *lead, 5), rand(rng, 5, 3), rand(rng, 3)
+    x, w, b = rand(rng, *lead, fan_in), rand(rng, fan_in, fan_out), rand(rng, fan_out)
     fused, composite = T.affine(x, w, b), _affine_composite(x, w, b)
-    assert fused.shape == lead + (3,)
-    assert _rel(fused.data, composite.data) <= 1e-12
+    assert fused.shape == lead + (fan_out,)
+    np.testing.assert_array_equal(fused.data, composite.data)
     for got, want in zip(_grads(fused, [x, w, b], np.random.default_rng(1)),
                          _grads(composite, [x, w, b], np.random.default_rng(1))):
         assert _rel(got, want) <= 1e-12
@@ -422,13 +427,14 @@ def test_affine_matches_matmul_plus_bias(lead):
 
 def test_layer_norm_matches_composite():
     rng = np.random.default_rng(22)
-    x, gain, bias = rand(rng, 2, 3, 4, 8), rand(rng, 8), rand(rng, 8)
-    fused = T.layer_norm(x, gain, bias)
-    composite = _layer_norm_composite(x, gain, bias)
-    np.testing.assert_array_equal(fused.data, composite.data)
-    for got, want in zip(_grads(fused, [x, gain, bias], np.random.default_rng(2)),
-                         _grads(composite, [x, gain, bias], np.random.default_rng(2))):
-        assert _rel(got, want) <= 1e-12
+    for shape in ((2, 3, 4, 8), (8, 272, 64)):
+        x, gain, bias = rand(rng, *shape), rand(rng, shape[-1]), rand(rng, shape[-1])
+        fused = T.layer_norm(x, gain, bias)
+        composite = _layer_norm_composite(x, gain, bias)
+        np.testing.assert_array_equal(fused.data, composite.data)
+        for got, want in zip(_grads(fused, [x, gain, bias], np.random.default_rng(2)),
+                             _grads(composite, [x, gain, bias], np.random.default_rng(2))):
+            assert _rel(got, want) <= 1e-12
 
 
 # (lead, m, n, dh, e, heads) and the number of tiles of the map stack:
@@ -472,15 +478,19 @@ def test_attention_tiles_cover_each_map_once_within_the_budget(batch, heads, per
     assert maps == [] or maps[0] == max(maps)
 
 
-@pytest.mark.parametrize("lead", [(6,), (2, 3, 4)], ids=["2d", "4d"])
-def test_mlp_matches_composite(lead):
+@pytest.mark.parametrize("lead, widths", [
+    ((6,), (5, 8, 3)), ((2, 3, 4), (5, 8, 3)), ((8, 272), (64, 256, 64)),
+], ids=["2d", "4d", "8x272"])
+def test_mlp_matches_composite(lead, widths):
     rng = np.random.default_rng(27)
-    x = rand(rng, *lead, 5)
-    w1, b1, w2, b2 = rand(rng, 5, 8), rand(rng, 8), rand(rng, 8, 3), rand(rng, 3)
+    fan_in, hidden, fan_out = widths
+    x = rand(rng, *lead, fan_in)
+    w1, b1 = rand(rng, fan_in, hidden), rand(rng, hidden)
+    w2, b2 = rand(rng, hidden, fan_out), rand(rng, fan_out)
     params = [w1, b1, w2, b2]
     fused = T.mlp(x, *params)
     composite = T.affine(_gelu_node(T.affine(x, w1, b1)), w2, b2)
-    assert fused.shape == lead + (3,)
+    assert fused.shape == lead + (fan_out,)
     np.testing.assert_array_equal(fused.data, composite.data)
     for got, want in zip(_grads(fused, [x] + params, np.random.default_rng(4)),
                          _grads(composite, [x] + params, np.random.default_rng(4))):
@@ -500,58 +510,16 @@ def test_mlp_skips_the_input_gradient_of_a_constant_input():
 # ------------------------------------------------------------- two shards
 
 
-def _run_with_grads(fn, inputs, seed):
-    """The output of ``fn(*inputs)``, its probabilities if it returns any,
-    and the VJP of a fixed random cotangent."""
-    res = fn(*inputs)
-    out, probs = res if isinstance(res, tuple) else (res, None)
-    return out.data, probs, out._vjp(np.random.default_rng(seed).standard_normal(out.shape))
-
-
-# the rows of train_coupled's block 0, 8 clips of 272 tokens at d = 64,
-# through its MLP (64 -> 256 -> 64), an affine (64 -> 192) and its layer norm
-@pytest.mark.parametrize("op, widths, composite", [
-    (T.mlp, [(64, 256), (256,), (256, 64), (64,)],
-     lambda x, w1, b1, w2, b2: T.affine(_gelu_node(T.affine(x, w1, b1)), w2, b2)),
-    (T.affine, [(64, 192), (192,)], _affine_composite),
-    (T.layer_norm, [(64,), (64,)], _layer_norm_composite),
-], ids=["mlp", "affine", "layer_norm"])
-def test_sharded_rows_same_bits_on_the_helper_and_inline_and_match_composite(
-        op, widths, composite, inline_shards):
-    rng = np.random.default_rng(31)
-    x = rand(rng, 8, 272, 64)
-    params = [rand(rng, *w) for w in widths]
-    assert len(T._row_shards(8 * 272, 64)) == 2
-    on_helper = _run_with_grads(op, [x] + params, 6)
-    with inline_shards():
-        inline = _run_with_grads(op, [x] + params, 6)
-    np.testing.assert_array_equal(on_helper[0], inline[0])
-    for got, want in zip(on_helper[2], inline[2]):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(on_helper[0], composite(x, *params).data)
-    for got, want in zip(_grads(op(x, *params), [x] + params, np.random.default_rng(7)),
-                         _grads(composite(x, *params), [x] + params, np.random.default_rng(7))):
-        assert _rel(got, want) <= 1e-12
-
-
 def test_overflow_in_shard_one_raises_under_the_callers_error_state(inline_shards):
-    rng = np.random.default_rng(32)
-    x = rng.standard_normal((2176, 64))
-    second = T._row_shards(2176, 256)[1]
-    x[second] *= 1e200   # only shard 1's rows reach past the float64 range, in fc2
-    params = [rand(rng, 64, 256), rand(rng, 256), rand(rng, 256, 64), rand(rng, 64)]
-    params[2].data *= 1e110
+    ran = []
+
+    def kernel(scale):   # only shard 1 reaches past the float64 range
+        ran.append(threading.current_thread().name)
+        return np.full(4, 1e200) * scale
+
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        T.mlp(Tensor(x), *params)
-
-
-def _mlp_in_two_shards(rng):
-    """An MLP input and parameters whose 544 rows by 256 hidden reach
-    SHARD_MIN, so its forward runs as two shards."""
-    assert len(T._row_shards(544, 256)) == 2
-    x = Tensor(rng.standard_normal((544, 64)))
-    return x, [Tensor(rng.standard_normal(shape)) for shape in ((64, 256), (256,),
-                                                               (256, 64), (64,))]
+        T._sharded(kernel, [1.0, 1e200])
+    assert any(name.startswith("stpose-shard") for name in ran)
 
 
 class ShardFault(Exception):
@@ -569,20 +537,26 @@ def test_an_error_in_shard_one_reaches_the_caller_and_the_helper_runs_on(inline_
     main, helper = T._sharded(kernel, ["ok", "ok"])
     assert main == threading.current_thread().name
     assert helper.startswith("stpose-shard")
-    x, params = _mlp_in_two_shards(np.random.default_rng(33))
-    np.testing.assert_array_equal(
-        T.mlp(x, *params).data,
-        T.affine(_gelu_node(T.affine(x, *params[:2])), *params[2:]).data)
 
 
 def test_concurrent_callers_share_one_helper(inline_shards):
-    x, params = _mlp_in_two_shards(np.random.default_rng(34))
-    want = T.mlp(x, *params).data
+    # evaluate runs its second clip half on the helper: four threads that
+    # evaluate at once queue their halves there, and no thread's no_grad
+    # reaches another's
+    from stpose.config import RunConfig
+    from stpose.synth import synth_generate
+    from stpose.train import build_model, evaluate
+
+    cfg = RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=4, clips=2)
+    model = build_model(cfg)
+    batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw, tree=model.tree)
+    want = evaluate(model, batch)[0]
+    blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
     results, switch = [], sys.getswitchinterval()
 
     def caller():
         for _ in range(3):
-            results.append(np.array_equal(T.mlp(x, *params).data, want))
+            results.append(evaluate(model, batch)[0] == want)
 
     sys.setswitchinterval(1e-6)
     try:
@@ -593,10 +567,15 @@ def test_concurrent_callers_share_one_helper(inline_shards):
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(switch)
+        for set_threads, count in blas:   # overlapping calls restore it out of order
+            set_threads(count)
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 12
     helpers = [t for t in threading.enumerate() if t.name.startswith("stpose-shard")]
     assert len(helpers) == 1
+    x = Tensor(np.ones(2), requires_grad=True)
+    # a graph built afterwards records, here and on the helper
+    assert T._sharded(lambda _: T.scale(x, 2.0)._parents == (x,), [0, 1]) == [True, True]
 
 
 def test_a_forked_child_starts_its_own_helper(inline_shards):
@@ -830,6 +809,38 @@ def test_no_grad_values_match_recorded_bitwise():
         plain = _chain(x, w)
     assert recorded.requires_grad
     np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+def test_no_grad_is_per_thread():
+    # thread a enters, b enters, a leaves, b leaves: a flag shared by the
+    # threads would end switched off for the whole process
+    x = Tensor(np.ones(2), requires_grad=True)
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def a():
+        with T.no_grad():
+            a_in.set()
+            b_in.wait(30)
+            seen["a inside"] = T.scale(x, 2.0).requires_grad
+        a_out.set()
+
+    def b():
+        a_in.wait(30)
+        seen["b before"] = T.scale(x, 2.0).requires_grad
+        with T.no_grad():
+            b_in.set()
+            a_out.wait(30)
+            seen["b inside"] = T.scale(x, 2.0).requires_grad
+        seen["b after"] = T.scale(x, 2.0).requires_grad
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert seen == {"a inside": False, "b before": True, "b inside": False, "b after": True}
+    assert T.scale(x, 2.0)._parents == (x,)
 
 
 def test_no_grad_nests_and_restores_after_errors():

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import re
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -505,11 +506,9 @@ class TestDeterminism:
             assert np.array_equal(pa[name].data, pb[name].data), name
 
     def test_sharded_run_same_on_the_helper_and_inline(self, inline_shards, monkeypatch):
-        # stage-1 frames of 16 clips: block 0's MLP (1040 rows, 256 hidden)
-        # reaches SHARD_MIN, so its forward runs as two shards, and Adam's
-        # groups do too; attention, whose maps (16, 2, 65, 65) would reach it
-        # too, never shards. Whole-clip steps would run in clip halves, whose
-        # kernels never use the helper
+        # stage-1 frames of 16 clips: Adam's groups run as two shards, and no
+        # kernel of the forward or backward does, not even block 0's MLP
+        # over 1040 rows by 256 hidden or attention over (16, 2, 65, 65) maps
         cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=64, t_clip=2, clips=16,
                        steps_stage1=3, steps_stage2=0)
         sharded, real = [], T._sharded
@@ -524,7 +523,7 @@ class TestDeterminism:
         on_helper = train(cfg)
         with inline_shards():
             inline = train(cfg)
-        assert set(sharded) == {"mlp", "Adam"}
+        assert set(sharded) == {"Adam"}
         assert on_helper.history == inline.history
         pa, pb = on_helper.model.named_params(), inline.model.named_params()
         for name in pa:
@@ -778,9 +777,58 @@ class TestEvaluate:
         monkeypatch.setattr(stpose.train, "matrix_to_axis_angle",
                             no_axis_angle)
         evaluate(model, batch)
-        assert len(outs) == 1
-        assert outs[0].j3d.shape == (2, cfg.t_clip, 24, 3)
-        assert not outs[0].j3d.requires_grad and outs[0].j3d._parents == ()
+        assert len(outs) == 2   # one pass per half of the clips
+        for out in outs:
+            assert out.j3d.shape == (1, cfg.t_clip, 24, 3)
+            assert not out.j3d.requires_grad and out.j3d._parents == ()
+
+    def test_halves_give_the_rows_of_one_pass_on_the_helper_and_inline(
+            self, inline_shards, monkeypatch):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 3, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        with T.no_grad():   # all three clips in one pass
+            j3d = model_forward(model, batch.obs).j3d.data
+        one_pass = [[mpjpe(j3d[c], batch.gt_j3d[c]), pa_mpjpe(j3d[c], batch.gt_j3d[c]),
+                     accel_error(j3d[c], batch.gt_j3d[c])] for c in range(3)]
+        real, fed = stpose.train.model_forward, []
+
+        def recording(model, obs):
+            fed.append((len(obs), threading.current_thread().name))
+            return real(model, obs)
+
+        monkeypatch.setattr(stpose.train, "model_forward", recording)
+        on_helper = evaluate(model, batch)[0]
+        (first, here), (second, helper) = sorted(fed, key=lambda f: -f[0])
+        assert (first, second) == (2, 1) and here == threading.current_thread().name
+        assert helper.startswith("stpose-shard")
+        with inline_shards():
+            inline = evaluate(model, batch)[0]
+        assert on_helper == inline
+        assert [[row[k] for k in EVAL_COLUMNS] for row in on_helper] == one_pass
+
+    def test_a_degenerate_rotation_in_the_second_half_names_the_batch_clip(
+            self, inline_shards, monkeypatch):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, 3, cfg.t_clip, hw=cfg.hw,
+                               tree=model.tree)
+        real = KtdDecoder.decode
+
+        def degenerate(decoder, x):
+            params = real(decoder, x)
+            if x.shape[0] == 1:   # the second half: clip 2 alone
+                pose = params.pose.data.copy()
+                pose[0, 1, 5] = 0.0   # its frame 1, joint 5
+                params = params._replace(pose=Tensor(pose))
+            return params
+
+        monkeypatch.setattr(KtdDecoder, "decode", degenerate)
+        with pytest.raises(DegenerateRotationError,
+                           match=r"^6D vector \(2, 1, 5\): first column too short") as info:
+            evaluate(model, batch)
+        assert info.value.index == (2, 1, 5)
 
     def test_mean_matches_rows(self):
         cfg = tiny_cfg()
