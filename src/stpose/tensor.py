@@ -37,7 +37,14 @@ interpreter lock inside BLAS calls and ufuncs: Adam's two halves of its
 slices, and ``train.evaluate``'s two halves of the clips. Shapes alone fix
 each split, so the bits do not depend on the CPU count: with one CPU the
 second half runs inline after the first. ``train`` and ``evaluate`` hold
-OpenBLAS at one thread inside ``_one_blas_thread()``.
+OpenBLAS at one thread inside ``_one_blas_thread()``; overlapping holders
+share the hold, and the last gives the count back.
+
+The same calls set glibc's malloc policy once per process
+(``_keep_freed_memory``): a step frees what the next step of the same
+shapes allocates again, so freed memory stays in the process rather than
+going back to the kernel and faulting in again. It does nothing where the
+C library has no ``mallopt``, and changes no bits.
 """
 
 from __future__ import annotations
@@ -381,7 +388,7 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     return _result(n if keepdims else n.squeeze(axis), (t,), vjp)
 
 
-# -- BLAS threads and two halves ------------------------------------------
+# -- BLAS threads, malloc policy and two halves ---------------------------
 
 
 _helper: tuple[int, ThreadPoolExecutor] | None = None   # (pid, pool) that runs shard 1
@@ -421,19 +428,63 @@ def _openblas_threads() -> tuple:
     return tuple(calls)
 
 
+_blas_lock = threading.Lock()
+_blas_holders = 0          # blocks inside _one_blas_thread, on any thread
+_blas_counts: tuple = ()   # (set, count) of each OpenBLAS before the first
+
+
 @contextmanager
 def _one_blas_thread():
-    """Hold every loaded OpenBLAS at one thread inside the block, and give
-    each its own thread count back on exit. The thread count can change a
-    GEMM's bits, so the block's bits do not depend on it."""
-    counts = [(set_threads, get()) for get, set_threads in _openblas_threads()]
-    for set_threads, _ in counts:
-        set_threads(1)
+    """Hold every loaded OpenBLAS at one thread inside the block. Of
+    overlapping blocks, on any threads, the first saves each library's
+    thread count and the last gives it back, so no block runs at a restored
+    count. The thread count can change a GEMM's bits, so the block's bits do
+    not depend on it."""
+    global _blas_holders, _blas_counts
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_counts = tuple((set_threads, get())
+                                 for get, set_threads in _openblas_threads())
+            for set_threads, _ in _blas_counts:
+                set_threads(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        for set_threads, count in counts:
-            set_threads(count)
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_threads, count in _blas_counts:
+                    set_threads(count)
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# A step frees what the next step of the same shapes allocates again. With
+# glibc's defaults malloc unmaps the large blocks and trims the heap's top,
+# and the next step faults them back in: a warm default ``evaluate`` pass
+# took 1,000-2,400 minor faults and a stage-2 step up to 6,200, against a
+# few dozen with both settings. 32 MiB is glibc's own ceiling for its
+# dynamic mmap threshold on 64-bit; a step's whole heap stayed under 48 MiB
+# on every benchmark workload, below the 64 MiB trim threshold. Either
+# setting alone left 1,900-6,600 faults a pass.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> bool:
+    """Have glibc's malloc keep freed memory in the process for the next
+    step, once per process (a forked child inherits it). Returns whether
+    the policy is in force: False, having done nothing, where the C library
+    has no ``mallopt`` (macOS)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
 
 
 def _helper_pool() -> ThreadPoolExecutor:

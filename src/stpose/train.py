@@ -348,6 +348,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     if cfg.total_steps == 0:
         raise ValueError("train needs at least one step, but steps_stage1 "
                          "and steps_stage2 are both 0")
+    T._keep_freed_memory()   # before the worker is forked, so it inherits it
     model = build_model(cfg)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std, tree=model.tree,
@@ -428,9 +429,11 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     The clips run as two fixed halves, the first ceil(B/2) and the rest,
     each one no-grad ``model_forward``, the second on the engine's helper
     thread when there are two CPUs (``tensor._sharded``); a
-    :class:`DegenerateRotationError` names the batch's clip. Neither the
-    CPU count nor, with OpenBLAS held at one thread as in ``train``, the
-    BLAS thread count changes the rows. Returns (rows, mean).
+    :class:`DegenerateRotationError` names the batch's clip. The metrics
+    then take all clips in one pass, and a ValueError for collinear joints
+    names the clip and the frame. Neither the CPU count nor, with OpenBLAS
+    held at one thread as in ``train``, the BLAS thread count changes the
+    rows. Returns (rows, mean).
     """
     def forward(clips: slice) -> np.ndarray:
         try:
@@ -442,15 +445,15 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
 
     first = (batch.clips + 1) // 2
     halves = [slice(0, first)] + ([slice(first, batch.clips)] if first < batch.clips else [])
+    T._keep_freed_memory()
     with T._one_blas_thread():
         j3d = np.concatenate(T._sharded(forward, halves))
-        rows = []
-        for clip in range(batch.clips):
-            pred, gt = j3d[clip], batch.gt_j3d[clip]
-            rows.append({"clip_id": clip, "mpjpe": mpjpe(pred, gt),
-                         "pa_mpjpe": pa_mpjpe(pred, gt),
-                         "accel": accel_error(pred, gt) if batch.frames >= 3
-                         else float("nan")})
+        gt = batch.gt_j3d
+        accel = (accel_error(j3d, gt) if batch.frames >= 3
+                 else np.full(batch.clips, np.nan))
+        per_clip = np.stack([mpjpe(j3d, gt), pa_mpjpe(j3d, gt), accel], axis=1)
+    rows = [{"clip_id": clip, **dict(zip(EVAL_COLUMNS, values))}
+            for clip, values in enumerate(per_clip.tolist())]
     mean = {k: float(np.mean([r[k] for r in rows])) for k in EVAL_COLUMNS}
     if csv_path is not None:
         columns = ("clip_id",) + EVAL_COLUMNS

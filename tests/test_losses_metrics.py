@@ -260,8 +260,16 @@ class TestPaMpjpe:
     def test_collinear_points_rejected(self):
         line = np.zeros((1, 24, 3))
         line[0, :, 0] = np.arange(24)
-        with pytest.raises(ValueError, match="collinear"):
+        with pytest.raises(ValueError, match="at frame 0: collinear"):
             pa_mpjpe(line, line)
+
+    def test_collinear_points_name_the_clip_and_the_frame(self):
+        gt = np.random.default_rng(225).standard_normal((3, 4, 24, 3))
+        pred = gt.copy()
+        pred[1, 2] = 0.0
+        pred[1, 2, :, 0] = np.arange(24)
+        with pytest.raises(ValueError, match="^degenerate predicted joints at clip 1, frame 2: "):
+            pa_mpjpe(pred, gt)
 
     @staticmethod
     def _noisy_pair(seed):
@@ -338,3 +346,17 @@ class TestAccelError:
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="3 frames"):
             accel_error(np.zeros((2, 24, 3)), np.zeros((2, 24, 3)))
+
+
+@pytest.mark.parametrize("metric", [mpjpe, pa_mpjpe, accel_error])
+def test_leading_clip_axes_give_each_clip_its_own_bits(metric):
+    # one pass over (B, F, J, 3) gives a float64 per clip, each the bits of
+    # the float that clip alone gives
+    rng = np.random.default_rng(237)
+    gt = rng.standard_normal((3, 5, 24, 3))
+    pred = gt + rng.standard_normal(gt.shape) * 0.05
+    one = [metric(pred[c], gt[c]) for c in range(3)]
+    assert all(type(v) is float for v in one)
+    batched = metric(pred, gt)
+    assert batched.shape == (3,) and batched.tolist() == one
+    assert metric(pred[None], gt[None]).tolist() == [one]

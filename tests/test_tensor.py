@@ -5,6 +5,7 @@ import ast
 import inspect
 import math
 import os
+import platform
 import signal
 import sys
 import threading
@@ -545,10 +546,11 @@ def test_an_error_in_shard_one_reaches_the_caller_and_the_helper_runs_on(inline_
     assert helper.startswith("stpose-shard")
 
 
-def test_concurrent_callers_share_one_helper(inline_shards):
+def test_concurrent_callers_share_one_helper(inline_shards, monkeypatch):
     # evaluate runs its second clip half on the helper: four threads that
     # evaluate at once queue their halves there, and no thread's no_grad
-    # reaches another's
+    # reaches another's. With OpenBLAS set to 2 threads, every half runs at
+    # one, and the last call to leave gives the 2 back
     from stpose.config import RunConfig
     from stpose.synth import synth_generate
     from stpose.train import build_model, evaluate
@@ -557,31 +559,56 @@ def test_concurrent_callers_share_one_helper(inline_shards):
     model = build_model(cfg)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw, tree=model.tree)
     want = evaluate(model, batch)[0]
-    blas = [(set_threads, get()) for get, set_threads in T._openblas_threads()]
-    results, switch = [], sys.getswitchinterval()
+    blas = T._openblas_threads()
+    real, counts = T._sharded, []
+
+    def counting(kernel, shards):
+        counts.append([get() for get, _ in blas])
+        return real(kernel, shards)
+
+    results, before, switch = [], [get() for get, _ in blas], sys.getswitchinterval()
 
     def caller():
         for _ in range(3):
             results.append(evaluate(model, batch)[0] == want)
 
+    monkeypatch.setattr(T, "_sharded", counting)
     sys.setswitchinterval(1e-6)
     try:
+        for _, set_threads in blas:
+            set_threads(2)
         threads = [threading.Thread(target=caller) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
+        after = [get() for get, _ in blas]
     finally:
         sys.setswitchinterval(switch)
-        for set_threads, count in blas:   # overlapping calls restore it out of order
+        for (_, set_threads), count in zip(blas, before):
             set_threads(count)
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 12
+    assert counts == [[1] * len(blas)] * 12
+    assert after == [2] * len(blas)
     helpers = [t for t in threading.enumerate() if t.name.startswith("stpose-shard")]
     assert len(helpers) == 1
     x = Tensor(np.ones(2), requires_grad=True)
     # a graph built afterwards records, here and on the helper
-    assert T._sharded(lambda _: T.scale(x, 2.0)._parents == (x,), [0, 1]) == [True, True]
+    assert real(lambda _: T.scale(x, 2.0)._parents == (x,), [0, 1]) == [True, True]
+
+
+def test_keep_freed_memory_is_idempotent_and_a_no_op_without_mallopt(monkeypatch):
+    T._keep_freed_memory.cache_clear()
+    try:
+        want = platform.libc_ver()[0] == "glibc"
+        assert T._keep_freed_memory() is want
+        assert T._keep_freed_memory() is want
+        T._keep_freed_memory.cache_clear()
+        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())   # no mallopt
+        assert T._keep_freed_memory() is False
+    finally:
+        T._keep_freed_memory.cache_clear()
 
 
 def test_a_forked_child_starts_its_own_helper(inline_shards):
