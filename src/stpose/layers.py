@@ -4,8 +4,8 @@ the encoder and decoders.
 Every parameter holder is a ``Module``: a parameter's name is its dotted
 attribute path from the model (``encoder.blocks.0.fc1.w``), and the order
 of ``named_params`` is the order the attributes were assigned. Checkpoint
-entries, Adam's parameter list and the eval noise of the benchmark all
-follow that order.
+entries, the eval noise of the benchmark and the built model's parameter
+store (``tensor.ParamStore``, which Adam updates) all follow that order.
 """
 
 from __future__ import annotations

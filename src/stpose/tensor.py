@@ -4,10 +4,11 @@ Every operation eagerly computes its value with numpy and, when any input
 requires gradients, records a vector-Jacobian closure. ``Tensor.backward``
 runs each recorded node once, newest first, and then releases it, so a
 graph takes one backward; inside ``no_grad()`` nothing is recorded.
-No op writes into a value it has returned or been given. Outside the ops,
-``Adam.step`` (optim.py) and ``checkpoint.restore_params`` update
-parameter values in place, and ``backward`` adds each leaf's gradient
-into its ``grad`` buffer in place.
+No op writes into a value it has returned or been given: each op's value
+is read-only, so such a write raises where it is made. ``Adam.step``
+(optim.py) and ``checkpoint.restore_params`` write parameter values in
+place, and ``backward`` adds each leaf's gradient into its ``grad`` buffer
+in place; a ``ParamStore`` parameter refuses to have either rebound.
 
 Shape discipline: ``add``, ``sub``, ``mul`` and ``div`` broadcast their
 second operand b to the shape of the first, a: b may lack leading axes or
@@ -54,6 +55,7 @@ import functools
 import heapq
 import itertools
 import math
+import mmap
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -78,7 +80,7 @@ def _released(g):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_seq", "_name")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = np.asarray(values, dtype=np.float64)
@@ -117,10 +119,10 @@ class Tensor:
         node runs once, after all its consumers. Then it is released, which
         frees what its VJP saved, and a second backward through it raises
         ``RuntimeError``. A leaf receives its gradient once per backward: it
-        is added in place into the leaf's ``grad`` buffer (for an Adam
-        parameter, a view of Adam's flat gradient), or copied into a new
-        one when ``grad`` is ``None``, so no ``grad`` aliases a VJP output.
-        So leaf gradients add up across graphs until cleared.
+        is added in place into the leaf's ``grad`` buffer (for a stored
+        parameter, a view of its ``ParamStore``'s flat gradient), or copied
+        into a new one when ``grad`` is ``None``, so no ``grad`` aliases a
+        VJP output. So leaf gradients add up across graphs until cleared.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -149,6 +151,49 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Stored(Tensor):
+    """A :class:`ParamStore` parameter: ``data`` and ``grad`` view the
+    store's buffers and are written in place (``+=`` too), never rebound."""
+
+    __slots__ = ()
+
+    def __setattr__(self, attr: str, value) -> None:
+        if attr in ("data", "grad") and value is not getattr(self, attr):
+            raise AttributeError(f"parameter {self._name}: its {attr} views the "
+                                 "parameter store; write into it in place")
+        super().__setattr__(attr, value)
+
+    def clear_grad(self) -> None:
+        self.grad.fill(0.0)
+
+
+class ParamStore:
+    """Parameters in one flat float64 ``data`` and one flat ``grad`` buffer,
+    in the given order (a model's ``named_params``, so each module's are
+    one slice): ``names[i]`` at ``offsets[i]:offsets[i + 1]``, its ``data``
+    (values copied in) and ``grad`` views of that slice. ``data`` is a
+    shared anonymous mapping, so a process forked later reads the values
+    this one writes; ``grad`` starts at 0."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        seen: dict[int, str] = {}
+        for name, p in params.items():
+            if not p.requires_grad:
+                raise ValueError(f"parameter {name} does not require gradients")
+            if seen.setdefault(id(p), name) != name:
+                raise ValueError(f"one tensor is stored as both {seen[id(p)]} and {name}")
+        self.names = list(params)
+        self.offsets = np.cumsum([0] + [p.size for p in params.values()])
+        size = int(self.offsets[-1])   # mmap refuses a length of 0:
+        self.data = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64, size)
+        self.grad = np.zeros(size)
+        for name, p, start, stop in zip(self.names, params.values(),
+                                        self.offsets, self.offsets[1:]):
+            self.data[start:stop] = p.data.ravel()
+            p.data, p.grad = (buf[start:stop].reshape(p.shape) for buf in (self.data, self.grad))
+            p._name, p.__class__ = name, _Stored
+
+
 class _GradMode(threading.local):
     enabled = True   # every thread starts out recording
 
@@ -171,6 +216,7 @@ def no_grad():
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
     out = Tensor(data)
+    out.data.flags.writeable = False
     if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

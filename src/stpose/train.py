@@ -35,7 +35,7 @@ from .kinematics import (NUM_JOINTS, KinematicTree, random_tree, reverse_tree,
 from .layers import Affine, Module
 from .losses import LossReport, total_loss
 from .metrics import accel_error, mpjpe, pa_mpjpe
-from .optim import Adam, flat_views
+from .optim import Adam
 from .synth import ClipBatch, synth_generate
 from .tensor import Tensor
 
@@ -70,7 +70,9 @@ def build_model(cfg: RunConfig) -> Model:
         decoder = KtdDecoder(cfg.d, tree)
     else:
         decoder = IterativeDecoder(cfg.d, iterations=cfg.iterations)
-    return Model(cfg, tree, patch_embed, encoder, decoder)
+    model = Model(cfg, tree, patch_embed, encoder, decoder)
+    model.store = T.ParamStore(model.named_params())   # the parameters' one layout
+    return model
 
 
 class ForwardOut(NamedTuple):
@@ -149,14 +151,13 @@ def _check_finite(report: LossReport, step: int):
                 f"non-finite loss at step {step}: {name} term is {value}")
 
 
-def _check_grads(params: dict, grad: np.ndarray, step: int):
-    """One isfinite over the flat gradient ``grad`` of ``params``, laid out
-    in their order; names the parameter of its first non-finite entry."""
-    finite = np.isfinite(grad)
+def _check_grads(store: T.ParamStore, step: int):
+    """One isfinite over the store's flat gradient; names the parameter of
+    its first non-finite entry."""
+    finite = np.isfinite(store.grad)
     if not finite.all():
-        ends = np.cumsum([p.size for p in params.values()])
-        name = list(params)[np.searchsorted(ends, finite.argmin(), side="right")]
-        raise RuntimeError(f"non-finite gradient at step {step}: {name}")
+        at = np.searchsorted(store.offsets, finite.argmin(), side="right") - 1
+        raise RuntimeError(f"non-finite gradient at step {step}: {store.names[at]}")
 
 
 def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
@@ -229,20 +230,19 @@ class _ClipHalves:
     When this process may use two CPUs (``tensor._helper_cpus``) and start a
     child, a worker process forked here runs the second half while this one
     runs the first, each on one CPU. The worker's model is its forked copy,
-    its parameters' ``data`` and ``grad`` viewing flat buffers, in Adam's
-    layout, of a mapping shared with this process, and its memory comes on
-    top of this process's. Each step copies Adam's flat parameters there and
-    sends the worker the frame; the worker writes its gradient beside them
-    and answers with its loss terms or its error. This process adds that
-    gradient into Adam's. The worker runs nothing else, and ``close`` ends
-    it. With one CPU this process runs the second half after the first, into
-    the same gradient. Either way the same ops run on the same values, and
-    the gradients are added as half 0 + half 1, so the bits do not depend on
-    the CPU count.
+    its memory on top of this process's, and its store's ``data`` the
+    mapping that this process's store shares, so it reads the values Adam
+    last wrote here. Each step sends it the frame; it copies its gradient
+    into a buffer shared with this process, which adds that into its
+    store's, and answers with its loss terms or its error. The worker runs
+    nothing else, and ``close`` ends it. With one CPU this process runs the
+    second half after the first, into the same gradient. Either way the
+    same ops run on the same values, and the gradients are added as
+    half 0 + half 1, so the bits do not depend on the CPU count.
     """
 
-    def __init__(self, model: Model, batch: ClipBatch, params: list):
-        self.model, self.batch, self.params = model, batch, params
+    def __init__(self, model: Model, batch: ClipBatch):
+        self.model, self.batch = model, batch
         first = (batch.clips + 1) // 2
         self.clips = (np.arange(first), np.arange(first, batch.clips))
         self.shares = (first / batch.clips, (batch.clips - first) / batch.clips)
@@ -250,9 +250,7 @@ class _ClipHalves:
         # a daemonic process may start no child, so it runs both halves
         if (T._helper_cpus() >= 2 and not multiprocessing.current_process().daemon
                 and "fork" in multiprocessing.get_all_start_methods()):
-            size = sum(p.size for p in params)
-            shared = np.frombuffer(mmap.mmap(-1, 16 * size), dtype=np.float64)
-            self.flat, self.grad = shared[:size], shared[size:]
+            self.second_grad = np.frombuffer(mmap.mmap(-1, model.store.grad.nbytes))
             # forked, not spawned: it starts in milliseconds with the built
             # model and clips instead of importing the package again, and no
             # other thread of this package is running here (the helper runs
@@ -269,17 +267,17 @@ class _ClipHalves:
         closes."""
         self.pipe.close()   # this process's copy of the parent's end
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
-        for p, (data, grad) in zip(self.params, flat_views(self.params, self.flat, self.grad)):
-            p.data, p.grad = data, grad
+        grad = self.model.store.grad
         while True:
             try:
                 frame, ratio, errors = pipe.recv()
             except EOFError:
                 return
-            self.grad.fill(0.0)
+            grad.fill(0.0)
             try:
                 with np.errstate(**errors):
                     reply = self._second(frame, ratio)
+                self.second_grad[...] = grad
             except Exception as exc:   # the parent raises it
                 reply = exc
             pipe.send(reply)
@@ -293,12 +291,11 @@ class _ClipHalves:
         return RuntimeError(f"the clip-half worker process exited with code "
                             f"{self.worker.exitcode}")
 
-    def step(self, opt: Adam, frame, ratio) -> tuple:
-        """Both halves of one step at the values of ``opt.flat``, built
-        after this. Adds half 0 + half 1 into ``opt.grad`` and returns the
-        loss terms of :func:`_step_grads` summed the same way."""
+    def step(self, frame, ratio) -> tuple:
+        """Both halves of one step at the store's current values. Adds half
+        0 + half 1 into the store's ``grad`` and returns the loss terms of
+        :func:`_step_grads` summed the same way."""
         if self.worker is not None:
-            self.flat[...] = opt.flat
             try:
                 self.pipe.send((frame, ratio, np.geterr()))
             except OSError:
@@ -314,7 +311,7 @@ class _ClipHalves:
                 raise self._lost() from None
             if isinstance(second, Exception):
                 raise second
-            opt.grad += self.grad
+            np.add(self.model.store.grad, self.second_grad, out=self.model.store.grad)
         return tuple(a + b for a, b in zip(first, second))
 
     def close(self) -> None:
@@ -335,11 +332,11 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     :func:`batch_step`). A step that feeds whole clips, over at least 2 of
     them, is two graphs, one per fixed half of the clips: with two CPUs, a
     worker process forked before the optimizer is built runs the second,
-    and its memory adds to the run's (:class:`_ClipHalves`). OpenBLAS runs
-    on one thread until the call returns, so the bits depend neither on the
-    CPU count nor on the BLAS thread count, and only this process runs the
-    optimizer. Writes config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is
-    given.
+    reading the parameters from the model's store, and its memory adds to
+    the run's (:class:`_ClipHalves`). OpenBLAS runs on one thread until the
+    call returns, so the bits depend neither on the CPU count nor on the
+    BLAS thread count, and only this process runs the optimizer. Writes
+    config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is given.
 
     An error in a step's forward or backward pass, in either process, is
     re-raised as a RuntimeError that names the step and the stage, and for
@@ -353,7 +350,6 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
                            noise_std=cfg.noise_std, tree=model.tree,
                            p_2d_only=cfg.p_2d_only)
-    params = model.named_params()
     halves = None
     # one BLAS thread throughout, set before the worker is forked so that it
     # inherits it: two threads in each clip half put four busy threads on
@@ -361,8 +357,8 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     with T._one_blas_thread():
         try:
             if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
-                halves = _ClipHalves(model, batch, list(params.values()))
-            opt = Adam(list(params.values()), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
+                halves = _ClipHalves(model, batch)
+            opt = Adam(model.store, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
             history = []
             all_clips = range(batch.clips)
             image_step = 0
@@ -376,7 +372,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                 try:
                     opt.zero_grad()
                     if stage == 2 and halves is not None:
-                        terms = halves.step(opt, frame, ratio)
+                        terms = halves.step(frame, ratio)
                     else:
                         terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
                 except Exception as exc:
@@ -389,7 +385,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                     image_step += 1
                 report = LossReport(Tensor(terms[0]), *terms[1:])
                 _check_finite(report, step)
-                _check_grads(params, opt.grad, step)
+                _check_grads(model.store, step)
                 opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
                 opt.step()
                 history.append(StepRecord(step, stage, opt.lr, *terms))
@@ -406,7 +402,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
         _write_csv(os.path.join(out_dir, "loss_log.csv"),
                    [f.name for f in dataclasses.fields(StepRecord)],
                    [dataclasses.astuple(rec) for rec in history])
-        save_checkpoint(os.path.join(out_dir, "final.ckpt"), params)
+        save_checkpoint(os.path.join(out_dir, "final.ckpt"), model.named_params())
     return result
 
 

@@ -292,7 +292,7 @@ class TestGradientCheckPoint:
         # features, so their gradient through the pose would be exactly 0
         tree = K.smpl_tree()
         dec = KtdDecoder(16, tree)
-        _nudge_zero_weights(dec.named_params(), np.random.default_rng(3))
+        _nudge_zero_weights(T.ParamStore(dec.named_params()).data, np.random.default_rng(3))
         for k, (w, b) in enumerate(_joint_heads(dec.heads.data, 16, tree)):
             assert np.all(w != 0.0), k
             assert np.all(b[[0, 4]] == 1.0), k

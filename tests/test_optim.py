@@ -1,5 +1,6 @@
-"""Adam: the flat in-place update against a per-tensor reference, its
-layout, slicing and sharding, and the values it refuses."""
+"""Adam over a model's parameter store: the flat in-place update against a
+per-tensor reference, the store's layout, slicing and sharding, and the
+values and rebindings refused."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 import stpose.train
 from stpose.checkpoint import restore_params
 from stpose.config import RunConfig
-from stpose.optim import ADAM_TILE, Adam, flat_views
-from stpose.tensor import Tensor
+from stpose.optim import ADAM_TILE, Adam
+from stpose.tensor import ParamStore, Tensor
 from stpose.train import build_model, train
 
 
@@ -42,27 +43,39 @@ class PerTensorAdam:
             p.grad = None
 
 
+def store_of(sizes):
+    """A store of random vectors of the given sizes, named by index, and
+    its parameters."""
+    rng = np.random.default_rng(len(sizes))
+    named = {str(i): Tensor(rng.standard_normal(n), requires_grad=True)
+             for i, n in enumerate(sizes)}
+    return ParamStore(named), list(named.values())
+
+
 def twin_params(layout):
-    """Two copies of a parameter list: one for Adam, one for the reference.
-    ``layout`` is a config, for its model's parameters, or a list of sizes
-    for random vectors."""
+    """A store and its parameters, for Adam, and a copy of the parameters
+    for the reference. ``layout`` is a config, for its model's store, or a
+    list of sizes for random vectors."""
     if isinstance(layout, RunConfig):
-        params = list(build_model(layout).named_params().values())
+        model = build_model(layout)
+        store, params = model.store, list(model.named_params().values())
     else:
-        rng = np.random.default_rng(len(layout))
-        params = [Tensor(rng.standard_normal(n), requires_grad=True) for n in layout]
-    return params, [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        store, params = store_of(layout)
+    return store, params, [Tensor(p.data.copy(), requires_grad=True) for p in params]
 
 
 def set_grads(rng, params, twins):
-    """The same random gradients on both lists, about one in five None."""
+    """The same random gradients on both lists, about one in five zero:
+    written through each stored parameter's view, and as None on the
+    reference's twin."""
     for p, q in zip(params, twins):
         g = None if rng.random() < 0.2 else rng.standard_normal(p.shape)
-        p.grad, q.grad = g, g
+        p.grad[...] = 0.0 if g is None else g
+        q.grad = g
 
 
-def assert_same_bits(opt, ref):
-    for p, q in zip(opt.params, ref.params):
+def assert_same_bits(opt, params, ref):
+    for p, q in zip(params, ref.params):
         assert p.data.tobytes() == q.data.tobytes()
     assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ref.m]).tobytes()
     assert opt.v.tobytes() == np.concatenate([v.ravel() for v in ref.v]).tobytes()
@@ -82,10 +95,10 @@ class TestFlatUpdate:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("shards", ["helper", "inline"])
     def test_bits_equal_the_per_tensor_update(self, layout, shards, inline_shards):
-        params, twins = twin_params(LAYOUTS[layout])
-        opt = Adam(params, lr=1e-3, betas=(0.9, 0.95))
+        store, params, twins = twin_params(LAYOUTS[layout])
+        opt = Adam(store, lr=1e-3, betas=(0.9, 0.95))
         ref = PerTensorAdam(twins, lr=1e-3, betas=(0.9, 0.95))
-        assert len(opt._shards) == min(2, -(-opt.flat.size // ADAM_TILE))
+        assert len(opt._shards) == min(2, -(-store.data.size // ADAM_TILE))
         rng = np.random.default_rng(5)
         for lr in (1e-3, 1e-3, 0.0, 3e-4, 3e-4, 1e-3):
             set_grads(rng, params, twins)
@@ -96,74 +109,80 @@ class TestFlatUpdate:
             else:
                 opt.step()
             ref.step()
-            assert_same_bits(opt, ref)
+            assert_same_bits(opt, params, ref)
 
     def test_lr_zero_advances_the_moments_only(self):
-        params, _ = twin_params(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
+        store, params, _ = twin_params(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
         before = [p.data.copy() for p in params]
-        for p in params:
-            p.grad = np.ones(p.shape)
-        opt = Adam(params, lr=0.0)
+        store.grad.fill(1.0)
+        opt = Adam(store, lr=0.0)
         opt.step()
         for p, b in zip(params, before):
             assert p.data.tobytes() == b.tobytes()
         assert (opt.m != 0.0).all() and (opt.v != 0.0).all()
 
     def test_parameters_are_views_of_one_buffer(self):
-        params, twins = twin_params(LAYOUTS["default"])
-        opt = Adam(params)
-        assert opt.flat.size == opt.grad.size == sum(p.size for p in params) == 158585
-        for p, q in zip(params, twins):
-            assert p.data.base is opt.flat and p.grad.base is opt.grad
-            assert p.data.tobytes() == q.data.tobytes()
-        assert not opt.grad.any()
+        # the model's parameters in named_params order, the gradient at zero
+        model = build_model(LAYOUTS["default"])
+        store, params = model.store, model.named_params()
+        assert store.names == list(params)
+        assert store.data.size == store.grad.size == store.offsets[-1] == 158585
+        for i, p in enumerate(params.values()):
+            assert p.data.base is store.data and p.grad.base is store.grad
+            assert (p.data.ctypes.data - store.data.ctypes.data) // 8 == store.offsets[i]
+            assert p.size == store.offsets[i + 1] - store.offsets[i]
+        assert not store.grad.any()
+        # each parameter's values are copied in, shaped as they were
+        values = [np.arange(6.0).reshape(2, 3), np.array(-1.0), np.arange(4.0)]
+        named = {str(i): Tensor(v.copy(), requires_grad=True) for i, v in enumerate(values)}
+        ParamStore(named)
+        for p, v in zip(named.values(), values):
+            assert p.shape == v.shape and p.data.tobytes() == v.tobytes()
 
-    def test_each_module_is_one_slice_of_the_gradient(self, monkeypatch):
-        # so a module's gradient norm is one dot over a slice of opt.grad
-        built = []
-
-        class KeptAdam(Adam):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(stpose.train, "Adam", KeptAdam)
+    def test_each_module_is_one_slice_of_the_gradient(self):
+        # so a module's gradient norm is one dot over a slice of the store's grad
         model = train(RunConfig(blocks=3, d=16, heads=2, hw=4, t_clip=2, clips=2,
                                 steps_stage1=1, steps_stage2=0)).model
-        opt, = built
-        assert all(p.grad.base is opt.grad for p in model.named_params().values())
+        grad = model.store.grad
+        assert all(p.grad.base is grad for p in model.named_params().values())
         modules = [model.patch_embed, *model.encoder.blocks, model.decoder]
         assert len(modules) == 5
         for module in modules:
-            spans = sorted(((p.grad.ctypes.data - opt.grad.ctypes.data) // 8, p.size)
+            spans = sorted(((p.grad.ctypes.data - grad.ctypes.data) // 8, p.size)
                            for p in module.named_params().values())
             # each parameter starts where the one before it ends
             assert all(a + n == b for (a, n), (b, _) in zip(spans, spans[1:]))
 
     def test_zero_grad_fills_the_buffer_in_place(self):
-        params, _ = twin_params([3, 2])
-        opt = Adam(params)
-        opt.grad[:] = 1.0
+        store, params = store_of([3, 2])
+        opt = Adam(store)
+        store.grad[:] = 1.0
         views = [p.grad for p in params]
         opt.zero_grad()
-        assert not opt.grad.any()
+        assert not store.grad.any()
         assert all(p.grad is view for p, view in zip(params, views))
 
     def test_empty_parameter_list_steps(self):
-        opt = Adam([])
+        opt = Adam(ParamStore({}))
         opt.step()
         assert opt.step_count == 1
 
-    def test_rebound_and_restored_parameters_are_honoured(self):
-        params, twins = twin_params(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
-        opt, ref = Adam(params, lr=1e-2), PerTensorAdam(twins, lr=1e-2)
-        grad_views = [p.grad for p in params]
+    def test_rebinding_is_refused_and_an_in_place_restore_is_honoured(self):
+        model = build_model(RunConfig(blocks=1, d=16, heads=2, hw=4, t_clip=2))
+        named = model.named_params()
+        params = list(named.values())
+        twins = [Tensor(p.data.copy(), requires_grad=True) for p in params]
+        opt, ref = Adam(model.store, lr=1e-2), PerTensorAdam(twins, lr=1e-2)
+        views = [(p.data, p.grad) for p in params]
         rng = np.random.default_rng(1)
         for step in range(4):
             set_grads(rng, params, twins)
-            if step == 1:   # outside code rebinds a parameter to a new array
-                shifted = params[3].data + 0.5
-                params[3].data, twins[3].data = shifted, shifted.copy()
+            if step == 1:   # outside code tries to rebind; nothing changes
+                name, p = list(named.items())[3]
+                for attr, value in (("data", p.data + 0.5), ("grad", np.ones(p.shape)),
+                                    ("grad", None)):
+                    with pytest.raises(AttributeError, match=rf"^parameter {name}: its {attr} "):
+                        setattr(p, attr, value)
             if step == 2:   # a checkpoint restored in place
                 loaded = {str(i): rng.standard_normal(p.shape)
                           for i, p in enumerate(params)}
@@ -171,9 +190,9 @@ class TestFlatUpdate:
                 restore_params(dict(zip(loaded, twins)), loaded)
             opt.step()
             ref.step()
-            assert_same_bits(opt, ref)
-        assert params[3].data.base is opt.flat
-        assert all(p.grad is view for p, view in zip(params, grad_views))
+            assert_same_bits(opt, params, ref)
+        assert all(p.data is data and p.grad is grad
+                   for p, (data, grad) in zip(params, views))
 
     def test_three_step_training_matches_the_per_tensor_update(self, monkeypatch):
         # a train run's gradients, replayed through the per-tensor update
@@ -184,19 +203,21 @@ class TestFlatUpdate:
 
         class RecordingAdam(Adam):
             def step(self):
-                steps.append((self.flat.copy(), self.grad.copy(), self.lr))
+                steps.append((self.store.data.copy(), self.store.grad.copy(), self.lr))
                 super().step()
 
         monkeypatch.setattr(stpose.train, "Adam", RecordingAdam)
-        params = list(train(cfg).model.named_params().values())
-        ref = PerTensorAdam([Tensor(view.copy(), requires_grad=True)
-                             for view, in flat_views(params, steps[0][0])],
+        model = train(cfg).model
+        params = list(model.named_params().values())
+        parts = [slice(a, b) for a, b in zip(model.store.offsets, model.store.offsets[1:])]
+        ref = PerTensorAdam([Tensor(steps[0][0][part].reshape(p.shape), requires_grad=True)
+                             for p, part in zip(params, parts)],
                             betas=(cfg.beta1, cfg.beta2))
         for flat, grad, lr in steps:
             assert np.concatenate([q.data.ravel() for q in ref.params]).tobytes() \
                 == flat.tobytes()
-            for q, (g,) in zip(ref.params, flat_views(params, grad)):
-                q.grad = g
+            for p, q, part in zip(params, ref.params, parts):
+                q.grad = grad[part].reshape(p.shape)
             ref.lr = lr
             ref.step()
         assert len(steps) == 3
@@ -207,14 +228,14 @@ class TestFlatUpdate:
 class TestClosedForm:
     def test_zero_gradient_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam([p], lr=1e-2)
+        opt = Adam(ParamStore({"p": p}), lr=1e-2)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_single_step_closed_form(self):
         p = Tensor(1.0, requires_grad=True)
-        p.grad = np.asarray(0.5)
-        opt = Adam([p], lr=1e-4)
+        opt = Adam(ParamStore({"p": p}), lr=1e-4)
+        p.grad[...] = 0.5
         opt.step()
         # hand-computed: m=0.05, v=2.5e-4, m_hat=0.5, v_hat=0.25
         want = 1.0 - 1e-4 * 0.5 / (np.sqrt(0.25) + 1e-8)
@@ -224,8 +245,9 @@ class TestClosedForm:
         deltas = []
         for lr in (1e-3, 1e-4):
             p = Tensor(np.array([2.0, -1.0, 0.5]), requires_grad=True)
-            p.grad = np.array([0.3, -0.7, 2.0])
-            Adam([p], lr=lr).step()
+            opt = Adam(ParamStore({"p": p}), lr=lr)
+            p.grad[...] = [0.3, -0.7, 2.0]
+            opt.step()
             deltas.append(np.array([2.0, -1.0, 0.5]) - p.data)
         np.testing.assert_allclose(deltas[0], 10.0 * deltas[1], rtol=1e-9)
 
@@ -240,35 +262,43 @@ class TestRefusals:
              "beta1-negative", "eps-zero", "eps-negative"])
     def test_init_refuses_and_names_the_value(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
-            Adam([Tensor(np.zeros(2), requires_grad=True)], **kwargs)
+            Adam(ParamStore({"a": Tensor(np.zeros(2), requires_grad=True)}), **kwargs)
 
     def test_init_refuses_a_repeated_parameter(self):
+        # one tensor under two names: the store refuses it, naming both
         a, b = (Tensor(np.zeros(2), requires_grad=True) for _ in range(2))
-        with pytest.raises(ValueError, match="parameter 2 .* twice"):
-            Adam([a, b, a])
+        with pytest.raises(ValueError, match="both enc.w and dec.w$"):
+            ParamStore({"enc.w": a, "b": b, "dec.w": a})
+        assert type(a) is Tensor and a.grad is None   # nothing was laid out
 
     def test_init_refuses_a_constant(self):
-        with pytest.raises(ValueError, match="does not require gradients"):
-            Adam([Tensor(np.zeros(2))])
+        with pytest.raises(ValueError, match="parameter c does not require gradients"):
+            ParamStore({"c": Tensor(np.zeros(2))})
 
     @pytest.mark.parametrize("bad", [
         dict(lr=float("nan")), dict(lr=float("inf")), dict(lr=-1.0),
         dict(grad=np.ones(3)), dict(rebind=np.zeros(4))],
         ids=["lr-nan", "lr-inf", "lr-negative", "gradient-shape", "rebound-shape"])
     def test_refused_step_changes_nothing(self, bad):
+        # a bad lr is refused by the step; a gradient or value of another
+        # shape cannot reach it, as rebinding b is refused where it is tried
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        opt = Adam([a, b], lr=0.1)
-        a.grad, b.grad = np.ones(1), np.ones(2)
+        store = ParamStore({"a": a, "b": b})
+        opt = Adam(store, lr=0.1)
+        store.grad.fill(1.0)
         opt.step()
-        state = [x.copy() for x in (opt.flat, opt.m, opt.v)]
-        a.grad, b.grad = np.ones(1), bad.get("grad", np.ones(2))
+        state = [x.copy() for x in (store.data, store.grad, opt.m, opt.v)]
         opt.lr = bad.get("lr", 0.1)
-        if "rebind" in bad:
-            b.data = bad["rebind"]
-        with pytest.raises(ValueError):
+        with pytest.raises((ValueError, AttributeError),
+                           match="lr" if "lr" in bad else "^parameter b: its "):
+            if "grad" in bad:
+                b.grad = bad["grad"]
+            if "rebind" in bad:
+                b.data = bad["rebind"]
             opt.step()
         assert opt.step_count == 1
-        for x, before in zip((opt.flat, opt.m, opt.v), state):
+        for x, before in zip((store.data, store.grad, opt.m, opt.v), state):
             assert x.tobytes() == before.tobytes()
-        assert a.data.base is opt.flat
+        assert a.data.base is store.data and b.data.base is store.data
+        assert b.grad.base is store.grad

@@ -706,6 +706,26 @@ def test_attention_core_probabilities_are_read_only():
         probs[0, 0, 0, 0] = 1.0
 
 
+def test_op_values_are_read_only_and_parameters_stay_writeable():
+    # no op writes into a value it has returned: a write into one raises
+    # where it is made, recorded or not, while leaves and stored parameters
+    # are written in place
+    rng = np.random.default_rng(26)
+    x = rand(rng, 2, 3, 4)
+    w, b, gain, w2, b2 = (rand(rng, *shape) for shape in ((4, 6), (6,), (4,), (6, 4), (4,)))
+    store = T.ParamStore({"w": w, "b": b, "gain": gain, "w2": w2, "b2": b2})
+    outs = [T.affine(x, w, b), T.mlp(x, w, b, w2, b2), T.layer_norm(x, gain, b2)]
+    with T.no_grad():
+        outs.append(T.affine(x, w, b))
+    for out in outs:
+        with pytest.raises(ValueError, match="read-only"):
+            out.data[0, 0, 0] = 1.0
+    x.data[...] = 1.0
+    w.data[0, 0] = 2.0
+    w.grad[0, 0] = 3.0
+    assert store.data[0] == 2.0 and store.grad[0] == 3.0
+
+
 def _fused_cases(rng):
     return [
         (T.affine, [rand(rng, 2, 3, 4), rand(rng, 4, 5), rand(rng, 5)]),

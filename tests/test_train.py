@@ -420,12 +420,11 @@ class TestClipHalves:
         params = list(model.named_params().values())
         whole = batch_step(model, batch, range(3), frame=1, ratio=0.5)
         whole.total.backward()
-        want = [p.grad for p in params]
-        for p in params:
-            p.grad = None
-        halves = stpose.train._ClipHalves(model, batch, params)
+        want = [p.grad.copy() for p in params]
+        model.store.grad.fill(0.0)
+        halves = stpose.train._ClipHalves(model, batch)
         try:   # clips 0-1 here and clip 2 in the worker, weighted 2/3 and 1/3
-            terms = halves.step(stpose.optim.Adam(params), 1, 0.5)
+            terms = halves.step(1, 0.5)
         finally:
             halves.close()
         assert terms == pytest.approx((whole.value(), whole.l_3d, whole.l_2d,
@@ -684,7 +683,7 @@ class TestBatchStep:
                 p.clear_grad()
             report = step()
             report.total.backward()
-            return report, {n: p.grad for n, p in params.items()}
+            return report, {n: p.grad.copy() for n, p in params.items()}
 
         mixed, got = run(lambda: batch_step(model, batch, range(2), frame, ratio))
 
