@@ -45,7 +45,10 @@ The same calls set glibc's malloc policy once per process
 (``_keep_freed_memory``): a step frees what the next step of the same
 shapes allocates again, so freed memory stays in the process rather than
 going back to the kernel and faulting in again. It does nothing where the
-C library has no ``mallopt``, and changes no bits.
+C library has no ``mallopt``, and changes no bits. A forked clip-half
+worker would share that kept heap with its parent, and each process's
+first writes would copy it page by page; so the worker gives its copy
+back first (``_give_back_free_memory``) and takes fresh pages instead.
 """
 
 from __future__ import annotations
@@ -173,7 +176,9 @@ class ParamStore:
     one slice): ``names[i]`` at ``offsets[i]:offsets[i + 1]``, its ``data``
     (values copied in) and ``grad`` views of that slice. ``data`` is a
     shared anonymous mapping, so a process forked later reads the values
-    this one writes; ``grad`` starts at 0."""
+    this one writes. ``grad`` starts at 0 in a private one, so a forked
+    process writes its own copy, and a page nobody writes (``evaluate``'s)
+    is never made resident."""
 
     def __init__(self, params: dict[str, Tensor]):
         seen: dict[int, str] = {}
@@ -184,9 +189,11 @@ class ParamStore:
                 raise ValueError(f"one tensor is stored as both {seen[id(p)]} and {name}")
         self.names = list(params)
         self.offsets = np.cumsum([0] + [p.size for p in params.values()])
-        size = int(self.offsets[-1])   # mmap refuses a length of 0:
-        self.data = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64, size)
-        self.grad = np.zeros(size)
+        size = int(self.offsets[-1])
+        length = 8 * max(size, 1)   # mmap refuses a length of 0
+        private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+        self.data = np.frombuffer(mmap.mmap(-1, length), np.float64, size)
+        self.grad = np.frombuffer(mmap.mmap(-1, length, **private), np.float64, size)
         for name, p, start, stop in zip(self.names, params.values(),
                                         self.offsets, self.offsets[1:]):
             self.data[start:stop] = p.data.ravel()
@@ -531,6 +538,21 @@ def _keep_freed_memory() -> bool:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
                 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+def _give_back_free_memory() -> bool:
+    """Give the free heap memory this process holds back to the kernel
+    (glibc's ``malloc_trim(0)``), for a forked child whose inherited free
+    heap the parent still maps: its own allocations then take fresh pages
+    instead of copying the parent's. Returns whether it ran: False, having
+    done nothing, where the C library has no ``malloc_trim`` (macOS, musl)."""
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return False
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    malloc_trim(0)
+    return True
 
 
 def _helper_pool() -> ThreadPoolExecutor:

@@ -235,7 +235,10 @@ class _ClipHalves:
     last wrote here. Each step sends it the frame; it copies its gradient
     into a buffer shared with this process, which adds that into its
     store's, and answers with its loss terms or its error. The worker runs
-    nothing else, and ``close`` ends it. With one CPU this process runs the
+    nothing else, and ``close`` ends it. It first gives back the free heap
+    it inherits, so that its first half takes fresh zero pages rather than
+    copying this process's, and this process's first writes reclaim pages
+    only it still maps. With one CPU this process runs the
     second half after the first, into the same gradient. Either way the
     same ops run on the same values, and the gradients are added as
     half 0 + half 1, so the bits do not depend on the CPU count.
@@ -259,12 +262,19 @@ class _ClipHalves:
             self.pipe, end = context.Pipe()
             self.worker = context.Process(target=self._serve, args=(end,),
                                           name="stpose-clip-half", daemon=True)
-            self.worker.start()
-            end.close()
+            try:
+                self.worker.start()
+            except OSError as exc:   # EAGAIN at the process limit, say
+                self.pipe.close()
+                raise RuntimeError(f"could not start the clip-half worker process: "
+                                   f"{exc}") from exc
+            finally:
+                end.close()
 
     def _serve(self, pipe) -> None:
         """The worker: one second half per frame received, until the pipe
         closes."""
+        T._give_back_free_memory()   # before the first half: see the class docstring
         self.pipe.close()   # this process's copy of the parent's end
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
         grad = self.model.store.grad

@@ -2,6 +2,8 @@
 per-tensor reference, the store's layout, slicing and sharding, and the
 values and rebindings refused."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,23 @@ class TestFlatUpdate:
         ParamStore(named)
         for p, v in zip(named.values(), values):
             assert p.shape == v.shape and p.data.tobytes() == v.tobytes()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_a_forked_process_shares_the_values_but_not_the_gradient(self):
+        # as the clip-half worker reads the values Adam writes and
+        # backpropagates into its own gradient
+        store, _ = store_of([3, 2])
+
+        def write_both():
+            store.data.fill(7.0)
+            store.grad.fill(1.0)
+
+        child = multiprocessing.get_context("fork").Process(target=write_both)
+        child.start()
+        child.join(60)
+        assert child.exitcode == 0
+        assert (store.data == 7.0).all() and not store.grad.any()
 
     def test_each_module_is_one_slice_of_the_gradient(self):
         # so a module's gradient norm is one dot over a slice of the store's grad

@@ -611,6 +611,14 @@ def test_keep_freed_memory_is_idempotent_and_a_no_op_without_mallopt(monkeypatch
         T._keep_freed_memory.cache_clear()
 
 
+def test_give_back_free_memory_runs_and_is_a_no_op_without_malloc_trim(monkeypatch):
+    want = platform.libc_ver()[0] == "glibc"
+    assert T._give_back_free_memory() is want
+    assert T._give_back_free_memory() is want   # nothing left to give back is fine
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())   # no malloc_trim
+    assert T._give_back_free_memory() is False
+
+
 def test_a_forked_child_starts_its_own_helper(inline_shards):
     assert T._sharded(lambda shard: shard, [0, 1]) == [0, 1]   # the parent's helper runs
     pid = os.fork()

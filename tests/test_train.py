@@ -1,6 +1,9 @@
+import errno
 import json
 import math
+import mmap
 import multiprocessing
+import multiprocessing.connection
 import os
 import platform
 import re
@@ -498,6 +501,51 @@ class TestClipHalves:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    def test_a_worker_that_cannot_start_is_named_and_closes_its_pipe(self, monkeypatch,
+                                                                     two_cpus):
+        ends, pipe = [], multiprocessing.connection.Pipe
+
+        def recording(duplex=True):
+            ends.extend(pipe(duplex))
+            return tuple(ends[-2:])
+
+        def refused(process):   # as at the process limit
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(multiprocessing.connection, "Pipe", recording)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", refused)
+        with pytest.raises(RuntimeError, match=rf"^could not start the clip-half worker "
+                           rf"process: \[Errno {errno.EAGAIN}\] ") as info:
+            train(tiny_cfg())
+        assert info.value.__cause__.errno == errno.EAGAIN
+        assert len(ends) == 2 and all(end.closed for end in ends)
+        assert multiprocessing.active_children() == []
+
+    def test_the_worker_gives_back_its_free_heap_before_its_first_half(self, monkeypatch,
+                                                                        two_cpus):
+        # the worker logs into a shared mapping; the parent into a list of its own
+        log, parent, in_parent = mmap.mmap(-1, 16), os.getpid(), []
+        real = stpose.train.batch_step
+
+        def trim():
+            if os.getpid() == parent:
+                in_parent.append("T")
+            else:
+                log.write(b"T")
+            return True
+
+        def half(model, batch, clips, frame=None, ratio=1.0):
+            if os.getpid() != parent:
+                log.write(b"H")
+            return real(model, batch, clips, frame, ratio)
+
+        monkeypatch.setattr(T, "_give_back_free_memory", trim)
+        monkeypatch.setattr(stpose.train, "batch_step", half)
+        cfg = tiny_cfg()
+        train(cfg)
+        assert log[:].rstrip(b"\0") == b"T" + b"H" * cfg.steps_stage2
+        assert in_parent == []
+
 
 class TestDeterminism:
     def test_same_config_same_run(self):
@@ -921,6 +969,43 @@ def test_steps_reuse_the_memory_the_last_step_freed():
     faults = json.loads(done.stdout.splitlines()[-1])
     assert np.median(faults["evaluate"][1:]) < 200, faults   # after one warm-up
     assert np.median(faults["stage1"]) < 200, faults
+
+
+# minor page faults of the clip-half worker over each step of a default
+# stage-2 run after the first, read from /proc after each step, in a fresh
+# process
+_WORKER_FAULTS = """
+import json
+import stpose.train
+from stpose import tensor as T
+from stpose.config import RunConfig
+
+T._helper_cpus = lambda: 2   # a worker even where this process has one CPU
+step, seen = stpose.train._ClipHalves.step, []
+
+def counting(halves, frame, ratio):
+    terms = step(halves, frame, ratio)
+    with open(f"/proc/{halves.worker.pid}/stat") as fh:
+        seen.append(int(fh.read().rpartition(")")[2].split()[7]))   # minflt
+    return terms
+
+stpose.train._ClipHalves.step = counting
+stpose.train.train(RunConfig(steps_stage1=0, steps_stage2=8))
+print(json.dumps([b - a for a, b in zip(seen, seen[1:])]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not os.path.exists("/proc/self/stat"),
+                    reason="mallopt is glibc's, and the worker's faults are read from /proc")
+def test_the_worker_reuses_the_memory_its_last_half_freed():
+    # the malloc policy reaches the worker, which is forked after it is set:
+    # its later halves took 1-66 faults each, and one 322
+    env = {**os.environ, "PYTHONPATH": str(Path(stpose.train.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _WORKER_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    faults = json.loads(done.stdout.splitlines()[-1])
+    assert len(faults) == 7 and np.median(faults) < 200, faults
 
 
 class TestArtifacts:
