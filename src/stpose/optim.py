@@ -5,12 +5,11 @@ Adam adds only its moments m and v, flat buffers in the store's layout. A
 step applies the per-tensor Adam ops, in their usual order, in place to
 fixed slices of ``ADAM_TILE`` entries of the flat buffers. Every entry
 sees the same IEEE operations as in a per-tensor update, so the bits do
-not depend on the slicing. Two or more slices run as two halves on the
-engine's helper thread (``tensor._sharded``), split at the middle slice.
-In training, only the main process steps Adam: after a whole-clip step's
-two clip halves, one of them run by a worker process, have added up their
-gradients in the store's ``grad`` (``train._ClipHalves``), while the
-worker waits, so the helper has the second CPU to itself.
+not depend on the slicing. The slices run one after another on the
+calling thread. In training, only the main process steps Adam: after a
+whole-clip step's two clip halves, one of them run by a worker process,
+have added up their gradients in the store's ``grad``
+(``train._ClipHalves``).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import math
 
 import numpy as np
 
-from .tensor import ParamStore, _sharded
+from .tensor import ParamStore
 
 ADAM_TILE = 1 << 14   # entries per slice: 128 KiB per buffer, so a slice's passes stay in L2
 
@@ -56,10 +55,7 @@ class Adam:
         size = store.data.size
         # zeros_like writes its zeros, so the first step takes no page faults
         self.m, self.v = np.zeros_like(store.data), np.zeros_like(store.data)
-        # the slices, as two shards split at the middle one
-        spans = [slice(a, min(a + ADAM_TILE, size)) for a in range(0, size, ADAM_TILE)]
-        mid = (len(spans) + 1) // 2
-        self._shards = [s for s in (spans[:mid], spans[mid:]) if s]
+        self._spans = [slice(a, min(a + ADAM_TILE, size)) for a in range(0, size, ADAM_TILE)]
 
     def step(self) -> None:
         lr = _check_lr(self.lr)
@@ -69,37 +65,32 @@ class Adam:
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
 
-        def update(shard):
-            spans, work = shard
-            for span in spans:
-                n = span.stop - span.start
-                tmp, den = work[0, :n], work[1, :n]
-                g, m, v = grad[span], self.m[span], self.v[span]
-                # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g², as in a
-                # per-tensor update but in place
-                np.multiply(g, 1.0 - b1, out=tmp)
-                m *= b1
-                m += tmp
-                np.multiply(g, g, out=tmp)
-                tmp *= 1.0 - b2
-                v *= b2
-                v += tmp
-                if lr == 0.0:
-                    continue    # moments advance, parameters stay bitwise put
-                # p -= (lr m̂) / (√v̂ + eps), with m̂ = m / bc1 and v̂ = v / bc2
-                np.divide(m, bc1, out=tmp)
-                np.divide(v, bc2, out=den)
-                np.sqrt(den, out=den)
-                den += self.eps
-                tmp *= lr
-                tmp /= den
-                flat[span] -= tmp
-
-        # each shard's scratch buffers, made here for this step so that they
-        # hold no memory between steps
-        if self._shards:
-            width = min(flat.size, ADAM_TILE)
-            _sharded(update, [(spans, np.empty((2, width))) for spans in self._shards])
+        # scratch rows made here for this step, so that they hold no memory
+        # between steps
+        work = np.empty((2, min(flat.size, ADAM_TILE)))
+        for span in self._spans:
+            n = span.stop - span.start
+            tmp, den = work[0, :n], work[1, :n]
+            g, m, v = grad[span], self.m[span], self.v[span]
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g², as in a
+            # per-tensor update but in place
+            np.multiply(g, 1.0 - b1, out=tmp)
+            m *= b1
+            m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v *= b2
+            v += tmp
+            if lr == 0.0:
+                continue    # moments advance, parameters stay bitwise put
+            # p -= (lr m̂) / (√v̂ + eps), with m̂ = m / bc1 and v̂ = v / bc2
+            np.divide(m, bc1, out=tmp)
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            tmp *= lr
+            tmp /= den
+            flat[span] -= tmp
 
     def zero_grad(self) -> None:
         """Zero the store's flat gradient, which every parameter's ``grad``

@@ -95,6 +95,8 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
     arguments -> bitwise identical batch."""
     if count < 1 or frames < 1:
         raise ValueError(f"need positive count and frames, got {count}, {frames}")
+    if hw < 1:
+        raise ValueError(f"need a positive hw (heatmap cells per frame), got {hw}")
     tree = tree or smpl_tree()
     rng = np.random.default_rng(seed)
 

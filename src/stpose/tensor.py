@@ -32,14 +32,13 @@ as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
 
 No kernel runs in parallel: every op runs on the calling thread, and
-``no_grad`` is per thread. ``_sharded`` runs a caller's two halves, the
-first inline and the second on one helper thread, while numpy releases the
-interpreter lock inside BLAS calls and ufuncs: Adam's two halves of its
-slices, and ``train.evaluate``'s two halves of the clips. Shapes alone fix
-each split, so the bits do not depend on the CPU count: with one CPU the
-second half runs inline after the first. ``train`` and ``evaluate`` hold
-OpenBLAS at one thread inside ``_one_blas_thread()``; overlapping holders
-share the hold, and the last gives the count back.
+``no_grad`` is per thread. ``_sharded`` runs ``train.evaluate``'s two
+halves of the clips, the first inline and the second on one helper thread,
+while numpy releases the interpreter lock inside BLAS calls and ufuncs.
+The clip count alone fixes the split, so the bits do not depend on the CPU
+count: with one CPU the second half runs inline after the first. ``train``
+and ``evaluate`` hold OpenBLAS at one thread inside ``_one_blas_thread()``;
+overlapping holders share the hold, and the last gives the count back.
 
 The same calls set glibc's malloc policy once per process
 (``_keep_freed_memory``): a step frees what the next step of the same
@@ -567,10 +566,10 @@ def _helper_pool() -> ThreadPoolExecutor:
 
 def _sharded(kernel: Callable, shards: Sequence) -> list:
     """``[kernel(shard) for shard in shards]`` for one or two shards that
-    write disjoint memory, for ``Adam.step`` and ``train.evaluate``. Shard 0
-    runs inline; shard 1 on the helper thread when this process may use two
-    CPUs, under the caller's numpy error state but not its ``no_grad`` (both
-    per thread), else inline after shard 0. Both have stopped before this
+    write disjoint memory, for ``train.evaluate``. Shard 0 runs inline;
+    shard 1 on the helper thread when this process may use two CPUs, under
+    the caller's numpy error state but not its ``no_grad`` (both per
+    thread), else inline after shard 0. Both have stopped before this
     returns or raises, and an error in either reaches the caller as is."""
     if len(shards) == 1 or _helper_cpus() < 2:
         return [kernel(shard) for shard in shards]

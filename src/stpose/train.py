@@ -222,6 +222,14 @@ def _step_grads(model: Model, batch: ClipBatch, clips, frame, ratio,
         report.l_3d, report.l_2d, report.l_smpl, report.l_norm)))
 
 
+def _clip_halves(clips: int) -> list:
+    """The fixed halves of ``clips`` clips as slices: the first ceil(B/2)
+    and the rest, or the one clip alone."""
+    first = (clips + 1) // 2
+    halves = [slice(0, first), slice(first, clips)]
+    return halves if first < clips else halves[:1]
+
+
 class _ClipHalves:
     """Whole-clip steps as two fixed halves of the clips: the first
     ceil(B/2) and the rest, each one graph whose loss is scaled by its share
@@ -246,9 +254,9 @@ class _ClipHalves:
 
     def __init__(self, model: Model, batch: ClipBatch):
         self.model, self.batch = model, batch
-        first = (batch.clips + 1) // 2
-        self.clips = (np.arange(first), np.arange(first, batch.clips))
-        self.shares = (first / batch.clips, (batch.clips - first) / batch.clips)
+        halves = _clip_halves(batch.clips)
+        self.clips = tuple(np.arange(batch.clips)[h] for h in halves)
+        self.shares = tuple((h.stop - h.start) / batch.clips for h in halves)
         self.worker = None
         # a daemonic process may start no child, so it runs both halves
         if (T._helper_cpus() >= 2 and not multiprocessing.current_process().daemon
@@ -257,7 +265,7 @@ class _ClipHalves:
             # forked, not spawned: it starts in milliseconds with the built
             # model and clips instead of importing the package again, and no
             # other thread of this package is running here (the helper runs
-            # only inside a call that waits for it)
+            # only inside evaluate, which waits for it)
             context = multiprocessing.get_context("fork")
             self.pipe, end = context.Pipe()
             self.worker = context.Process(target=self._serve, args=(end,),
@@ -449,11 +457,9 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
             raise DegenerateRotationError((exc.index[0] + clips.start, *exc.index[1:]),
                                           exc.what, exc.norm) from None
 
-    first = (batch.clips + 1) // 2
-    halves = [slice(0, first)] + ([slice(first, batch.clips)] if first < batch.clips else [])
     T._keep_freed_memory()
     with T._one_blas_thread():
-        j3d = np.concatenate(T._sharded(forward, halves))
+        j3d = np.concatenate(T._sharded(forward, _clip_halves(batch.clips)))
         gt = batch.gt_j3d
         accel = (accel_error(j3d, gt) if batch.frames >= 3
                  else np.full(batch.clips, np.nan))
@@ -470,23 +476,12 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
 
 
 def ablation_configs(cfg: RunConfig) -> list:
-    """Variant rows: encoder sweep with the iterative decoder, then decoder
-    sweep behind the gated parallel encoder, duplicates dropped."""
-    variants = []
-    for topology in TOPOLOGIES:
-        variants.append(dataclasses.replace(
-            cfg, encoder=topology, decoder="iterative", tree="smpl"))
-    for decoder, tree in (("iterative", "smpl"), ("ktd", "smpl"),
-                          ("ktd", "random"), ("ktd", "reverse")):
-        variants.append(dataclasses.replace(
-            cfg, encoder="parallel_v2", decoder=decoder, tree=tree))
-    unique, seen = [], set()
-    for variant in variants:
-        key = (variant.encoder, variant.decoder, variant.tree)
-        if key not in seen:
-            seen.add(key)
-            unique.append(variant)
-    return unique
+    """Variant rows: the six encoders with the iterative decoder on the smpl
+    tree, then the KTD behind the gated parallel encoder on each tree."""
+    return ([dataclasses.replace(cfg, encoder=topology, decoder="iterative", tree="smpl")
+             for topology in TOPOLOGIES]
+            + [dataclasses.replace(cfg, encoder="parallel_v2", decoder="ktd", tree=tree)
+               for tree in ("smpl", "random", "reverse")])
 
 
 ABLATION_NOTE = ("# desk-scale ablation on synthetic clips; absolute numbers "

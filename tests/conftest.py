@@ -69,9 +69,11 @@ def force_bypass(monkeypatch):
 
 @pytest.fixture
 def inline_shards(monkeypatch):
-    """For the test, shard 1 of every sharded kernel runs on the helper
-    thread, whatever the CPU count; inside ``with inline_shards():`` it
-    runs inline after shard 0 instead, as on a one-CPU machine."""
+    """For the test, this process may use two CPUs, whatever the machine
+    has: ``evaluate`` runs its second clip half on the helper thread, the
+    one sharded call left, and ``train`` forks its clip-half worker. Inside
+    ``with inline_shards():`` it may use one, and each runs its second half
+    inline after the first, as on a one-CPU machine."""
     monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
 
     @contextmanager

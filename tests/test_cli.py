@@ -104,9 +104,9 @@ class TestTrainCommand:
 
     def test_sharded_run_exits_promptly(self, tmp_path):
         # each whole-clip step runs its second clip half in a worker process,
-        # and Adam runs the d = 64 model's parameter groups as two shards,
-        # the second on the helper thread: neither may keep the interpreter
-        # alive after main returns
+        # and the evaluate pass after training runs its second clip half on
+        # the helper thread: neither may keep the interpreter alive after
+        # main returns
         cfg = tmp_path / "sharded.cfg"
         cfg.write_text(TINY.replace("blocks = 1", "encoder = coupling\nblocks = 2")
                        .replace("d = 16", "d = 64")

@@ -182,3 +182,8 @@ class TestValidation:
     def test_rejects_zero_frames(self):
         with pytest.raises(ValueError, match="positive"):
             synth_generate(0, 2, 0)
+
+    @pytest.mark.parametrize("hw", [0, -4])
+    def test_rejects_hw_below_one(self, hw):
+        with pytest.raises(ValueError, match=f"positive hw .*got {hw}$"):
+            synth_generate(0, 1, 2, hw=hw)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stpose.optim
 import stpose.train
 from stpose import tensor as T
 from stpose.attention import SteEncoder
@@ -558,24 +557,30 @@ class TestDeterminism:
             assert np.array_equal(pa[name].data, pb[name].data), name
 
     def test_sharded_run_same_on_the_helper_and_inline(self, inline_shards, monkeypatch):
-        # stage-1 frames of 16 clips: Adam's groups run as two shards, and no
-        # kernel of the forward or backward does, not even block 0's MLP
-        # over 1040 rows by 256 hidden or attention over (16, 2, 65, 65) maps
+        # stage-1 frames and stage-2 whole clips of 16 clips: Adam steps on
+        # the calling thread, and no kernel of the forward or backward is
+        # sharded, not even block 0's MLP over 1040 rows by 256 hidden or
+        # attention over (16, 2, 65, 65) maps, so training neither calls
+        # _sharded nor starts the helper thread; with two CPUs, stage 2's
+        # second clip halves run in the worker process instead
         cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=64, t_clip=2, clips=16,
-                       steps_stage1=3, steps_stage2=0)
-        sharded, real = [], T._sharded
+                       steps_stage1=2, steps_stage2=2)
+        calls, real_sharded, real_pool = [], T._sharded, T._helper_pool
 
-        def counting(kernel, shards):
-            if len(shards) == 2:
-                sharded.append(kernel.__qualname__.split(".")[0])
-            return real(kernel, shards)
+        def sharded(kernel, shards):
+            calls.append(kernel.__qualname__)
+            return real_sharded(kernel, shards)
 
-        monkeypatch.setattr(T, "_sharded", counting)
-        monkeypatch.setattr(stpose.optim, "_sharded", counting)
+        def pool():
+            calls.append("_helper_pool")
+            return real_pool()
+
+        monkeypatch.setattr(T, "_sharded", sharded)
+        monkeypatch.setattr(T, "_helper_pool", pool)
         on_helper = train(cfg)
         with inline_shards():
             inline = train(cfg)
-        assert set(sharded) == {"Adam"}
+        assert calls == []
         assert on_helper.history == inline.history
         pa, pb = on_helper.model.named_params(), inline.model.named_params()
         for name in pa:
