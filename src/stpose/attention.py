@@ -148,13 +148,10 @@ class SteBlock(Module):
         self.ln_mlp = LayerNorm(d)
         self.fc1 = Affine(d, MLP_RATIO * d, rng)
         self.fc2 = Affine(MLP_RATIO * d, d, rng)
-        # read by tests only; both of evaluate's clip halves write it, so
-        # after evaluate it holds one half's parallel_v2 gates
-        self.last_alpha = None
 
     def _gated_mix(self, s: Tensor, t: Tensor) -> Tensor:
-        """s and t are (..., T, N, d); the gates are per frame and channel,
-        stored in last_alpha as (..., T, 1, d) pairs."""
+        """s and t are (..., T, N, d); the gates alpha_s and 1 - alpha_s are
+        (..., T, 1, d), one per frame and channel."""
         gate_shape = s.shape[:-2] + (1, s.shape[-1])
         # a shared gate scores each branch's class token; softmax over the
         # two branches reduces to a sigmoid of the logit difference, and the
@@ -166,8 +163,7 @@ class SteBlock(Module):
 
         alpha_s = T.reshape(T.sigmoid(T.sub(self.gate(cls(s)), self.gate(cls(t)))),
                             gate_shape)
-        alpha_t = T.add_scalar(T.neg(alpha_s), 1.0)
-        self.last_alpha = (alpha_s.data.copy(), alpha_t.data.copy())
+        alpha_t = T.add_scalar(T.scale(alpha_s, -1.0), 1.0)
         return T.add(T.mul(s, alpha_s), T.mul(t, alpha_t))
 
     def __call__(self, x: Tensor, bypass_temporal: bool = False,
@@ -186,7 +182,6 @@ class SteBlock(Module):
     def _attention(self, x: Tensor, bypass_temporal: bool, class_rows: bool):
         """The residual stream after the block's attention, and its maps."""
         maps: dict[str, np.ndarray] = {}
-        self.last_alpha = None
         topo = self.topology
         rows = class_slot(x) if class_rows else x
         msa = MsaLayer.class_rows if class_rows else MsaLayer.__call__

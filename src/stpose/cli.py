@@ -160,18 +160,13 @@ def _cmd_attn_dump(args) -> int:
                 data = np.asarray(weights)
                 if branch == "coupled":      # (H, m, TN): one slot
                     data = data[None]
-                slots, heads, m, n = data.shape
-                for s in range(slots):
-                    for h in range(heads):
-                        for q in range(m):
-                            for k in range(n):
-                                fh.write(f"{b},{branch},{s},{h},{q},{k},"
-                                         f"{float(data[s, h, q, k])!r}\n")
-                        if s == 0:
-                            _write_pgm(os.path.join(
-                                out, f"block{b}_{branch}_slot0_head{h}.pgm"),
-                                data[0, h])
-                            n_images += 1
+                for s, h, q, k in np.ndindex(data.shape):   # (slot, head, m, n)
+                    fh.write(f"{b},{branch},{s},{h},{q},{k},"
+                             f"{float(data[s, h, q, k])!r}\n")
+                for h, image in enumerate(data[0]):
+                    _write_pgm(os.path.join(
+                        out, f"block{b}_{branch}_slot0_head{h}.pgm"), image)
+                    n_images += 1
     print(f"wrote {csv_path} and {n_images} map images")
     return 0
 

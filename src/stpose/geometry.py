@@ -20,6 +20,9 @@ from .tensor import ShapeError, Tensor
 
 ROT6D_EPS = 1e-8
 _SMALL_ANGLE = 1e-6
+# [i, j]: the column of matrix_to_axis_angle_np's pair sums that holds
+# R_ij + R_ji; on the diagonal, 3, its column of zeros
+_PAIR_COLUMN = np.array([[3, 0, 1], [0, 3, 2], [1, 2, 3]])
 
 
 class DegenerateRotationError(ValueError):
@@ -44,15 +47,6 @@ def _refuse_short(norms: np.ndarray, what: str) -> None:
     if short.any():
         at = tuple(int(i) for i in np.argwhere(short)[0])
         raise DegenerateRotationError(at, what, norms[at].item())
-
-
-_YZX, _ZXY = [1, 2, 0], [2, 0, 1]
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis."""
-    return (np.take(a, _YZX, axis=-1) * np.take(b, _ZXY, axis=-1)
-            - np.take(a, _ZXY, axis=-1) * np.take(b, _YZX, axis=-1))
 
 
 def rot6d_to_matrix(r: Tensor) -> Tensor:
@@ -84,15 +78,15 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
 
     def vjp(g):
         gb3 = g[..., 2]
-        gb1 = g[..., 0] + _cross(b2, gb3)                 # b3 = b1 x b2
-        gb2 = g[..., 1] + _cross(gb3, b1)
+        gb1 = g[..., 0] + np.cross(b2, gb3)               # b3 = b1 x b2
+        gb2 = g[..., 1] + np.cross(gb3, b1)
         gu2 = (gb2 - b2 * (b2 * gb2).sum(axis=-1, keepdims=True)) / n2
         gdot = -(gu2 * b1).sum(axis=-1, keepdims=True)   # u2 = a2 - b1 (b1 . a2)
         gb1 += a2 * gdot - gu2 * dot
         ga1 = (gb1 - b1 * (b1 * gb1).sum(axis=-1, keepdims=True)) / n1
         return (np.concatenate([ga1, gu2 + b1 * gdot], axis=-1),)
 
-    return T._result(np.stack([b1, b2, _cross(b1, b2)], axis=-1), (r,), vjp)
+    return T._result(np.stack([b1, b2, np.cross(b1, b2)], axis=-1), (r,), vjp)
 
 
 def matrix_to_axis_angle(m: Tensor) -> Tensor:
@@ -183,22 +177,15 @@ def matrix_to_axis_angle_np(m: np.ndarray) -> np.ndarray:
         diag = np.stack([mm[..., 0, 0], mm[..., 1, 1], mm[..., 2, 2]], axis=-1)
         axis_sq = np.clip((diag - cos_t[..., None]) / (1.0 - cos_t[..., None]), 0.0, None)
         axis = np.sqrt(axis_sq)
-        # off-diagonals fix relative signs: R_ij + R_ji = 2 n_i n_j (1 - cos)
-        lead = np.argmax(axis, axis=-1)
+        # off-diagonals fix signs relative to the largest component, the
+        # lead: R_ij + R_ji = 2 n_i n_j (1 - cos). The lead's own column is
+        # a zero, so its sign stays 1.
         pair = np.stack([mm[..., 0, 1] + mm[..., 1, 0],
                          mm[..., 0, 2] + mm[..., 2, 0],
-                         mm[..., 1, 2] + mm[..., 2, 1]], axis=-1)  # xy, xz, yz
-        signs = np.ones_like(axis)
-        pair_of = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
-        for row in range(axis.shape[0]):
-            a = int(lead[row])
-            for b in range(3):
-                if b == a:
-                    continue
-                key = (min(a, b), max(a, b))
-                if pair[row, pair_of[key]] < 0.0:
-                    signs[row, b] = -1.0
-        out[near_pi] = axis * signs * theta[near_pi][..., None]
+                         mm[..., 1, 2] + mm[..., 2, 1],
+                         np.zeros(len(mm))], axis=-1)   # xy, xz, yz, none
+        shared = np.take_along_axis(pair, _PAIR_COLUMN[np.argmax(axis, axis=-1)], -1)
+        out[near_pi] = axis * np.where(shared < 0.0, -1.0, 1.0) * theta[near_pi][..., None]
     return out
 
 

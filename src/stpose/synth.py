@@ -62,12 +62,10 @@ def rasterize(j2d: np.ndarray, hw: int) -> np.ndarray:
     side = math.isqrt(hw)
     if side * side != hw:
         raise ValueError(f"hw must be a perfect square, got {hw}")
-    centers = _grid_centers(side)
-    gx = centers[None, None, :]                       # over x cells
-    gy = centers[None, None, :]
+    grid = _grid_centers(side)[None, None, :]         # over the x or y cells
     sigma = HEATMAP_SIGMA_CELLS * (2.0 / side)
-    dx2 = (gx - j2d[..., 0][..., None]) ** 2          # (T, 24, side)
-    dy2 = (gy - j2d[..., 1][..., None]) ** 2
+    dx2 = (grid - j2d[..., 0][..., None]) ** 2        # (T, 24, side)
+    dy2 = (grid - j2d[..., 1][..., None]) ** 2
     # cell (row iy, col ix) flattens to iy*side + ix
     bump = np.exp(-(dy2[..., :, None] + dx2[..., None, :]) /
                   (2.0 * sigma * sigma))              # (T, 24, side, side)
@@ -97,6 +95,10 @@ def synth_generate(seed: int, count: int, frames: int, hw: int = 16,
         raise ValueError(f"need positive count and frames, got {count}, {frames}")
     if hw < 1:
         raise ValueError(f"need a positive hw (heatmap cells per frame), got {hw}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and nonnegative, got {noise_std}")
+    if not 0.0 <= p_2d_only <= 1.0:
+        raise ValueError(f"p_2d_only must lie in [0, 1], got {p_2d_only}")
     tree = tree or smpl_tree()
     rng = np.random.default_rng(seed)
 

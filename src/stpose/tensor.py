@@ -358,10 +358,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         g / b.data, _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
-def neg(t: Tensor) -> Tensor:
-    return _result(-t.data, (t,), lambda g: (-g,))
-
-
 def scale(t: Tensor, c: float) -> Tensor:
     c = float(c)
     return _result(t.data * c, (t,), lambda g: (g * c,))

@@ -141,11 +141,9 @@ def lr_factor(step: int, total_steps: int) -> float:
     return 1.0
 
 
-def _check_finite(report: LossReport, step: int):
-    terms = (("total", report.value()), ("3d", report.l_3d),
-             ("2d", report.l_2d), ("smpl", report.l_smpl),
-             ("norm", report.l_norm))
-    for name, value in terms:
+def _check_finite(terms: tuple, step: int):
+    """terms are a step's total, l_3d, l_2d, l_smpl and l_norm."""
+    for name, value in zip(("total", "3d", "2d", "smpl", "norm"), terms):
         if not np.isfinite(value):
             raise RuntimeError(
                 f"non-finite loss at step {step}: {name} term is {value}")
@@ -288,13 +286,12 @@ class _ClipHalves:
         grad = self.model.store.grad
         while True:
             try:
-                frame, ratio, errors = pipe.recv()
+                frame, ratio = pipe.recv()
             except EOFError:
                 return
             grad.fill(0.0)
             try:
-                with np.errstate(**errors):
-                    reply = self._second(frame, ratio)
+                reply = self._second(frame, ratio)
                 self.second_grad[...] = grad
             except Exception as exc:   # the parent raises it
                 reply = exc
@@ -315,7 +312,7 @@ class _ClipHalves:
         :func:`_step_grads` summed the same way."""
         if self.worker is not None:
             try:
-                self.pipe.send((frame, ratio, np.geterr()))
+                self.pipe.send((frame, ratio))
             except OSError:
                 raise self._lost() from None
         first = _step_grads(self.model, self.batch, self.clips[0], frame,
@@ -401,8 +398,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                                        f"{stage}): {cause}{where}") from cause
                 if frame is not None:
                     image_step += 1
-                report = LossReport(Tensor(terms[0]), *terms[1:])
-                _check_finite(report, step)
+                _check_finite(terms, step)
                 _check_grads(model.store, step)
                 opt.lr = cfg.lr * lr_factor(step, cfg.total_steps)
                 opt.step()

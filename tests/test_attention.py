@@ -178,6 +178,29 @@ class TestMsaLayer:
             self.msa(_rand_tokens(self.rng, 1, 2, 8), "both")
 
 
+@pytest.fixture
+def gates(monkeypatch):
+    """The (alpha_s, alpha_t) gates of each gated mix in the test, in turn,
+    both (..., T, 1, d): alpha_s is the output of the block's one sigmoid,
+    reshaped like alpha_t, and alpha_t the output of the add_scalar that
+    forms 1 - alpha_s, which no other op of a block calls."""
+    sigmoid, add_scalar, seen = T.sigmoid, T.add_scalar, []
+
+    def record_s(z):
+        out = sigmoid(z)
+        seen.append(out.data)
+        return out
+
+    def record_t(z, c):
+        out = add_scalar(z, c)
+        seen[-1] = (seen[-1].reshape(out.shape), out.data)
+        return out
+
+    monkeypatch.setattr(T, "sigmoid", record_s)
+    monkeypatch.setattr(T, "add_scalar", record_t)
+    return seen
+
+
 class TestSteBlock:
     def test_unknown_topology(self):
         with pytest.raises(ValueError, match="topology"):
@@ -242,32 +265,32 @@ class TestSteBlock:
                               block.fc2)
         np.testing.assert_allclose(got.data, want, atol=1e-10)
 
-    def test_gates_gain_leading_axes(self):
+    def test_gates_gain_leading_axes(self, gates):
         rng = np.random.default_rng(128)
         block = SteBlock("parallel_v2", 8, 2, rng)
         x = rng.standard_normal((2, 3, 5, 8))
         block(Tensor(x))
-        a_s, a_t = block.last_alpha
+        a_s, a_t = gates[-1]
         assert a_s.shape == a_t.shape == (2, 3, 1, 8)
         block(Tensor(x[1]))
-        np.testing.assert_allclose(a_s[1], block.last_alpha[0], rtol=0,
+        np.testing.assert_allclose(a_s[1], gates[-1][0], rtol=0,
                                    atol=1e-12)
 
-    def test_gates_sum_to_one_exactly(self):
+    def test_gates_sum_to_one_exactly(self, gates):
         rng = np.random.default_rng(115)
         block = SteBlock("parallel_v2", 8, 2, rng)
         block(_rand_tokens(rng, 3, 5, 8))
-        a_s, a_t = block.last_alpha
+        a_s, a_t = gates[-1]
         assert a_s.shape == (3, 1, 8)
         assert np.array_equal(a_s + a_t, np.ones_like(a_s))
         assert a_s.min() > 0.0 and a_s.max() < 1.0
 
-    def test_gate_is_two_branch_softmax_of_shared_map(self):
+    def test_gate_is_two_branch_softmax_of_shared_map(self, gates):
         rng = np.random.default_rng(125)
         block = SteBlock("parallel_v2", 8, 2, rng)
         x = rng.standard_normal((3, 5, 8))
         block(Tensor(x))
-        a_s, _ = block.last_alpha
+        a_s, _ = gates[-1]
         xn = _ln_np(x, block.ln_attn)
         s, _ = _attend_np(xn, block.msa_s)
         t, _ = _attend_np(xn.transpose(1, 0, 2), block.msa_t)

@@ -1,7 +1,8 @@
 """Every imported name is read, and every top-level function, class and
-constant of stpose has a reader in stpose: an import nothing reads, or a
-definition only tests reach, is a dead line that suggests a dependency, a
-feature or coverage the code does not have."""
+constant and every instance attribute of stpose has a reader in stpose: an
+import nothing reads, or a definition or state only tests reach, is a dead
+line that suggests a dependency, a feature or coverage the code does not
+have."""
 
 import ast
 import collections
@@ -104,3 +105,42 @@ def test_definition_scan_finds_the_uncalled_names():
 def test_every_definition_has_a_caller():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert sorted(uncalled_definitions(sources)) == sorted(UNCALLED)
+
+
+def _stored_attributes(tree) -> list:
+    """(line, name) of every ``self.<name>`` that an assignment binds."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.lineno, n.attr) for t in targets for n in ast.walk(t)
+                    if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                    and n.value.id == "self"]
+    return out
+
+
+def unread_attributes(sources: list) -> list:
+    """Instance attributes that some ``self.<name> = ...`` of the given
+    sources binds and no ``.<name>`` load in them reads, in source order:
+    state that only tests read, or that nothing does."""
+    trees = [ast.parse(source) for source in sources]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [name for tree in trees for _, name in sorted(_stored_attributes(tree))
+            if name not in read]
+
+
+def test_attribute_scan_finds_the_unread_attributes():
+    # an augmented assignment reads its target, but only to write it back
+    sources = ["class A:\n    def __init__(self):\n"
+               "        self.kept, (self.lost, x) = 1, (2, 3)\n"
+               "        self.twice: int = 0\n        self.twice = 1\n"
+               "        self.peer = None\n        other.peer = 2\n"
+               "        self.count = 0\n",
+               "def f(a):\n    a.count += 1\n    return a.kept, a.twice\n"]
+    assert unread_attributes(sources) == ["lost", "peer", "count"]
+
+
+def test_every_instance_attribute_is_read():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert unread_attributes(sources) == []

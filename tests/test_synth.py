@@ -187,3 +187,13 @@ class TestValidation:
     def test_rejects_hw_below_one(self, hw):
         with pytest.raises(ValueError, match=f"positive hw .*got {hw}$"):
             synth_generate(0, 1, 2, hw=hw)
+
+    @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf")])
+    def test_rejects_noise_std_not_finite_and_nonnegative(self, noise_std):
+        with pytest.raises(ValueError, match=f"noise_std .*got {noise_std}$"):
+            synth_generate(0, 1, 2, noise_std=noise_std)
+
+    @pytest.mark.parametrize("p", [-0.1, 2.0, float("nan")])
+    def test_rejects_p_2d_only_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match=f"p_2d_only .*got {p}$"):
+            synth_generate(0, 1, 2, p_2d_only=p)

@@ -287,7 +287,7 @@ def test_binary_op_gradients(name):
 
 
 UNARY = {
-    "neg": T.neg,
+    "neg": lambda t: T.scale(t, -1.0),   # the gate complement's negation
     "scale": lambda t: T.scale(t, -2.5),
     "add_scalar": lambda t: T.add_scalar(t, 1.25),
     "sqrt": lambda t: _sqrt_node(T.add_scalar(T.mul(t, t), 1.0)),
@@ -310,6 +310,16 @@ def test_unary_op_gradients(name):
     out_shape = UNARY[name](x).shape
     c = Tensor(rng.standard_normal(out_shape))
     assert fd_check(lambda: T.reduce_sum(T.mul(UNARY[name](x), c)), [x]) < 1e-5
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_coords_per_tensor", 0), ("max_coords_per_tensor", -2), ("h", 0.0),
+    ("h", -1e-6), ("h", float("nan")), ("h", float("inf"))])
+def test_fd_check_refuses_a_vacuous_setting(name, value):
+    # max_coords_per_tensor=0 would check no coordinate and report 0.0
+    x = Tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ValueError, match=f"^{name} must .*got {value}$"):
+        fd_check(lambda: T.reduce_sum(x), [x], **{name: value})
 
 
 def test_concat_where_layernorm_gradients():
@@ -909,9 +919,9 @@ def test_no_grad_nests_and_restores_after_errors():
     with T.no_grad():
         with T.no_grad():
             pass
-        assert not T.neg(x).requires_grad   # the inner exit keeps it off
-    assert T.neg(x).requires_grad
+        assert not T.scale(x, -1.0).requires_grad   # the inner exit keeps it off
+    assert T.scale(x, -1.0).requires_grad
     with pytest.raises(ShapeError):
         with T.no_grad():
             T.add(x, Tensor(np.ones(3)))
-    assert T.neg(x).requires_grad
+    assert T.scale(x, -1.0).requires_grad

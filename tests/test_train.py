@@ -306,14 +306,12 @@ class TestStepBudget:
 
 class TestFiniteGuard:
     def test_check_finite_names_term(self):
-        report = LossReport(Tensor(np.array(1.0)), 0.0, float("nan"), 0.0, 0.0)
         with pytest.raises(RuntimeError, match="step 3: 2d term is nan"):
-            _check_finite(report, 3)
+            _check_finite((1.0, 0.0, float("nan"), 0.0, 0.0), 3)
 
     def test_check_finite_total(self):
-        report = LossReport(Tensor(np.array(np.inf)), 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(RuntimeError, match="total term is inf"):
-            _check_finite(report, 0)
+            _check_finite((np.inf, 0.0, 0.0, 0.0, 0.0), 0)
 
     def test_train_aborts_on_non_finite(self, monkeypatch):
         def bad_step(model, batch, clips, frame=None, ratio=1.0):
@@ -450,6 +448,25 @@ class TestClipHalves:
                            rf"clip {half} failed \(forward pass, {decoder} decoder\)$") as info:
             train(tiny_cfg(decoder=decoder))
         assert type(info.value.__cause__) is ValueError
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["worker", "inline"])
+    def test_the_second_half_runs_under_the_callers_error_state(self, monkeypatch, cpus):
+        # the worker is forked inside train, so it inherits the errstate
+        real = stpose.train.batch_step
+
+        def overflowing(model, batch, clips, frame=None, ratio=1.0):
+            if ratio < 1.0 and list(clips) == [1]:   # the second half only
+                np.float64(1e308) * 10.0
+            return real(model, batch, clips, frame, ratio)
+
+        monkeypatch.setattr(stpose.train, "batch_step", overflowing)
+        monkeypatch.setattr(T, "_helper_cpus", lambda: cpus)
+        with np.errstate(over="raise"):
+            with pytest.raises(RuntimeError, match=r"^training failed at step 2 \(stage 2\): "
+                               r"overflow ") as info:
+                train(tiny_cfg())
+        assert type(info.value.__cause__) is FloatingPointError
         assert multiprocessing.active_children() == []
 
     def test_each_half_runs_blas_on_one_thread(self, monkeypatch, two_cpus):
