@@ -39,9 +39,6 @@ class LossReport:
     l_smpl: float          # already weighted (pose and shape carry separate weights)
     l_norm: float
 
-    def value(self) -> float:
-        return float(self.total.data)
-
 
 def total_loss(pred_j3d: Tensor, pred_j2d: Tensor, pred_theta: Tensor,
                pred_beta: Tensor, gt_j3d: np.ndarray, gt_j2d: np.ndarray,

@@ -9,7 +9,7 @@ not depend on the slicing. The slices run one after another on the
 calling thread. In training, only the main process steps Adam: after a
 whole-clip step's two clip halves, one of them run by a worker process,
 have added up their gradients in the store's ``grad``
-(``train._ClipHalves``).
+(``runtime.ClipHalves``).
 """
 
 from __future__ import annotations

@@ -32,37 +32,19 @@ as in FlashAttention's tiling (Dao et al., arXiv 2205.14135) without its
 recompute.
 
 No kernel runs in parallel: every op runs on the calling thread, and
-``no_grad`` is per thread. ``_sharded`` runs ``train.evaluate``'s two
-halves of the clips, the first inline and the second on one helper thread,
-while numpy releases the interpreter lock inside BLAS calls and ufuncs.
-The clip count alone fixes the split, so the bits do not depend on the CPU
-count: with one CPU the second half runs inline after the first. ``train``
-and ``evaluate`` hold OpenBLAS at one thread inside ``_one_blas_thread()``;
-overlapping holders share the hold, and the last gives the count back.
-
-The same calls set glibc's malloc policy once per process
-(``_keep_freed_memory``): a step frees what the next step of the same
-shapes allocates again, so freed memory stays in the process rather than
-going back to the kernel and faulting in again. It does nothing where the
-C library has no ``mallopt``, and changes no bits. A forked clip-half
-worker would share that kept heap with its parent, and each process's
-first writes would copy it page by page; so the worker gives its copy
-back first (``_give_back_free_memory``) and takes fresh pages instead.
+``no_grad`` is per thread. How a call uses the process's CPUs, BLAS
+threads and memory is ``runtime``'s.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import heapq
 import itertools
 import math
 import mmap
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -434,153 +416,6 @@ def vecnorm(t: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         return (g * unit,)
 
     return _result(n if keepdims else n.squeeze(axis), (t,), vjp)
-
-
-# -- BLAS threads, malloc policy and two halves ---------------------------
-
-
-_helper: tuple[int, ThreadPoolExecutor] | None = None   # (pid, pool) that runs shard 1
-_helper_lock = threading.Lock()
-
-
-def _helper_cpus() -> int:
-    """CPUs this process may run on. With fewer than two, shard 1 runs
-    inline after shard 0."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads() -> tuple:
-    """(get, set) of the thread count of every OpenBLAS this process has
-    loaded (numpy's, and scipy's own copy), found by path in
-    /proc/self/maps; empty for another BLAS or where there is no /proc."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line.rsplit("/", 1)[-1]})
-    except OSError:
-        return ()
-    calls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas{}64_", "scipy_openblas{}", "openblas{}64_", "openblas{}"):
-            if hasattr(lib, name.format("_set_num_threads")):
-                get = getattr(lib, name.format("_get_num_threads"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_ = getattr(lib, name.format("_set_num_threads"))
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                calls.append((get, set_))
-                break
-    return tuple(calls)
-
-
-_blas_lock = threading.Lock()
-_blas_holders = 0          # blocks inside _one_blas_thread, on any thread
-_blas_counts: tuple = ()   # (set, count) of each OpenBLAS before the first
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold every loaded OpenBLAS at one thread inside the block. Of
-    overlapping blocks, on any threads, the first saves each library's
-    thread count and the last gives it back, so no block runs at a restored
-    count. The thread count can change a GEMM's bits, so the block's bits do
-    not depend on it."""
-    global _blas_holders, _blas_counts
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_counts = tuple((set_threads, get())
-                                 for get, set_threads in _openblas_threads())
-            for set_threads, _ in _blas_counts:
-                set_threads(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                for set_threads, count in _blas_counts:
-                    set_threads(count)
-
-
-# glibc's mallopt parameters (malloc.h)
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-# A step frees what the next step of the same shapes allocates again. With
-# glibc's defaults malloc unmaps the large blocks and trims the heap's top,
-# and the next step faults them back in: a warm default ``evaluate`` pass
-# took 1,000-2,400 minor faults and a stage-2 step up to 6,200, against a
-# few dozen with both settings. 32 MiB is glibc's own ceiling for its
-# dynamic mmap threshold on 64-bit; a step's whole heap stayed under 48 MiB
-# on every benchmark workload, below the 64 MiB trim threshold. Either
-# setting alone left 1,900-6,600 faults a pass.
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 64 << 20
-
-
-@functools.cache
-def _keep_freed_memory() -> bool:
-    """Have glibc's malloc keep freed memory in the process for the next
-    step, once per process (a forked child inherits it). Returns whether
-    the policy is in force: False, having done nothing, where the C library
-    has no ``mallopt`` (macOS)."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
-
-
-def _give_back_free_memory() -> bool:
-    """Give the free heap memory this process holds back to the kernel
-    (glibc's ``malloc_trim(0)``), for a forked child whose inherited free
-    heap the parent still maps: its own allocations then take fresh pages
-    instead of copying the parent's. Returns whether it ran: False, having
-    done nothing, where the C library has no ``malloc_trim`` (macOS, musl)."""
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError):
-        return False
-    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-    malloc_trim(0)
-    return True
-
-
-def _helper_pool() -> ThreadPoolExecutor:
-    """The one helper thread's pool, started on first use. A forked child
-    does not inherit the parent's thread, so it starts its own."""
-    global _helper
-    with _helper_lock:
-        if _helper is None or _helper[0] != os.getpid():
-            _helper = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="stpose-shard"))
-        return _helper[1]
-
-
-def _sharded(kernel: Callable, shards: Sequence) -> list:
-    """``[kernel(shard) for shard in shards]`` for one or two shards that
-    write disjoint memory, for ``train.evaluate``. Shard 0 runs inline;
-    shard 1 on the helper thread when this process may use two CPUs, under
-    the caller's numpy error state but not its ``no_grad`` (both per
-    thread), else inline after shard 0. Both have stopped before this
-    returns or raises, and an error in either reaches the caller as is."""
-    if len(shards) == 1 or _helper_cpus() < 2:
-        return [kernel(shard) for shard in shards]
-    errors, call = np.geterr(), np.geterrcall()
-
-    def second():
-        with np.errstate(call=call, **errors):
-            return kernel(shards[1])
-
-    future = _helper_pool().submit(second)
-    try:
-        first = kernel(shards[0])
-    finally:
-        future.exception()   # waits for shard 1 even when shard 0 raised
-    return [first, future.result()]
 
 
 # -- linear algebra --------------------------------------------------------

@@ -11,15 +11,13 @@ reproduces a run.
 from __future__ import annotations
 
 import dataclasses
-import mmap
-import multiprocessing
 import os
-import signal
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
 
+from . import runtime
 from . import tensor as T
 from .attention import TOPOLOGIES, SteEncoder
 from .checkpoint import save_checkpoint
@@ -173,7 +171,7 @@ def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
     A :class:`DegenerateRotationError` is re-raised naming the clip and
     the frame of ``batch``, not the slot they had in the step. ``train``
     runs a whole-clip step as two such graphs, one per half of the clips
-    (see :class:`_ClipHalves`).
+    (see :mod:`runtime`).
     """
     clips = np.asarray(clips)
     spans = []   # (frames, weight of each) per encoder pass
@@ -220,121 +218,15 @@ def _step_grads(model: Model, batch: ClipBatch, clips, frame, ratio,
         report.l_3d, report.l_2d, report.l_smpl, report.l_norm)))
 
 
-def _clip_halves(clips: int) -> list:
-    """The fixed halves of ``clips`` clips as slices: the first ceil(B/2)
-    and the rest, or the one clip alone."""
-    first = (clips + 1) // 2
-    halves = [slice(0, first), slice(first, clips)]
-    return halves if first < clips else halves[:1]
-
-
-class _ClipHalves:
-    """Whole-clip steps as two fixed halves of the clips: the first
-    ceil(B/2) and the rest, each one graph whose loss is scaled by its share
-    of the clips.
-
-    When this process may use two CPUs (``tensor._helper_cpus``) and start a
-    child, a worker process forked here runs the second half while this one
-    runs the first, each on one CPU. The worker's model is its forked copy,
-    its memory on top of this process's, and its store's ``data`` the
-    mapping that this process's store shares, so it reads the values Adam
-    last wrote here. Each step sends it the frame; it copies its gradient
-    into a buffer shared with this process, which adds that into its
-    store's, and answers with its loss terms or its error. The worker runs
-    nothing else, and ``close`` ends it. It first gives back the free heap
-    it inherits, so that its first half takes fresh zero pages rather than
-    copying this process's, and this process's first writes reclaim pages
-    only it still maps. With one CPU this process runs the
-    second half after the first, into the same gradient. Either way the
-    same ops run on the same values, and the gradients are added as
-    half 0 + half 1, so the bits do not depend on the CPU count.
-    """
-
-    def __init__(self, model: Model, batch: ClipBatch):
-        self.model, self.batch = model, batch
-        halves = _clip_halves(batch.clips)
-        self.clips = tuple(np.arange(batch.clips)[h] for h in halves)
-        self.shares = tuple((h.stop - h.start) / batch.clips for h in halves)
-        self.worker = None
-        # a daemonic process may start no child, so it runs both halves
-        if (T._helper_cpus() >= 2 and not multiprocessing.current_process().daemon
-                and "fork" in multiprocessing.get_all_start_methods()):
-            self.second_grad = np.frombuffer(mmap.mmap(-1, model.store.grad.nbytes))
-            # forked, not spawned: it starts in milliseconds with the built
-            # model and clips instead of importing the package again, and no
-            # other thread of this package is running here (the helper runs
-            # only inside evaluate, which waits for it)
-            context = multiprocessing.get_context("fork")
-            self.pipe, end = context.Pipe()
-            self.worker = context.Process(target=self._serve, args=(end,),
-                                          name="stpose-clip-half", daemon=True)
-            try:
-                self.worker.start()
-            except OSError as exc:   # EAGAIN at the process limit, say
-                self.pipe.close()
-                raise RuntimeError(f"could not start the clip-half worker process: "
-                                   f"{exc}") from exc
-            finally:
-                end.close()
-
-    def _serve(self, pipe) -> None:
-        """The worker: one second half per frame received, until the pipe
-        closes."""
-        T._give_back_free_memory()   # before the first half: see the class docstring
-        self.pipe.close()   # this process's copy of the parent's end
-        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it on Ctrl-C
-        grad = self.model.store.grad
-        while True:
-            try:
-                frame, ratio = pipe.recv()
-            except EOFError:
-                return
-            grad.fill(0.0)
-            try:
-                reply = self._second(frame, ratio)
-                self.second_grad[...] = grad
-            except Exception as exc:   # the parent raises it
-                reply = exc
-            pipe.send(reply)
-
-    def _second(self, frame, ratio) -> tuple:
-        return _step_grads(self.model, self.batch, self.clips[1], frame,
-                           ratio, self.shares[1])
-
-    def _lost(self) -> RuntimeError:
-        self.worker.join()
-        return RuntimeError(f"the clip-half worker process exited with code "
-                            f"{self.worker.exitcode}")
-
-    def step(self, frame, ratio) -> tuple:
-        """Both halves of one step at the store's current values. Adds half
-        0 + half 1 into the store's ``grad`` and returns the loss terms of
-        :func:`_step_grads` summed the same way."""
-        if self.worker is not None:
-            try:
-                self.pipe.send((frame, ratio))
-            except OSError:
-                raise self._lost() from None
-        first = _step_grads(self.model, self.batch, self.clips[0], frame,
-                            ratio, self.shares[0])
-        if self.worker is None:
-            second = self._second(frame, ratio)
-        else:
-            try:
-                second = self.pipe.recv()
-            except EOFError:
-                raise self._lost() from None
-            if isinstance(second, Exception):
-                raise second
-            np.add(self.model.store.grad, self.second_grad, out=self.model.store.grad)
-        return tuple(a + b for a, b in zip(first, second))
-
-    def close(self) -> None:
-        """Stop and reap the worker, if there is one, busy or not."""
-        if self.worker is not None:
-            self.pipe.close()
-            self.worker.terminate()
-            self.worker.join()
+def _half_grads(model: Model, batch: ClipBatch):
+    """``half(i, frame, ratio)`` for :class:`runtime.ClipHalves`: the
+    :func:`_step_grads` of the i-th fixed half of the clips, its loss
+    scaled by that half's share of them."""
+    halves = runtime.clip_halves(batch.clips)
+    clips = [np.arange(batch.clips)[h] for h in halves]
+    shares = [(h.stop - h.start) / batch.clips for h in halves]
+    return lambda i, frame, ratio: _step_grads(model, batch, clips[i], frame,
+                                               ratio, shares[i])
 
 
 def train(cfg: RunConfig, out_dir=None) -> TrainResult:
@@ -345,13 +237,12 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     clips plus one rotating frame of each, the frame weighted
     ``stage2_image_ratio`` and the clip (1 - ratio), with one loss (see
     :func:`batch_step`). A step that feeds whole clips, over at least 2 of
-    them, is two graphs, one per fixed half of the clips: with two CPUs, a
-    worker process forked before the optimizer is built runs the second,
-    reading the parameters from the model's store, and its memory adds to
-    the run's (:class:`_ClipHalves`). OpenBLAS runs on one thread until the
-    call returns, so the bits depend neither on the CPU count nor on the
-    BLAS thread count, and only this process runs the optimizer. Writes
-    config.txt, loss_log.csv, and final.ckpt when ``out_dir`` is given.
+    them, is two graphs, one per fixed half of the clips; with two CPUs a
+    worker process runs the second (:class:`runtime.ClipHalves`), and only
+    this process runs the optimizer. The call runs inside
+    :func:`runtime.pinned`, so the bits depend neither on the CPU count nor
+    on the BLAS thread count. Writes config.txt, loss_log.csv, and
+    final.ckpt when ``out_dir`` is given.
 
     An error in a step's forward or backward pass, in either process, is
     re-raised as a RuntimeError that names the step and the stage, and for
@@ -360,19 +251,15 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     if cfg.total_steps == 0:
         raise ValueError("train needs at least one step, but steps_stage1 "
                          "and steps_stage2 are both 0")
-    T._keep_freed_memory()   # before the worker is forked, so it inherits it
-    model = build_model(cfg)
-    batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
-                           noise_std=cfg.noise_std, tree=model.tree,
-                           p_2d_only=cfg.p_2d_only)
-    halves = None
-    # one BLAS thread throughout, set before the worker is forked so that it
-    # inherits it: two threads in each clip half put four busy threads on
-    # two CPUs (whole runs took 3-6x longer)
-    with T._one_blas_thread():
+    with runtime.pinned():
+        model = build_model(cfg)
+        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
+                               noise_std=cfg.noise_std, tree=model.tree,
+                               p_2d_only=cfg.p_2d_only)
+        halves = None
         try:
             if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
-                halves = _ClipHalves(model, batch)
+                halves = runtime.ClipHalves(_half_grads(model, batch), model.store.grad)
             opt = Adam(model.store, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
             history = []
             all_clips = range(batch.clips)
@@ -437,12 +324,12 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
     """Per-clip mpjpe / pa_mpjpe / accel (mm) plus their means.
 
     The clips run as two fixed halves, the first ceil(B/2) and the rest,
-    each one no-grad ``model_forward``, the second on the engine's helper
-    thread when there are two CPUs (``tensor._sharded``); a
+    each one no-grad ``model_forward``, the second on a helper thread when
+    there are two CPUs (``runtime.two_halves``); a
     :class:`DegenerateRotationError` names the batch's clip. The metrics
     then take all clips in one pass, and a ValueError for collinear joints
-    names the clip and the frame. Neither the CPU count nor, with OpenBLAS
-    held at one thread as in ``train``, the BLAS thread count changes the
+    names the clip and the frame. Inside :func:`runtime.pinned`, as in
+    ``train``, neither the CPU count nor the BLAS thread count changes the
     rows. Returns (rows, mean).
     """
     def forward(clips: slice) -> np.ndarray:
@@ -453,9 +340,8 @@ def evaluate(model: Model, batch: ClipBatch, csv_path=None):
             raise DegenerateRotationError((exc.index[0] + clips.start, *exc.index[1:]),
                                           exc.what, exc.norm) from None
 
-    T._keep_freed_memory()
-    with T._one_blas_thread():
-        j3d = np.concatenate(T._sharded(forward, _clip_halves(batch.clips)))
+    with runtime.pinned():
+        j3d = np.concatenate(runtime.two_halves(forward, runtime.clip_halves(batch.clips)))
         gt = batch.gt_j3d
         accel = (accel_error(j3d, gt) if batch.frames >= 3
                  else np.full(batch.clips, np.nan))

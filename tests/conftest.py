@@ -3,6 +3,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from stpose import runtime
 from stpose import tensor as T
 from stpose.attention import SteBlock
 
@@ -70,16 +71,16 @@ def force_bypass(monkeypatch):
 @pytest.fixture
 def inline_shards(monkeypatch):
     """For the test, this process may use two CPUs, whatever the machine
-    has: ``evaluate`` runs its second clip half on the helper thread, the
-    one sharded call left, and ``train`` forks its clip-half worker. Inside
+    has: ``evaluate`` runs its second clip half on the helper thread
+    (``runtime.two_halves``), and ``train`` forks its clip-half worker. Inside
     ``with inline_shards():`` it may use one, and each runs its second half
     inline after the first, as on a one-CPU machine."""
-    monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+    monkeypatch.setattr(runtime, "cpus", lambda: 2)
 
     @contextmanager
     def inline():
         with monkeypatch.context() as patch:
-            patch.setattr(T, "_helper_cpus", lambda: 1)
+            patch.setattr(runtime, "cpus", lambda: 1)
             yield
     return inline
 

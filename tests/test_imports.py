@@ -1,8 +1,8 @@
 """Every imported name is read, and every top-level function, class and
-constant and every instance attribute of stpose has a reader in stpose: an
-import nothing reads, or a definition or state only tests reach, is a dead
-line that suggests a dependency, a feature or coverage the code does not
-have."""
+constant, every method and every instance attribute of stpose has a reader
+in stpose: an import nothing reads, or a definition or state only tests
+reach, is a dead line that suggests a dependency, a feature or coverage the
+code does not have. And only ``runtime.py`` reaches the process itself."""
 
 import ast
 import collections
@@ -84,15 +84,39 @@ def _defined(node) -> list:
             and not (n.id.startswith("__") and n.id.endswith("__"))]
 
 
+def _attribute_reads(tree) -> collections.Counter:
+    """Loaded attribute names only: ``obj.f()`` reads f, a bare ``f`` does
+    not."""
+    return collections.Counter(node.attr for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute)
+                               and isinstance(node.ctx, ast.Load))
+
+
+def _methods(node) -> list:
+    """The methods a top-level class defines, dunders excepted."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [item for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
 def uncalled_definitions(sources: list) -> list:
     """Top-level functions, classes and constants of the given sources that
-    none of them reads, in source order. A read inside the definition itself
+    none of them reads, and methods ("Class.method") that no attribute load
+    of theirs reads, in source order. A read inside the definition itself
     (a recursive call) does not count; a read of an attribute of the same
     name anywhere does, so the scan can miss a dead name."""
     trees = [ast.parse(source) for source in sources]
     total = sum((_reads(tree) for tree in trees), collections.Counter())
-    return [name for tree in trees for node in tree.body for name in _defined(node)
-            if total[name] == _reads(node)[name]]
+    attrs = sum((_attribute_reads(tree) for tree in trees), collections.Counter())
+    out = []
+    for tree in trees:
+        for node in tree.body:
+            out += [name for name in _defined(node) if total[name] == _reads(node)[name]]
+            out += [f"{node.name}.{fn.name}" for fn in _methods(node)
+                    if attrs[fn.name] == _attribute_reads(fn)[fn.name]]
+    return out
 
 
 def test_definition_scan_finds_the_uncalled_names():
@@ -100,6 +124,18 @@ def test_definition_scan_finds_the_uncalled_names():
                "LIMIT = 3\n__version__ = '1'\n_A, _B = 1, 2\nWIDTH: int = 4\n",
                "import m\nm.used()\ndef also(): pass\nalso()\nprint(_A, m.WIDTH)\n"]
     assert uncalled_definitions(sources) == ["lone", "Dead", "LIMIT", "_B"]
+
+
+def test_definition_scan_finds_the_unread_methods():
+    # a method counts as read by an attribute load outside itself only: a
+    # bare name of the same spelling is not a call of it, and dunders are
+    # the interpreter's to call
+    sources = ["class A:\n    def __init__(self): self.go()\n"
+               "    def go(self): pass\n    def spin(self): return self.spin()\n"
+               "    def named(self): pass\n    def __len__(self): return 0\n"
+               "    @property\n    def size(self): return 1\n",
+               "a = A()\nprint(a.size, named, len(a))\n"]
+    assert uncalled_definitions(sources) == ["A.spin", "A.named"]
 
 
 def test_every_definition_has_a_caller():
@@ -144,3 +180,45 @@ def test_attribute_scan_finds_the_unread_attributes():
 def test_every_instance_attribute_is_read():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unread_attributes(sources) == []
+
+
+# The modules through which a program reaches its process: C calls, child
+# processes, signals and thread pools.
+PROCESS_MODULES = ("ctypes", "multiprocessing", "signal", "concurrent")
+
+
+def imported_modules(source: str) -> list:
+    """The module each import statement names, in source order: ``import
+    a.b`` names a.b, ``from a import b`` names a, and a relative import
+    keeps its leading dots."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append("." * node.level + (node.module or ""))
+    return out
+
+
+def boundary_breaches(name: str, source: str) -> list:
+    """The imports of module ``name`` that cross the runtime boundary: a
+    process module imported anywhere but ``runtime.py``, and any part of
+    stpose imported by it."""
+    if name == "runtime.py":
+        return [m for m in imported_modules(source)
+                if m.startswith(".") or m.split(".")[0] == "stpose"]
+    return [m for m in imported_modules(source) if m.split(".")[0] in PROCESS_MODULES]
+
+
+def test_boundary_scan_finds_the_breaches():
+    source = ("import ctypes, os\nimport concurrent.futures\n"
+              "from multiprocessing import Pipe\nfrom . import tensor as T\n"
+              "from .tensor import Tensor\nimport stpose.train\nimport signalling\n")
+    assert boundary_breaches("train.py", source) == [
+        "ctypes", "concurrent.futures", "multiprocessing"]
+    assert boundary_breaches("runtime.py", source) == [".", ".tensor", "stpose.train"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_runtime_reaches_the_process(path):
+    assert boundary_breaches(path.name, path.read_text(encoding="utf-8")) == []

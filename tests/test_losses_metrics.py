@@ -36,7 +36,7 @@ class TestTotalLoss:
         zero_theta, zero_beta = np.zeros((2, 72)), np.zeros((2, 10))
         rep = _loss_args((j3d, j2d, zero_theta, zero_beta),
                          (j3d, j2d, zero_theta, zero_beta), RunConfig())
-        assert rep.value() == 0.0
+        assert rep.total.item() == 0.0
         assert rep.l_3d == rep.l_2d == rep.l_smpl == rep.l_norm == 0.0
 
     def test_three_four_five_triangle(self):
@@ -48,7 +48,7 @@ class TestTotalLoss:
                          RunConfig(w_3d=1.0, w_2d=1.0, w_smpl_pose=0,
                                    w_smpl_shape=0, w_norm=0))
         assert rep.l_3d == 5.0
-        assert rep.value() == 5.0
+        assert rep.total.item() == 5.0
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(202)
@@ -76,7 +76,7 @@ class TestTotalLoss:
                                           (l3d, l2d, lpose, lshape, lnorm))
         want = w.w_3d * l3d + w.w_2d * l2d + w.w_smpl_pose * lpose \
             + w.w_smpl_shape * lshape + w.w_norm * lnorm
-        assert abs(rep.value() - want) < 1e-10
+        assert abs(rep.total.item() - want) < 1e-10
         assert abs(rep.l_3d - l3d) < 1e-12
         assert abs(rep.l_smpl - (w.w_smpl_pose * lpose + w.w_smpl_shape * lshape)) < 1e-12
 
@@ -88,7 +88,7 @@ class TestTotalLoss:
         rep = _loss_args(pred, gt, w)
         want = w.w_3d * rep.l_3d + w.w_2d * rep.l_2d + rep.l_smpl \
             + w.w_norm * rep.l_norm
-        assert abs(rep.value() - want) < 1e-9 * max(1.0, want)
+        assert abs(rep.total.item() - want) < 1e-9 * max(1.0, want)
 
     def test_2d_only_sample_skips_3d_and_param_terms(self):
         rng = np.random.default_rng(204)
@@ -101,14 +101,14 @@ class TestTotalLoss:
         only_2d = _loss_args(pred, gt, RunConfig(w_3d=0, w_2d=1.0,
                                                  w_smpl_pose=0, w_smpl_shape=0,
                                                  w_norm=0.0))
-        assert abs(rep.value() - only_2d.l_2d) < 1e-12
+        assert abs(rep.total.item() - only_2d.l_2d) < 1e-12
 
     def test_nonnegative_on_random_inputs(self):
         rng = np.random.default_rng(205)
         for _ in range(20):
             gt = _gt_like(rng)
             pred = tuple(a + rng.standard_normal(a.shape) for a in gt)
-            assert _loss_args(pred, gt, RunConfig()).value() >= 0.0
+            assert _loss_args(pred, gt, RunConfig()).total.item() >= 0.0
 
     def test_gradient(self):
         rng = np.random.default_rng(206)
@@ -146,8 +146,8 @@ class TestTotalLoss:
                             tuple(a[c] for a in gt),
                             RunConfig(), has_3d=bool(has_3d[c]))
                  for c in range(3)]
-        assert rep.value() == pytest.approx(
-            np.mean([c.value() for c in clips]), rel=1e-14)
+        assert rep.total.item() == pytest.approx(
+            np.mean([c.total.item() for c in clips]), rel=1e-14)
         for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
             assert getattr(rep, term) == pytest.approx(
                 np.mean([getattr(c, term) for c in clips]), rel=1e-14)

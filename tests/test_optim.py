@@ -99,7 +99,7 @@ class TestFlatUpdate:
     def test_bits_equal_the_per_tensor_update(self, layout, cpus, monkeypatch):
         # the step runs on the calling thread, so the bits are the same
         # whether or not a second CPU is free for the helper thread
-        monkeypatch.setattr("stpose.tensor._helper_cpus", lambda: 2 if cpus == "helper" else 1)
+        monkeypatch.setattr("stpose.runtime.cpus", lambda: 2 if cpus == "helper" else 1)
         store, params, twins = twin_params(LAYOUTS[layout])
         opt = Adam(store, lr=1e-3, betas=(0.9, 0.95))
         ref = PerTensorAdam(twins, lr=1e-3, betas=(0.9, 0.95))

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
+from stpose import runtime
 from stpose import tensor as T
 from stpose.gradcheck import fd_check, op_checks
 from stpose.tensor import ShapeError, Tensor
@@ -524,7 +525,7 @@ def test_mlp_skips_the_input_gradient_of_a_constant_input():
     assert x.grad is None and all(p.grad is not None for p in params)
 
 
-# ------------------------------------------------------------- two shards
+# ------------------------------------------------------------- two halves
 
 
 def test_overflow_in_shard_one_raises_under_the_callers_error_state(inline_shards):
@@ -535,7 +536,7 @@ def test_overflow_in_shard_one_raises_under_the_callers_error_state(inline_shard
         return np.full(4, 1e200) * scale
 
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        T._sharded(kernel, [1.0, 1e200])
+        runtime.two_halves(kernel, [1.0, 1e200])
     assert any(name.startswith("stpose-shard") for name in ran)
 
 
@@ -550,8 +551,8 @@ def test_an_error_in_shard_one_reaches_the_caller_and_the_helper_runs_on(inline_
         return threading.current_thread().name
 
     with pytest.raises(ShardFault):
-        T._sharded(kernel, ["ok", "fail"])
-    main, helper = T._sharded(kernel, ["ok", "ok"])
+        runtime.two_halves(kernel, ["ok", "fail"])
+    main, helper = runtime.two_halves(kernel, ["ok", "ok"])
     assert main == threading.current_thread().name
     assert helper.startswith("stpose-shard")
 
@@ -569,8 +570,8 @@ def test_concurrent_callers_share_one_helper(inline_shards, monkeypatch):
     model = build_model(cfg)
     batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw, tree=model.tree)
     want = evaluate(model, batch)[0]
-    blas = T._openblas_threads()
-    real, counts = T._sharded, []
+    blas = runtime._openblas_threads()
+    real, counts = runtime.two_halves, []
 
     def counting(kernel, shards):
         counts.append([get() for get, _ in blas])
@@ -582,7 +583,7 @@ def test_concurrent_callers_share_one_helper(inline_shards, monkeypatch):
         for _ in range(3):
             results.append(evaluate(model, batch)[0] == want)
 
-    monkeypatch.setattr(T, "_sharded", counting)
+    monkeypatch.setattr(runtime, "two_halves", counting)
     sys.setswitchinterval(1e-6)
     try:
         for _, set_threads in blas:
@@ -609,33 +610,33 @@ def test_concurrent_callers_share_one_helper(inline_shards, monkeypatch):
 
 
 def test_keep_freed_memory_is_idempotent_and_a_no_op_without_mallopt(monkeypatch):
-    T._keep_freed_memory.cache_clear()
+    runtime._keep_freed_memory.cache_clear()
     try:
         want = platform.libc_ver()[0] == "glibc"
-        assert T._keep_freed_memory() is want
-        assert T._keep_freed_memory() is want
-        T._keep_freed_memory.cache_clear()
-        monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())   # no mallopt
-        assert T._keep_freed_memory() is False
+        assert runtime._keep_freed_memory() is want
+        assert runtime._keep_freed_memory() is want
+        runtime._keep_freed_memory.cache_clear()
+        monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: object())   # no mallopt
+        assert runtime._keep_freed_memory() is False
     finally:
-        T._keep_freed_memory.cache_clear()
+        runtime._keep_freed_memory.cache_clear()
 
 
 def test_give_back_free_memory_runs_and_is_a_no_op_without_malloc_trim(monkeypatch):
     want = platform.libc_ver()[0] == "glibc"
-    assert T._give_back_free_memory() is want
-    assert T._give_back_free_memory() is want   # nothing left to give back is fine
-    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: object())   # no malloc_trim
-    assert T._give_back_free_memory() is False
+    assert runtime._give_back_free_memory() is want
+    assert runtime._give_back_free_memory() is want   # nothing left to give back is fine
+    monkeypatch.setattr(runtime.ctypes, "CDLL", lambda name: object())   # no malloc_trim
+    assert runtime._give_back_free_memory() is False
 
 
 def test_a_forked_child_starts_its_own_helper(inline_shards):
-    assert T._sharded(lambda shard: shard, [0, 1]) == [0, 1]   # the parent's helper runs
+    assert runtime.two_halves(lambda shard: shard, [0, 1]) == [0, 1]   # the parent's helper runs
     pid = os.fork()
     if pid == 0:   # the child never returns into pytest
         code = 1
         try:
-            code = 0 if T._sharded(lambda shard: shard, [0, 1]) == [0, 1] else 1
+            code = 0 if runtime.two_halves(lambda shard: shard, [0, 1]) == [0, 1] else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 30

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stpose.train
+from stpose import runtime
 from stpose import tensor as T
 from stpose.attention import SteEncoder
 from stpose.checkpoint import (CheckpointError, load_checkpoint, restore_params,
@@ -49,7 +50,7 @@ def at_one_and_two_blas_threads(run):
     """[run() with OpenBLAS set to 1 thread, run() with it set to 2]. Each
     run must give the count it found back; the counts found before are
     restored afterwards."""
-    calls = T._openblas_threads()
+    calls = runtime._openblas_threads()
     before, results = [get() for get, _ in calls], []
     try:
         for threads in (1, 2):
@@ -225,7 +226,7 @@ class TestStepErrors:
                 raise ValueError("camera scale must be positive")
             return real(*args)
 
-        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+        monkeypatch.setattr(runtime, "cpus", lambda: 2)
         monkeypatch.setattr(stpose.train, "model_forward", failing)
         with pytest.raises(RuntimeError, match=r"step 3 \(stage 2\)") as info:
             train(tiny_cfg())
@@ -298,7 +299,7 @@ class TestStepBudget:
         for name in ("params_to_joints", "total_loss"):
             monkeypatch.setattr(stpose.train, name, counted(name, getattr(stpose.train, name)))
         monkeypatch.setattr(Tensor, "backward", counting_backward)
-        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)   # the worker runs clip 1's graph
+        monkeypatch.setattr(runtime, "cpus", lambda: 2)   # the worker runs clip 1's graph
         train(tiny_cfg(steps_stage1=0, steps_stage2=1))
         assert sorted(calls) == ["decode", "params_to_joints", "total_loss"]
         assert len(nodes) == 1 and nodes[0] <= self.OP_NODES
@@ -384,7 +385,7 @@ class TestClipHalves:
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+        monkeypatch.setattr(runtime, "cpus", lambda: 2)
 
     @pytest.mark.parametrize("cfg", [
         tiny_cfg(),
@@ -399,10 +400,10 @@ class TestClipHalves:
             return real(model, batch, clips, frame, ratio)
 
         monkeypatch.setattr(stpose.train, "batch_step", counting)
-        monkeypatch.setattr(T, "_helper_cpus", lambda: 2)
+        monkeypatch.setattr(runtime, "cpus", lambda: 2)
         in_worker = train(cfg)
         worker_fed, fed[:] = fed[:], []
-        monkeypatch.setattr(T, "_helper_cpus", lambda: 1)
+        monkeypatch.setattr(runtime, "cpus", lambda: 1)
         in_process = train(cfg)
         first, second = (cfg.clips + 1) // 2, cfg.clips // 2
         # this process fed only the first half when the worker ran the second
@@ -422,12 +423,13 @@ class TestClipHalves:
         whole.total.backward()
         want = [p.grad.copy() for p in params]
         model.store.grad.fill(0.0)
-        halves = stpose.train._ClipHalves(model, batch)
+        halves = runtime.ClipHalves(stpose.train._half_grads(model, batch),
+                                   model.store.grad)
         try:   # clips 0-1 here and clip 2 in the worker, weighted 2/3 and 1/3
             terms = halves.step(1, 0.5)
         finally:
             halves.close()
-        assert terms == pytest.approx((whole.value(), whole.l_3d, whole.l_2d,
+        assert terms == pytest.approx((whole.total.item(), whole.l_3d, whole.l_2d,
                                        whole.l_smpl, whole.l_norm), rel=1e-12)
         for p, g in zip(params, want):
             assert np.abs(p.grad - g).max() <= 1e-12 * np.abs(g).max()
@@ -461,7 +463,7 @@ class TestClipHalves:
             return real(model, batch, clips, frame, ratio)
 
         monkeypatch.setattr(stpose.train, "batch_step", overflowing)
-        monkeypatch.setattr(T, "_helper_cpus", lambda: cpus)
+        monkeypatch.setattr(runtime, "cpus", lambda: cpus)
         with np.errstate(over="raise"):
             with pytest.raises(RuntimeError, match=r"^training failed at step 2 \(stage 2\): "
                                r"overflow ") as info:
@@ -470,12 +472,12 @@ class TestClipHalves:
         assert multiprocessing.active_children() == []
 
     def test_each_half_runs_blas_on_one_thread(self, monkeypatch, two_cpus):
-        real, before = stpose.train.batch_step, [get() for get, _ in T._openblas_threads()]
+        real, before = stpose.train.batch_step, [get() for get, _ in runtime._openblas_threads()]
         whole_clip_steps = []
 
         def checking(model, batch, clips, frame=None, ratio=1.0):
             if ratio < 1.0:   # in this process and in the worker alike
-                counts = [get() for get, _ in T._openblas_threads()]
+                counts = [get() for get, _ in runtime._openblas_threads()]
                 if counts != [1] * len(before):
                     raise ValueError(f"BLAS runs on {counts} threads")
                 whole_clip_steps.append(list(clips))
@@ -484,7 +486,7 @@ class TestClipHalves:
         monkeypatch.setattr(stpose.train, "batch_step", checking)
         train(tiny_cfg())
         assert whole_clip_steps == [[0]] * 4
-        assert [get() for get, _ in T._openblas_threads()] == before
+        assert [get() for get, _ in runtime._openblas_threads()] == before
 
     def test_a_daemonic_process_runs_both_halves_itself(self, two_cpus):
         # a daemonic process may start no child of its own
@@ -555,7 +557,7 @@ class TestClipHalves:
                 log.write(b"H")
             return real(model, batch, clips, frame, ratio)
 
-        monkeypatch.setattr(T, "_give_back_free_memory", trim)
+        monkeypatch.setattr(runtime, "_give_back_free_memory", trim)
         monkeypatch.setattr(stpose.train, "batch_step", half)
         cfg = tiny_cfg()
         train(cfg)
@@ -578,22 +580,22 @@ class TestDeterminism:
         # the calling thread, and no kernel of the forward or backward is
         # sharded, not even block 0's MLP over 1040 rows by 256 hidden or
         # attention over (16, 2, 65, 65) maps, so training neither calls
-        # _sharded nor starts the helper thread; with two CPUs, stage 2's
+        # two_halves nor starts the helper thread; with two CPUs, stage 2's
         # second clip halves run in the worker process instead
         cfg = tiny_cfg(encoder="coupling", blocks=2, d=64, hw=64, t_clip=2, clips=16,
                        steps_stage1=2, steps_stage2=2)
-        calls, real_sharded, real_pool = [], T._sharded, T._helper_pool
+        calls, real_halves, real_pool = [], runtime.two_halves, runtime._helper_pool
 
-        def sharded(kernel, shards):
+        def halves(kernel, shards):
             calls.append(kernel.__qualname__)
-            return real_sharded(kernel, shards)
+            return real_halves(kernel, shards)
 
         def pool():
             calls.append("_helper_pool")
             return real_pool()
 
-        monkeypatch.setattr(T, "_sharded", sharded)
-        monkeypatch.setattr(T, "_helper_pool", pool)
+        monkeypatch.setattr(runtime, "two_halves", halves)
+        monkeypatch.setattr(runtime, "_helper_pool", pool)
         on_helper = train(cfg)
         with inline_shards():
             inline = train(cfg)
@@ -663,8 +665,8 @@ class TestBatchStep:
                 singles = [batch_step(model, batch, [c], frame=frame)
                            for c in range(2)]
                 combined = batch_step(model, batch, range(2), frame=frame)
-                assert combined.value() == pytest.approx(
-                    0.5 * (singles[0].value() + singles[1].value()), rel=1e-12)
+                assert combined.total.item() == pytest.approx(
+                    0.5 * (singles[0].total.item() + singles[1].total.item()), rel=1e-12)
                 for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
                     assert getattr(combined, term) == pytest.approx(
                         0.5 * (getattr(singles[0], term)
@@ -718,7 +720,7 @@ class TestBatchStep:
                                tree=model.tree)
         by_frame = [batch_step(model, batch, range(2), frame=f)
                     for f in range(2)]
-        assert by_frame[0].value() != by_frame[1].value()
+        assert by_frame[0].total.item() != by_frame[1].total.item()
 
     def test_weights_come_from_the_model_config(self):
         cfg = tiny_cfg(w_3d=7.0, w_2d=0.5, w_norm=3.0)
@@ -729,7 +731,7 @@ class TestBatchStep:
         w = model.cfg
         want = w.w_3d * rep.l_3d + w.w_2d * rep.l_2d + rep.l_smpl \
             + w.w_norm * rep.l_norm
-        assert rep.value() == pytest.approx(want, rel=1e-12)
+        assert rep.total.item() == pytest.approx(want, rel=1e-12)
         # the SMPL term carries its own weights: zeroing them zeroes it
         no_smpl = build_model(tiny_cfg(w_3d=7.0, w_2d=0.5, w_norm=3.0,
                                        w_smpl_pose=0.0, w_smpl_shape=0.0))
@@ -767,7 +769,7 @@ class TestBatchStep:
             return LossReport(total, *terms)
 
         blended, want = run(blend)
-        assert mixed.value() == pytest.approx(blended.value(), rel=1e-12)
+        assert mixed.total.item() == pytest.approx(blended.total.item(), rel=1e-12)
         for term in ("l_3d", "l_2d", "l_smpl", "l_norm"):
             assert getattr(mixed, term) == pytest.approx(getattr(blended, term),
                                                          rel=1e-12), term
@@ -999,11 +1001,11 @@ def test_steps_reuse_the_memory_the_last_step_freed():
 _WORKER_FAULTS = """
 import json
 import stpose.train
-from stpose import tensor as T
+from stpose import runtime
 from stpose.config import RunConfig
 
-T._helper_cpus = lambda: 2   # a worker even where this process has one CPU
-step, seen = stpose.train._ClipHalves.step, []
+runtime.cpus = lambda: 2   # a worker even where this process has one CPU
+step, seen = runtime.ClipHalves.step, []
 
 def counting(halves, frame, ratio):
     terms = step(halves, frame, ratio)
@@ -1011,7 +1013,7 @@ def counting(halves, frame, ratio):
         seen.append(int(fh.read().rpartition(")")[2].split()[7]))   # minflt
     return terms
 
-stpose.train._ClipHalves.step = counting
+runtime.ClipHalves.step = counting
 stpose.train.train(RunConfig(steps_stage1=0, steps_stage2=8))
 print(json.dumps([b - a for a, b in zip(seen, seen[1:])]))
 """
