@@ -49,6 +49,15 @@ def _refuse_short(norms: np.ndarray, what: str) -> None:
         raise DegenerateRotationError(at, what, norms[at].item())
 
 
+_YZX, _ZXY = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis: np.cross's terms, without its Python wrapper."""
+    return (a.take(_YZX, axis=-1) * b.take(_ZXY, axis=-1)
+            - a.take(_ZXY, axis=-1) * b.take(_YZX, axis=-1))
+
+
 def rot6d_to_matrix(r: Tensor) -> Tensor:
     """Gram-Schmidt a (..., 6) tensor into proper rotations (..., 3, 3).
 
@@ -64,7 +73,7 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
     """
     if r.shape[-1] != 6:
         raise ShapeError(f"expected trailing extent 6, got {r.shape}")
-    a1, a2 = np.take(r.data, [0, 1, 2], axis=-1), np.take(r.data, [3, 4, 5], axis=-1)
+    a1, a2 = r.data.take([0, 1, 2], axis=-1), r.data.take([3, 4, 5], axis=-1)
 
     n1 = np.sqrt((a1 * a1).sum(axis=-1, keepdims=True))
     _refuse_short(n1, "first column too short")
@@ -78,15 +87,15 @@ def rot6d_to_matrix(r: Tensor) -> Tensor:
 
     def vjp(g):
         gb3 = g[..., 2]
-        gb1 = g[..., 0] + np.cross(b2, gb3)               # b3 = b1 x b2
-        gb2 = g[..., 1] + np.cross(gb3, b1)
+        gb1 = g[..., 0] + _cross(b2, gb3)                 # b3 = b1 x b2
+        gb2 = g[..., 1] + _cross(gb3, b1)
         gu2 = (gb2 - b2 * (b2 * gb2).sum(axis=-1, keepdims=True)) / n2
         gdot = -(gu2 * b1).sum(axis=-1, keepdims=True)   # u2 = a2 - b1 (b1 . a2)
         gb1 += a2 * gdot - gu2 * dot
         ga1 = (gb1 - b1 * (b1 * gb1).sum(axis=-1, keepdims=True)) / n1
         return (np.concatenate([ga1, gu2 + b1 * gdot], axis=-1),)
 
-    return T._result(np.stack([b1, b2, np.cross(b1, b2)], axis=-1), (r,), vjp)
+    return T._result(np.stack([b1, b2, _cross(b1, b2)], axis=-1), (r,), vjp)
 
 
 def matrix_to_axis_angle(m: Tensor) -> Tensor:
@@ -193,10 +202,3 @@ def matrix_to_rot6d_np(m: np.ndarray) -> np.ndarray:
     """Pack the first two columns of (..., 3, 3) rotations as (..., 6)."""
     m = np.asarray(m, dtype=np.float64)
     return np.concatenate([m[..., :, 0], m[..., :, 1]], axis=-1)
-
-
-def is_rotation_matrix(m: np.ndarray, tol: float = 1e-6) -> bool:
-    m = np.asarray(m, dtype=np.float64)
-    eye = np.broadcast_to(np.eye(3), m.shape)
-    ortho = np.abs(np.swapaxes(m, -1, -2) @ m - eye).max() <= tol
-    return bool(ortho and np.abs(np.linalg.det(m) - 1.0).max() <= tol)

@@ -60,6 +60,7 @@ _REST_OFFSETS_128 = (
     (-11, 0, 0),     # 23 right hand
 )
 
+_EYE3 = np.eye(3)
 _BASIS_SEED = 7
 _BASIS_SCALE = 0.05   # largest per-joint displacement at |beta| = 1, meters
 
@@ -241,22 +242,21 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
     # the joint axis is -3 of rotations, bones and deviations, -2 of rest
     rest = rest_joints(tree, beta)
     base = [k if p == -1 else p for k, p in enumerate(tree.parents)]
-    bones = (rest.data - np.take(rest.data, base, axis=-2)).reshape(lead + (NUM_JOINTS, 3, 1))
+    bones = (rest.data - rest.data.take(base, axis=-2)).reshape(lead + (NUM_JOINTS, 3, 1))
 
     # one step per tree level: gather the parents' world rotations and
     # deviations from the level above, then pose the whole level at once
     levels, ups, deepest = tree.levels, tree.level_parents, len(tree.levels) - 1
-    world = np.take(rot.data, levels[0], axis=-3)
+    world = rot.data.take(levels[0], axis=-3)
     dev = np.zeros(lead + (1, 3, 1))
     devs = np.zeros(lead + (NUM_JOINTS, 3, 1))   # in joint order; the root's stays 0
     world_ups = []
     for depth, (level, up) in enumerate(zip(levels[1:], ups), 1):
-        world_up = np.take(world, up, axis=-3)
-        dev = np.take(dev, up, axis=-3) + np.matmul(world_up - np.eye(3),
-                                                    np.take(bones, level, axis=-3))
+        world_up = world.take(up, axis=-3)
+        dev = dev.take(up, axis=-3) + np.matmul(world_up - _EYE3, bones.take(level, axis=-3))
         devs[..., level, :, :] = dev
         if depth < deepest:   # no level below reads the deepest rotations
-            world = np.matmul(world_up, np.take(rot.data, level, axis=-3))
+            world = np.matmul(world_up, rot.data.take(level, axis=-3))
         world_ups.append(world_up)
 
     def vjp(g):
@@ -266,14 +266,14 @@ def forward_kinematics(tree: KinematicTree, rot: Tensor, beta: Tensor) -> Tensor
         g_world = g_dev = None   # from the level below, at this level's joints
         for depth in range(deepest, 0, -1):
             level, up, world_up = levels[depth], ups[depth - 1], world_ups[depth - 1]
-            g_d = np.take(g_devs, level, axis=-3)
+            g_d = g_devs.take(level, axis=-3)
             if g_dev is not None:
                 g_d += g_dev
             up_t = np.swapaxes(world_up, -1, -2)
             g_bones[..., level, :, :] = np.matmul(up_t, g_d) - g_d
-            g_up = g_d * np.swapaxes(np.take(bones, level, axis=-3), -1, -2)
+            g_up = g_d * np.swapaxes(bones.take(level, axis=-3), -1, -2)
             if g_world is not None:
-                local = np.take(rot.data, level, axis=-3)
+                local = rot.data.take(level, axis=-3)
                 g_up += np.matmul(g_world, np.swapaxes(local, -1, -2))
                 g_rot[..., level, :, :] = np.matmul(up_t, g_world)
             # sum each joint's gradients into its parent, one level up

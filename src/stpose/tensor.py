@@ -119,8 +119,8 @@ class Tensor:
                 if node.requires_grad:
                     if node.grad is None:
                         node.grad = g.copy()
-                    else:
-                        node.grad += g
+                    else:   # in place, so a stored parameter skips __setattr__
+                        np.add(node.grad, g, out=node.grad)
                 continue
             node._parents, node._vjp = (), _released
             for parent, pg in zip(parents, vjp(g)):
@@ -203,12 +203,16 @@ def no_grad():
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], vjp) -> Tensor:
-    out = Tensor(data)
-    out.data.flags.writeable = False
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+    # slot stores, not Tensor.__init__: this fixed cost is paid by every op
+    if type(data) is not np.ndarray or data.dtype != np.float64:
+        data = np.asarray(data, dtype=np.float64)
+    data.flags.writeable = False
+    out = object.__new__(Tensor)
+    out.data, out.grad, out._seq = data, None, next(_creation)
+    if _grad_mode.enabled and any([p.requires_grad for p in parents]):
+        out.requires_grad, out._parents, out._vjp = True, tuple(parents), vjp
+    else:
+        out.requires_grad, out._parents, out._vjp = False, (), None
     return out
 
 
@@ -233,8 +237,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _check_broadcast(shape: tuple[int, ...], b_shape: tuple[int, ...], op: str) -> None:
     """b_shape may lack leading axes of shape and hold 1 where shape does not."""
-    if len(b_shape) > len(shape) or any(
-            m not in (n, 1) for n, m in zip(shape[::-1], b_shape[::-1])):
+    if b_shape != shape and (len(b_shape) > len(shape) or any(
+            m not in (n, 1) for n, m in zip(shape[::-1], b_shape[::-1]))):
         raise ShapeError(f"{op} cannot broadcast {b_shape} to {shape}")
 
 
@@ -242,8 +246,8 @@ def _check_broadcast(shape: tuple[int, ...], b_shape: tuple[int, ...], op: str) 
 
 
 def reshape(t: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != t.size:
+    shape = tuple(map(int, shape))
+    if math.prod(shape) != t.size:
         raise ShapeError(f"cannot reshape {t.shape} to {shape}")
     return _result(t.data.reshape(shape), (t,), lambda g: (g.reshape(t.shape),))
 
@@ -252,7 +256,7 @@ def transpose(t: Tensor, perm) -> Tensor:
     perm = tuple(int(p) for p in perm)
     if sorted(perm) != list(range(t.ndim)):
         raise ShapeError(f"{perm} is not a permutation of rank-{t.ndim} axes")
-    inv = np.argsort(perm)
+    inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
     return _result(
         np.ascontiguousarray(np.transpose(t.data, perm)),
         (t,),
@@ -297,7 +301,7 @@ def take(t: Tensor, indices, axis: int) -> Tensor:
             full[at] = g
         return (full,)
 
-    return _result(np.take(t.data, idx, axis=axis), (t,), vjp)
+    return _result(t.data.take(idx, axis=axis), (t,), vjp)
 
 
 def expand(t: Tensor, shape) -> Tensor:
@@ -500,8 +504,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm gain/bias must have shape ({d},)")
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    # np.add.reduce(...) / d is what ndarray.mean runs, without its Python wrapper
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    std = np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
     xhat = np.divide(xc, std, out=xc)
     out = xhat * gain.data
     out += bias.data
@@ -512,8 +517,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         p = g * xh
         gg = p.sum(axis=0)
         p *= gain.data
-        gx = gxhat - gxhat.mean(axis=-1, keepdims=True)
-        gx -= xh * p.mean(axis=-1, keepdims=True)
+        gx = gxhat - np.add.reduce(gxhat, axis=-1, keepdims=True) / d
+        gx -= xh * (np.add.reduce(p, axis=-1, keepdims=True) / d)
         gx /= std.reshape(-1, 1)
         return gx.reshape(x.shape), gg, g.sum(axis=0)
 

@@ -21,6 +21,14 @@ def _rand(rng, *shape):
     return rng.standard_normal(shape)
 
 
+def is_rotation_matrix(m: np.ndarray, tol: float = 1e-6) -> bool:
+    """Every (3, 3) of m is orthonormal with determinant 1, within tol."""
+    m = np.asarray(m, dtype=np.float64)
+    eye = np.broadcast_to(np.eye(3), m.shape)
+    ortho = np.abs(np.swapaxes(m, -1, -2) @ m - eye).max() <= tol
+    return bool(ortho and np.abs(np.linalg.det(m) - 1.0).max() <= tol)
+
+
 def _rot6d_oracle(r6: np.ndarray) -> np.ndarray:
     """Orthonormalize via numpy QR, signs fixed to make it Gram-Schmidt."""
     a = np.stack([r6[:3], r6[3:]], axis=-1)
@@ -44,6 +52,17 @@ def _rot6d_composite(r):
     return T.concat([T.reshape(b, b.shape + (1,)) for b in (b1, b2, b3)], axis=-1)
 
 
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((3,), (3,)), ((64, 3), (64, 3)), ((5, 24, 3), (5, 24, 3)),
+    ((5, 24, 3), (3,)), ((3,), (7, 3)), ((4, 1, 3), (1, 6, 3))])
+def test_cross_equals_np_cross_bit_for_bit(a_shape, b_shape):
+    rng = np.random.default_rng(31)
+    a, b = _rand(rng, *a_shape), _rand(rng, *b_shape)
+    got, want = G._cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRot6d:
     def test_matches_qr_oracle(self):
         rng = np.random.default_rng(11)
@@ -59,7 +78,7 @@ class TestRot6d:
     def test_proper_rotation_properties(self):
         rng = np.random.default_rng(12)
         m = G.rot6d_to_matrix(Tensor(_rand(rng, 64, 6))).data
-        assert G.is_rotation_matrix(m, tol=1e-9)
+        assert is_rotation_matrix(m, tol=1e-9)
 
     def test_first_column_is_normalized_first_vector(self):
         rng = np.random.default_rng(13)
@@ -118,7 +137,7 @@ class TestRot6d:
     def test_norm_just_above_threshold_accepted(self):
         r6 = np.array([2e-8, 0, 0, 0, 3.0, 0])
         m = G.rot6d_to_matrix(Tensor(r6)).data
-        assert G.is_rotation_matrix(m, tol=1e-9)
+        assert is_rotation_matrix(m, tol=1e-9)
 
     def test_batched_shapes(self):
         rng = np.random.default_rng(15)
@@ -147,7 +166,7 @@ class TestRot6d:
         n1 = np.linalg.norm(a1)
         if n1 < 1e-6 or np.linalg.norm(a2 - (a1 @ a2) / max(n1 * n1, 1e-30) * a1) < 1e-6:
             return
-        assert G.is_rotation_matrix(G.rot6d_to_matrix(Tensor(r6)).data, tol=1e-8)
+        assert is_rotation_matrix(G.rot6d_to_matrix(Tensor(r6)).data, tol=1e-8)
 
 
 class TestAxisAngleToMatrix:
@@ -183,7 +202,7 @@ class TestAxisAngleToMatrix:
     @settings(max_examples=50, deadline=None)
     def test_property_proper_rotation(self, vals):
         m = G.axis_angle_to_matrix_np(np.asarray(vals))
-        assert G.is_rotation_matrix(m, tol=1e-9)
+        assert is_rotation_matrix(m, tol=1e-9)
 
 
 class TestMatrixToAxisAngle:

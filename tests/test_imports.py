@@ -2,7 +2,8 @@
 constant, every method and every instance attribute of stpose has a reader
 in stpose: an import nothing reads, or a definition or state only tests
 reach, is a dead line that suggests a dependency, a feature or coverage the
-code does not have. And only ``runtime.py`` reaches the process itself."""
+code does not have. Only ``runtime.py`` reaches the process itself, and
+the engine's hot path calls none of numpy's costlier Python wrappers."""
 
 import ast
 import collections
@@ -17,7 +18,6 @@ FILES = SOURCES + sorted(ROOT.glob("tests/*.py"))
 # Top-level definitions that no module of stpose reads, each kept on purpose.
 UNCALLED = {
     "matrix_to_axis_angle_np": "oracle read by criterion 6 and tests/test_geometry.py",
-    "is_rotation_matrix": "oracle read by tests/test_geometry.py",
 }
 
 
@@ -222,3 +222,39 @@ def test_boundary_scan_finds_the_breaches():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_the_runtime_reaches_the_process(path):
     assert boundary_breaches(path.name, path.read_text(encoding="utf-8")) == []
+
+
+# numpy entry points whose Python-level wrapper costs more than the math on
+# the small arrays of the engine's hot path; the array methods, math.prod,
+# geometry._cross and np.add.reduce(...) / n give the same bits
+HOT_PATH = ("tensor.py", "geometry.py", "kinematics.py")
+WRAPPED = ("take", "cross", "prod")
+
+
+def wrapper_calls(source: str) -> list:
+    """(line, call) of every ``np.take(``, ``np.cross(`` and ``np.prod(``
+    call and every ``.mean(`` call, on an array or on np, sorted by line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        on_np = isinstance(func.value, ast.Name) and func.value.id == "np"
+        if func.attr == "mean" or (on_np and func.attr in WRAPPED):
+            out.append((node.lineno, ("np." if on_np else ".") + func.attr))
+    return sorted(out)
+
+
+def test_wrapper_scan_finds_the_calls():
+    source = ("import numpy as np\nx = np.take(a, [0], axis=-1)\ny = a.take([0], axis=-1)\n"
+              "z = np.cross(a, b) + a.mean(axis=-1)\nn = int(np.prod(s))\n"
+              "m = np.mean(a)\nw = np.take_along_axis(a, i, -1)\n"
+              "# np.take( in a comment\ns = 'np.cross('\nk = math.prod(s)\n")
+    assert wrapper_calls(source) == [(2, "np.take"), (4, ".mean"), (4, "np.cross"),
+                                     (5, "np.prod"), (6, "np.mean")]
+
+
+@pytest.mark.parametrize("name", HOT_PATH)
+def test_the_hot_path_calls_no_numpy_wrapper(name):
+    source = (ROOT / "src" / "stpose" / name).read_text(encoding="utf-8")
+    assert wrapper_calls(source) == []

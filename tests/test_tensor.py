@@ -2,6 +2,7 @@
 central finite differences."""
 
 import ast
+import contextlib
 import inspect
 import math
 import os
@@ -881,6 +882,19 @@ def test_no_grad_values_match_recorded_bitwise():
         plain = _chain(x, w)
     assert recorded.requires_grad
     np.testing.assert_array_equal(plain.data, recorded.data)
+
+
+@pytest.mark.parametrize("recording", [True, False], ids=["grad", "no_grad"])
+def test_full_reduction_is_a_read_only_0d_float64_node(recording):
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    assert type(x.data.sum(axis=(0, 1))) is np.float64   # numpy hands back a scalar
+    with contextlib.nullcontext() if recording else T.no_grad():
+        s = T.reduce_sum(x)
+    assert type(s.data) is np.ndarray and s.shape == () and s.data.dtype == np.float64
+    assert not s.data.flags.writeable and s.item() == 15.0
+    assert s.requires_grad is recording and s.grad is None and s._seq > x._seq
+    assert s._parents == ((x,) if recording else ())
+    assert (s._vjp is not None) is recording
 
 
 def test_no_grad_is_per_thread():
