@@ -17,10 +17,9 @@ import numpy as np
 from .checkpoint import load_checkpoint, restore_params
 from .config import RunConfig, load_config
 from .gradcheck import full_suite
-from .synth import synth_generate
 from .tensor import no_grad
-from .train import (Model, ablate, build_model, build_tree, evaluate,
-                    model_forward, train)
+from .train import (Model, ablate, build_model, build_tree, clip_batch,
+                    evaluate, model_forward, train)
 
 
 _FLAG_HELP = {
@@ -91,9 +90,7 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval needs --checkpoint <path>")
     model = build_model(cfg)
     _restore(model, args.checkpoint)
-    batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
-                           noise_std=cfg.noise_std, tree=model.tree,
-                           p_2d_only=cfg.p_2d_only)
+    batch = clip_batch(cfg, model.tree)
     csv_path = None
     if args.out is not None:
         csv_path = os.path.join(_require_out(args), "metrics.csv")
@@ -145,8 +142,7 @@ def _cmd_attn_dump(args) -> int:
     model = build_model(cfg)
     if args.checkpoint is not None:
         _restore(model, args.checkpoint)
-    batch = synth_generate(cfg.seed, 1, cfg.t_clip, hw=cfg.hw,
-                           noise_std=cfg.noise_std, tree=model.tree)
+    batch = clip_batch(cfg, model.tree, clips=1)
     with no_grad():
         result = model_forward(model, batch.obs[0])
     csv_path = os.path.join(out, "attention.csv")
@@ -174,10 +170,7 @@ def _cmd_attn_dump(args) -> int:
 def _cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     out = _require_out(args)
-    batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
-                           noise_std=cfg.noise_std,
-                           tree=build_tree(cfg.tree, cfg.seed),
-                           p_2d_only=cfg.p_2d_only)
+    batch = clip_batch(cfg, build_tree(cfg.tree, cfg.seed))
     path = os.path.join(out, "synth.npz")
     np.savez(path, obs=batch.obs, gt_pose6d=batch.gt_pose6d,
              gt_theta=batch.gt_theta, gt_beta=batch.gt_beta,

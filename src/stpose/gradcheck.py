@@ -6,7 +6,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import tensor as T
+from .config import RunConfig
+from .decoders import KtdDecoder, ktd_pose
+from .geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle, project,
+                       rot6d_to_matrix)
+from .kinematics import NUM_JOINTS, SHAPE_DIM, forward_kinematics, smpl_tree
 from .tensor import Tensor
+from .train import batch_step, build_model, clip_batch
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -76,19 +83,12 @@ CHAIN_TOL = 1e-4
 
 def _weighted_sum(out: Tensor, w: np.ndarray) -> Tensor:
     """Scalarize with fixed weights so cotangents are non-uniform."""
-    from . import tensor as T
     return T.reduce_sum(T.mul(out, Tensor(w)))
 
 
 def op_checks(seed: int = 0) -> list[CheckResult]:
     """One finite-difference check per differentiable tensor, geometry,
     kinematics and decoder op."""
-    from . import tensor as T
-    from .decoders import KtdDecoder, ktd_pose
-    from .geometry import (axis_angle_to_matrix_np, matrix_to_axis_angle,
-                           project, rot6d_to_matrix)
-    from .kinematics import NUM_JOINTS, SHAPE_DIM, forward_kinematics, smpl_tree
-
     rng = np.random.default_rng(seed)
 
     def t(*shape, lo=-1.0, hi=1.0):
@@ -147,8 +147,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     results = []
     for name, builder, inputs in cases:
         w = np.random.default_rng(seed + 1).normal(0.0, 1.0, builder().shape)
-        err = fd_check(lambda builder=builder, w=w: _weighted_sum(builder(), w),
-                       inputs, rng=np.random.default_rng(seed + 2))
+        err = fd_check(lambda builder=builder, w=w: _weighted_sum(builder(), w), inputs)
         results.append(CheckResult(f"op.{name}", err, OPS_TOL))
     return results
 
@@ -172,10 +171,6 @@ def _nudge_zero_weights(data: np.ndarray, rng: np.random.Generator,
 def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckResult]:
     """End-to-end observation -> loss gradients for both decoders, through
     one training batch of two clips, the second of them 2D-only."""
-    from .config import RunConfig
-    from .synth import synth_generate
-    from .train import batch_step, build_model
-
     results = []
     for decoder in ("ktd", "iterative"):
         cfg = RunConfig(encoder="parallel_v2", decoder=decoder, blocks=1,
@@ -183,8 +178,7 @@ def chain_checks(seed: int = 0, max_coords_per_tensor: int = 2) -> list[CheckRes
                         noise_std=0.01)
         model = build_model(cfg)
         _nudge_zero_weights(model.store.data, np.random.default_rng(seed + 3))
-        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
-                               noise_std=cfg.noise_std, tree=model.tree)
+        batch = clip_batch(cfg, model.tree)
         batch.has_3d[:] = (True, False)
 
         def loss():

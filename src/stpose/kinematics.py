@@ -20,6 +20,8 @@ bone offsets derived from them) are exact binary fractions.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from . import tensor as T
@@ -161,7 +163,6 @@ def random_tree(seed: int) -> KinematicTree:
     degree = np.ones(NUM_JOINTS, dtype=np.int64)
     for x in seq:
         degree[x] += 1
-    import heapq
     leaves = [k for k in range(NUM_JOINTS) if degree[k] == 1]
     heapq.heapify(leaves)
     edges = []

@@ -1,23 +1,26 @@
 """How a call uses the process: its CPUs, OpenBLAS's threads, glibc's malloc,
 and the two fixed halves of its clips.
 
-``train`` and ``evaluate`` split their clips into the same two halves
-(``clip_halves``) and add or join the second half's result after the
+``train`` and ``evaluate`` split their clips into the same halves
+(``clip_halves``: two, or one for one clip), each run by a callable that
+takes its slice, and add or join the second half's result after the
 first's. With fewer than two CPUs (``cpus``) the second half runs inline
 after the first, so the bits do not depend on the CPU count. No kernel of
 the engine runs in parallel.
 
-- ``two_halves`` runs ``evaluate``'s second half on one helper thread,
-  while numpy releases the interpreter lock inside BLAS calls and ufuncs.
-- ``ClipHalves`` runs a training step's second half in a worker process,
-  forked once: it starts in milliseconds with the built model, and no
-  other thread of this package is running then (the helper runs only
-  inside ``evaluate``, which waits for it). The worker's model is its
-  forked copy; the parameter store's ``data`` is a shared mapping, so it
-  reads the values Adam last wrote here. Each step sends it the frame; it
-  copies its gradient into a buffer shared with this process, which adds
-  that into the store's, and answers with its loss terms or its error. A
-  daemonic process may start no child, so it runs both halves itself.
+- ``two_halves(kernel, halves)`` runs ``evaluate``'s second half on one
+  helper thread, while numpy releases the interpreter lock inside BLAS
+  calls and ufuncs.
+- ``ClipHalves(step, halves, grad)`` runs a training step's second half in
+  a worker process, forked once, and only for two halves: it starts in
+  milliseconds with the built model, and no other thread of this package
+  is running then (the helper runs only inside ``evaluate``, which waits
+  for it). The worker's model is its forked copy; the parameter store's
+  ``data`` is a shared mapping, so it reads the values Adam last wrote
+  here. Each step sends it the frame; it copies its gradient into a buffer
+  shared with this process, which adds that into the store's, and answers
+  with its loss terms or its error. A daemonic process may start no
+  child, so it runs both halves itself.
 
 ``pinned()`` holds a whole ``train`` or ``evaluate`` call. Inside it every
 loaded OpenBLAS runs on one thread: the thread count can change a GEMM's
@@ -198,15 +201,17 @@ def two_halves(kernel: Callable, halves: Sequence) -> list:
 
 
 class ClipHalves:
-    """Steps of two halves, ``half(i, frame, ratio)`` for i = 0 and 1, that
-    each add their gradient into ``grad`` (a parameter store's flat
-    gradient) and return a tuple of loss terms. With two CPUs a worker
-    forked here runs half 1 into its own copy of ``grad``."""
+    """Training steps over the one or two halves of ``clip_halves``: each
+    ``step(half, frame, ratio)`` adds its gradient into ``grad`` (a
+    parameter store's flat gradient) and returns a tuple of loss terms.
+    With two halves and two CPUs a worker forked here runs the second into
+    its own copy of ``grad``."""
 
-    def __init__(self, half: Callable, grad: np.ndarray):
-        self.half, self.store_grad = half, grad
+    def __init__(self, step: Callable, halves: Sequence, grad: np.ndarray):
+        self.half_step, self.halves, self.store_grad = step, halves, grad
         self.worker = None
-        if (cpus() >= 2 and not multiprocessing.current_process().daemon
+        if (len(halves) == 2 and cpus() >= 2
+                and not multiprocessing.current_process().daemon
                 and "fork" in multiprocessing.get_all_start_methods()):
             self.second_grad = np.frombuffer(mmap.mmap(-1, grad.nbytes))
             context = multiprocessing.get_context("fork")
@@ -234,7 +239,7 @@ class ClipHalves:
                 return
             self.store_grad.fill(0.0)
             try:
-                reply = self.half(1, frame, ratio)
+                reply = self.half_step(self.halves[1], frame, ratio)
                 self.second_grad[...] = self.store_grad
             except Exception as exc:   # the parent raises it
                 reply = exc
@@ -246,17 +251,17 @@ class ClipHalves:
                             f"{self.worker.exitcode}")
 
     def step(self, frame, ratio) -> tuple:
-        """Both halves at the store's current values: leaves half 0 + half 1
-        in ``grad`` and returns their loss terms summed the same way."""
-        if self.worker is not None:
+        """Every half at the store's current values: leaves their gradients
+        summed in ``grad``, half 0 first, and returns their loss terms
+        summed the same way (one half's as they are)."""
+        if self.worker is None:
+            terms = [self.half_step(half, frame, ratio) for half in self.halves]
+        else:
             try:
                 self.pipe.send((frame, ratio))
             except OSError:
                 raise self._lost() from None
-        first = self.half(0, frame, ratio)
-        if self.worker is None:
-            second = self.half(1, frame, ratio)
-        else:
+            first = self.half_step(self.halves[0], frame, ratio)
             try:
                 second = self.pipe.recv()
             except EOFError:
@@ -264,7 +269,8 @@ class ClipHalves:
             if isinstance(second, Exception):
                 raise second
             np.add(self.store_grad, self.second_grad, out=self.store_grad)
-        return tuple(a + b for a, b in zip(first, second))
+            terms = [first, second]
+        return terms[0] if len(terms) == 1 else tuple(a + b for a, b in zip(*terms))
 
     def close(self) -> None:
         """Stop and reap the worker, if there is one, busy or not."""

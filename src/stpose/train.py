@@ -11,6 +11,7 @@ reproduces a run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass
 from typing import NamedTuple, Union
@@ -71,6 +72,14 @@ def build_model(cfg: RunConfig) -> Model:
     model = Model(cfg, tree, patch_embed, encoder, decoder)
     model.store = T.ParamStore(model.named_params())   # the parameters' one layout
     return model
+
+
+def clip_batch(cfg: RunConfig, tree: KinematicTree, clips: int | None = None) -> ClipBatch:
+    """The run's synthetic clips on ``tree``, drawn from ``cfg``'s seed:
+    ``cfg.clips`` of them, or ``clips``."""
+    return synth_generate(cfg.seed, cfg.clips if clips is None else clips, cfg.t_clip,
+                          hw=cfg.hw, noise_std=cfg.noise_std, tree=tree,
+                          p_2d_only=cfg.p_2d_only)
 
 
 class ForwardOut(NamedTuple):
@@ -170,8 +179,8 @@ def batch_step(model: Model, batch: ClipBatch, clips, frame=None,
 
     A :class:`DegenerateRotationError` is re-raised naming the clip and
     the frame of ``batch``, not the slot they had in the step. ``train``
-    runs a whole-clip step as two such graphs, one per half of the clips
-    (see :mod:`runtime`).
+    runs a whole-clip step as one such graph per half of the clips (see
+    :mod:`runtime`).
     """
     clips = np.asarray(clips)
     spans = []   # (frames, weight of each) per encoder pass
@@ -203,30 +212,20 @@ class _ForwardError(Exception):
     say where it came from."""
 
 
-def _step_grads(model: Model, batch: ClipBatch, clips, frame, ratio,
-                share: float) -> tuple:
-    """Forward and backward of one :func:`batch_step` over ``clips``, its
-    loss scaled by ``share``, their share of the step's clips. Returns the
-    scaled total, l_3d, l_2d, l_smpl and l_norm."""
+def _step_grads(model: Model, batch: ClipBatch, clips: slice, frame, ratio) -> tuple:
+    """Forward and backward of one :func:`batch_step` over the clips
+    ``clips`` picks, its loss scaled by their share of the batch. Returns
+    the scaled total, l_3d, l_2d, l_smpl and l_norm."""
+    picked = np.arange(batch.clips)[clips]
+    share = picked.size / batch.clips
     try:
-        report = batch_step(model, batch, clips, frame, ratio)
+        report = batch_step(model, batch, picked, frame, ratio)
     except Exception as exc:
         raise _ForwardError(exc) from exc
     total = T.scale(report.total, share)
     total.backward()
     return (float(total.data), *(share * term for term in (
         report.l_3d, report.l_2d, report.l_smpl, report.l_norm)))
-
-
-def _half_grads(model: Model, batch: ClipBatch):
-    """``half(i, frame, ratio)`` for :class:`runtime.ClipHalves`: the
-    :func:`_step_grads` of the i-th fixed half of the clips, its loss
-    scaled by that half's share of them."""
-    halves = runtime.clip_halves(batch.clips)
-    clips = [np.arange(batch.clips)[h] for h in halves]
-    shares = [(h.stop - h.start) / batch.clips for h in halves]
-    return lambda i, frame, ratio: _step_grads(model, batch, clips[i], frame,
-                                               ratio, shares[i])
 
 
 def train(cfg: RunConfig, out_dir=None) -> TrainResult:
@@ -236,13 +235,14 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
     with temporal attention bypassed. Stage 2 feeds mixed batches: whole
     clips plus one rotating frame of each, the frame weighted
     ``stage2_image_ratio`` and the clip (1 - ratio), with one loss (see
-    :func:`batch_step`). A step that feeds whole clips, over at least 2 of
-    them, is two graphs, one per fixed half of the clips; with two CPUs a
-    worker process runs the second (:class:`runtime.ClipHalves`), and only
-    this process runs the optimizer. The call runs inside
-    :func:`runtime.pinned`, so the bits depend neither on the CPU count nor
-    on the BLAS thread count. Writes config.txt, loss_log.csv, and
-    final.ckpt when ``out_dir`` is given.
+    :func:`batch_step`). A step that feeds whole clips is one graph per
+    fixed half of the clips (:func:`runtime.clip_halves`, one half for one
+    clip); with two halves and two CPUs a worker process runs the second
+    (:class:`runtime.ClipHalves`), and only this process runs the
+    optimizer. Every other step is one graph over all the clips. The call
+    runs inside :func:`runtime.pinned`, so the bits depend neither on the
+    CPU count nor on the BLAS thread count. Writes config.txt,
+    loss_log.csv, and final.ckpt when ``out_dir`` is given.
 
     An error in a step's forward or backward pass, in either process, is
     re-raised as a RuntimeError that names the step and the stage, and for
@@ -253,16 +253,15 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                          "and steps_stage2 are both 0")
     with runtime.pinned():
         model = build_model(cfg)
-        batch = synth_generate(cfg.seed, cfg.clips, cfg.t_clip, hw=cfg.hw,
-                               noise_std=cfg.noise_std, tree=model.tree,
-                               p_2d_only=cfg.p_2d_only)
+        batch = clip_batch(cfg, model.tree)
         halves = None
         try:
-            if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0 and batch.clips >= 2:
-                halves = runtime.ClipHalves(_half_grads(model, batch), model.store.grad)
+            if cfg.steps_stage2 and cfg.stage2_image_ratio < 1.0:
+                halves = runtime.ClipHalves(functools.partial(_step_grads, model, batch),
+                                            runtime.clip_halves(batch.clips),
+                                            model.store.grad)
             opt = Adam(model.store, lr=cfg.lr, betas=(cfg.beta1, cfg.beta2))
             history = []
-            all_clips = range(batch.clips)
             image_step = 0
             for step in range(cfg.total_steps):
                 stage = 1 if step < cfg.steps_stage1 else 2
@@ -276,7 +275,7 @@ def train(cfg: RunConfig, out_dir=None) -> TrainResult:
                     if stage == 2 and halves is not None:
                         terms = halves.step(frame, ratio)
                     else:
-                        terms = _step_grads(model, batch, all_clips, frame, ratio, 1.0)
+                        terms = _step_grads(model, batch, slice(None), frame, ratio)
                 except Exception as exc:
                     cause, where = exc, ""
                     if isinstance(exc, _ForwardError):

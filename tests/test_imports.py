@@ -2,8 +2,9 @@
 constant, every method and every instance attribute of stpose has a reader
 in stpose: an import nothing reads, or a definition or state only tests
 reach, is a dead line that suggests a dependency, a feature or coverage the
-code does not have. Only ``runtime.py`` reaches the process itself, and
-the engine's hot path calls none of numpy's costlier Python wrappers."""
+code does not have. Only ``train.clip_batch`` draws a run's clips, only
+``runtime.py`` reaches the process itself, and the engine's hot path calls
+none of numpy's costlier Python wrappers."""
 
 import ast
 import collections
@@ -180,6 +181,36 @@ def test_attribute_scan_finds_the_unread_attributes():
 def test_every_instance_attribute_is_read():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert unread_attributes(sources) == []
+
+
+def call_sites(sources: dict, callee: str) -> list:
+    """Where ``callee`` is called, by a bare name or as an attribute, in
+    {module: source}: "module.name" of the top-level function or class
+    around each call, or "module" for one at module level, in source
+    order."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            out += [f"{module}.{node.name}" if named else module
+                    for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and callee in (getattr(call.func, "id", None),
+                                   getattr(call.func, "attr", None))]
+    return out
+
+
+def test_call_scan_finds_the_call_sites():
+    sources = {"a": "def f():\n    return g(1) + m.g(2)\nclass C:\n    def h(self): g()\n"
+                    "g(3)\n",
+               "b": "from a import g\nx = g\n# g( in a comment\ns = 'g('\ndef k(): gg()\n"}
+    assert call_sites(sources, "g") == ["a.f", "a.f", "a.C", "a"]
+
+
+def test_one_builder_draws_a_runs_clips():
+    # a second caller would map the config onto synth_generate's arguments
+    # again, and could drop a field such as p_2d_only
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert call_sites(sources, "synth_generate") == ["train.clip_batch"]
 
 
 # The modules through which a program reaches its process: C calls, child

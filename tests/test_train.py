@@ -1,4 +1,5 @@
 import errno
+import functools
 import json
 import math
 import mmap
@@ -391,7 +392,8 @@ class TestClipHalves:
         tiny_cfg(),
         tiny_cfg(encoder="coupling", decoder="iterative", blocks=2, d=64, hw=16, t_clip=8,
                  clips=5, steps_stage1=1, steps_stage2=2, stage2_image_ratio=0.0),
-    ], ids=["tiny", "coupled_d64"])
+        tiny_cfg(clips=1, steps_stage1=1, steps_stage2=3),
+    ], ids=["tiny", "coupled_d64", "one_clip"])
     def test_bits_do_not_depend_on_the_cpu_count(self, monkeypatch, cfg):
         real, fed = stpose.train.batch_step, []
 
@@ -406,9 +408,10 @@ class TestClipHalves:
         monkeypatch.setattr(runtime, "cpus", lambda: 1)
         in_process = train(cfg)
         first, second = (cfg.clips + 1) // 2, cfg.clips // 2
+        halves = [first, second] if second else [first]   # one clip is one half
         # this process fed only the first half when the worker ran the second
         assert worker_fed == [cfg.clips] * cfg.steps_stage1 + [first] * cfg.steps_stage2
-        assert fed == [cfg.clips] * cfg.steps_stage1 + [first, second] * cfg.steps_stage2
+        assert fed == [cfg.clips] * cfg.steps_stage1 + halves * cfg.steps_stage2
         assert in_worker.history == in_process.history
         pa, pb = in_worker.model.named_params(), in_process.model.named_params()
         for name in pa:
@@ -423,8 +426,8 @@ class TestClipHalves:
         whole.total.backward()
         want = [p.grad.copy() for p in params]
         model.store.grad.fill(0.0)
-        halves = runtime.ClipHalves(stpose.train._half_grads(model, batch),
-                                   model.store.grad)
+        halves = runtime.ClipHalves(functools.partial(stpose.train._step_grads, model, batch),
+                                    runtime.clip_halves(3), model.store.grad)
         try:   # clips 0-1 here and clip 2 in the worker, weighted 2/3 and 1/3
             terms = halves.step(1, 0.5)
         finally:
@@ -433,6 +436,21 @@ class TestClipHalves:
                                        whole.l_smpl, whole.l_norm), rel=1e-12)
         for p, g in zip(params, want):
             assert np.abs(p.grad - g).max() <= 1e-12 * np.abs(g).max()
+
+    def test_one_half_runs_inline_with_no_worker(self, two_cpus):
+        grad = np.zeros(3)
+
+        def step(half, frame, ratio):
+            grad[half] += 1.0
+            return (half, frame, ratio)
+
+        halves = runtime.ClipHalves(step, [slice(0, 1)], grad)
+        try:
+            assert multiprocessing.active_children() == []
+            assert halves.step(2, 0.5) == (slice(0, 1), 2, 0.5)
+        finally:
+            halves.close()
+        assert grad.tolist() == [1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("half, decoder", [(0, "ktd"), (1, "iterative")],
                              ids=["parent", "worker"])
